@@ -23,10 +23,25 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
-from .specfun import ml_values
+from .specfun import _algebraic_tail, ml_values
 from .spectral import SpectralCoeffs, analyze, synthesize
+
+__all__ = [
+    "CauchyData",
+    "Slice",
+    "ContinuationScheme",
+    "SplitResult",
+    "continue_exact",
+    "continue_left_dc",
+    "continue_right_dc",
+    "continue_fac_lap",
+    "continue_banded",
+    "split_data",
+    "split_frequency_continue",
+    "landweber_smooth",
+    "with_noise",
+]
 
 # mode-wise amplification cap: coefficients blown up beyond this are zeroed
 # and counted so that the unstable schemes stay runnable for comparisons
@@ -96,8 +111,8 @@ class ContinuationScheme:
             ends = [k for k, _ in self.bands]
             if any(b >= a for a, b in zip(ends[1:], ends)):
                 raise ValueError("band breakpoints must be strictly increasing")
-            if any(not 0.0 < a < 1.0 for _, a in self.bands):
-                raise ValueError("band orders must lie in (0, 1)")
+            if any(not 0.0 < a <= 1.0 for _, a in self.bands):
+                raise ValueError("band orders must lie in (0, 1]")
 
 
 def _check_height(y):
@@ -152,22 +167,8 @@ def continue_left_dc(data, alpha2, y):
     )
 
 
-def _alg_tail(alpha2, beta, x, kmax=8):
-    """Algebraic large-argument tail -sum_k x^-k / Gamma(beta - alpha2 k),
-    truncated at the smallest term (the expansion is asymptotic)."""
-    total = 0.0
-    best = math.inf
-    for k in range(1, kmax + 1):
-        term = x ** (-k) * rgamma(beta - alpha2 * k)
-        if term != 0.0 and abs(term) > best:
-            break
-        best = min(best, abs(term)) if term != 0.0 else best
-        total -= term
-    return total
-
-
-def _right_dc_ratio_large(alpha2, xi, fj, gj, y):
-    """Modal coefficient of right_dc for large xi, from the cancelled form.
+def _right_dc_ratio_large(alpha2, xi, fc, gc, y):
+    """Modal coefficients of right_dc for large xi, from the cancelled form.
 
     On the positive axis the Mittag-Leffler asymptotics carry a single
     exponential, and the exp(2 xi) parts of E1^2 - z E3 E2 cancel exactly;
@@ -176,11 +177,9 @@ def _right_dc_ratio_large(alpha2, xi, fj, gj, y):
     """
     c = 1.0 / alpha2
     x = xi ** alpha2
-    a1 = _alg_tail(alpha2, 1.0, x)
-    a2 = _alg_tail(alpha2, alpha2, x)
-    a3 = _alg_tail(alpha2, 2.0, x)
-    small = math.exp(-xi) if xi < 700.0 else 0.0
-    num = c * (fj + gj * y / xi) + small * (fj * a1 + gj * y * a3)
+    a1, a2, a3 = (_algebraic_tail(alpha2, beta, x)[0] for beta in (1.0, alpha2, 2.0))
+    small = np.where(xi < 700.0, np.exp(-xi), 0.0)
+    num = c * (fc + gc * y / xi) + small * (fc * a1 + gc * y * a3)
     den = c * (2.0 * a1 - xi * a3 - xi ** (alpha2 - 1.0) * a2) + small * (
         a1 * a1 - x * a2 * a3
     )
@@ -223,8 +222,9 @@ def continue_right_dc(data, alpha2, y):
         e3 = ml_values(alpha2, alpha2, zd)
         num[direct] = fc[direct] * e1 + gc[direct] * y * e2
         den[direct] = e1 * e1 - zd * e3 * e2
-    for j in np.nonzero(~direct)[0]:
-        num[j], den[j] = _right_dc_ratio_large(alpha2, xi[j], fc[j], gc[j], y)
+    large = ~direct
+    if np.any(large):
+        num[large], den[large] = _right_dc_ratio_large(alpha2, xi[large], fc[large], gc[large], y)
     ref = np.hypot(fc, gc)
     a, zeroed = _guarded_ratio(num, den, ref)
     return Slice(y, synthesize(SpectralCoeffs(data.basis, a)), zeroed_modes=zeroed)

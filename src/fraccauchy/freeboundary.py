@@ -37,6 +37,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .elliptic import (Curve, InterfaceBC, _samples_on_grid, bottom_flux,
                        eval_on_curve, interface_traces, solve_forward)
+from .spectral import _trapezoid_weights
 
 __all__ = [
     "NewtonConfig",
@@ -127,27 +128,30 @@ class RecoveryTrace:
         return out
 
 
-def _trapezoid_weights(n, h):
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 def _wnorm(v, w):
     return float(np.sqrt(np.sum(w * v * v)))
+
+
+def _cos_tables(x, L, modes):
+    """Rows k < modes of cos(k pi x / L) and their exact derivatives."""
+    k = np.arange(int(modes)) * np.pi / L
+    ph = np.cos(np.outer(k, x))
+    dph = -k[:, None] * np.sin(np.outer(k, x))
+    return ph, dph
+
+
+def _cos_coeffs(values, x, L, modes):
+    """Trapezoid-weighted least-squares cosine coefficients of grid samples."""
+    ph, _ = _cos_tables(x, L, modes)
+    w = _trapezoid_weights(x.size, x[1] - x[0])
+    return (ph * (w * values)).sum(axis=1) / (ph * ph * w).sum(axis=1)
 
 
 def project_cosine(values, L, modes):
     """Project grid samples on [0, L] onto span{cos(k pi x / L), k < modes}."""
     values = np.asarray(values, dtype=float)
-    n = values.size
-    x = np.linspace(0.0, L, n)
-    w = _trapezoid_weights(n, L / (n - 1))
-    out = np.zeros(n)
-    for k in range(int(modes)):
-        ph = np.cos(k * np.pi * x / L)
-        out += (np.sum(w * values * ph) / np.sum(w * ph * ph)) * ph
-    return out
+    x = np.linspace(0.0, L, values.size)
+    return _cos_coeffs(values, x, L, modes) @ _cos_tables(x, L, modes)[0]
 
 
 def _gradient_matrix(n, h):

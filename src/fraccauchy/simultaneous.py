@@ -7,24 +7,19 @@ gamma(x) on it: both enter the interface condition
     B u = u_y - ell' u_x + gamma u = 0     on y = ell(x),
 
 where gamma is the combined coefficient sqrt(1 + ell'^2) * (raw impedance).
-Two independently excited fields u_1, u_2 do separate them.  This module
-provides
+Two independently excited fields u_1, u_2 do separate them wherever their
+trace Wronskian u1_x u2 - u2_x u1 does not vanish.  This module provides
 
-  * ``joint_newton_step`` -- one linearized step: the shape derivative of the
-    interface condition for both fields is collocated on the curve and solved
-    for the pair (curve increment, impedance increment) in a regularized
-    least-squares sense over low cosine modes;
-  * ``eliminate_dl`` / ``eliminate_dgam`` -- the same linear system reduced,
-    by cross-multiplying with the field traces, to a first-order ODE for the
-    curve increment alone and a pointwise formula for the impedance
-    increment.  They need second-derivative traces and serve as diagnostics
-    and cross-checks, not as the default reconstruction;
-  * ``frozen_newton`` -- the default reconstruction: a regularized Newton
-    iteration on the aggregate residual (interior equation, bottom data fit,
-    interface condition) with the Jacobian assembled once at the starting
-    state, a geometric regularization schedule, and a penalty enforcing that
-    the two impedance copies agree and that the curve endpoint matches its
-    known value;
+  * ``frozen_newton`` -- the reconstruction: a regularized Newton iteration
+    on the aggregate residual (bottom data fit and interface condition) with
+    the Jacobian assembled once at the starting state, a geometric
+    regularization schedule stopped by the discrepancy rule, and a penalty
+    enforcing that the two impedance copies agree and that the curve
+    endpoint matches its known value;
+  * ``joint_newton_step`` -- one linearized step on given fields: the shape
+    derivative of the interface condition for both fields is collocated on
+    the curve and solved for the pair (curve increment, impedance increment)
+    in a regularized least-squares sense over low cosine modes;
   * ``wronskian`` / ``range_invariance_residual`` / ``stacked_singular_values``
     -- diagnostics for the solvability assumptions behind the iteration.
 
@@ -32,8 +27,9 @@ Fields are represented separably: u = sum_i (a_i P+_i(y) + b_i P-_i(y))
 phi_i(x) over the lateral eigenbasis, with growing/decaying profile pairs.
 Such fields satisfy the interior equation and the lateral condition exactly,
 so the Newton residual reduces to the bottom-data misfit and the interface
-condition.  A fractional continuation scheme may be swapped in for the
-growing profile; that variant is exposed as a configuration flag only.
+condition.  The factored fractional scheme (``fac_lap``) may replace the
+growing profile by the reciprocal Mittag-Leffler kernel, evaluated in one
+batched call per order over the whole (mode x height) grid.
 """
 
 import math
@@ -41,19 +37,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .elliptic import (
     Curve,
     InterfaceTraces,
     MeshField,
-    bottom_flux,
+    _samples_on_grid,
     eval_on_curve,
     interface_traces,
 )
-from .freeboundary import curve_conormal
-from .specfun import ml
-from .spectral import analyze
+from .freeboundary import _cos_coeffs, _cos_tables, curve_conormal
+from .specfun import ml_values
+from .spectral import _trapezoid_weights, analyze
 
 __all__ = [
     "JointState",
@@ -61,10 +56,7 @@ __all__ = [
     "FrozenNewtonConfig",
     "JointTrace",
     "wronskian",
-    "linearized_interface",
     "joint_newton_step",
-    "eliminate_dl",
-    "eliminate_dgam",
     "range_invariance_residual",
     "frozen_newton",
     "stacked_singular_values",
@@ -76,48 +68,6 @@ _W_FLOOR = 1e-8
 _DEN_FLOOR = 1e-8
 _EXP_RANGE = 300.0
 _DIVERGENCE_FACTOR = 10.0
-
-
-def _trapw(n, h):
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
-def _on_grid(value, x, name):
-    v = value(x) if callable(value) else value
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        v = np.full(x.shape, float(v))
-    if v.shape != x.shape:
-        raise ValueError("%s must be a scalar, a callable, or grid samples" % name)
-    return v
-
-
-def _cos_tables(x, L, modes):
-    """Rows k < modes of cos(k pi x / L) and their exact derivatives."""
-    k = np.arange(int(modes)) * math.pi / L
-    ph = np.cos(np.outer(k, x))
-    dph = -k[:, None] * np.sin(np.outer(k, x))
-    return ph, dph
-
-
-def _cos_coeffs(values, x, L, modes):
-    ph, _ = _cos_tables(x, L, modes)
-    w = _trapw(x.size, x[1] - x[0])
-    return (ph * (w * values)).sum(axis=1) / (ph * ph * w).sum(axis=1)
-
-
-def _cosine_derivative(values, x, L):
-    """d/dx through the full cosine series of the even extension.
-
-    On the closed uniform grid the cosine family k = 0..N-1 is exactly
-    orthogonal under trapezoid weights, so this differentiates the cosine
-    interpolant of the samples.
-    """
-    c = _cos_coeffs(values, x, L, x.size)
-    _, dph = _cos_tables(x, L, x.size)
-    return c @ dph
 
 
 def _mode_derivatives(basis):
@@ -172,8 +122,8 @@ class JointState:
 
     def __post_init__(self):
         x = self.ell.x
-        self.gam1 = _on_grid(self.gam1, x, "gam1")
-        self.gam2 = _on_grid(self.gam2, x, "gam2")
+        self.gam1 = _samples_on_grid(self.gam1, x, "gam1")
+        self.gam2 = _samples_on_grid(self.gam2, x, "gam2")
         for name, g in (("gam1", self.gam1), ("gam2", self.gam2)):
             if np.any(~np.isfinite(g)) or np.any(g <= 0.0):
                 raise ValueError("%s must be positive and finite" % name)
@@ -255,10 +205,6 @@ class JointTrace:
     gam_gap: list = field(default_factory=list)
     flags: list = field(default_factory=list)
 
-    def rows(self):
-        """(n, alpha_n, residual, relerr_ell, relerr_gam) per iterate."""
-        return list(zip(self.ns, self.alphas, self.residuals, self.rel_ell, self.rel_gam))
-
 
 # ----------------------------------------------------------------------
 # curve traces
@@ -320,28 +266,6 @@ def _shape_term(tr, dl, gam):
     return tr.u_yy - dl * tr.u_xy + gam * tr.u_y
 
 
-def linearized_interface(state, dl, dgam):
-    """Linearized interface residuals for a (curve, impedance) increment.
-
-    Evaluates, for each field, d/dx[dl * u_x] - dl * gam * u_y - dgam * u on
-    the current curve, with the x-derivative taken spectrally.  This
-    conservative form is the one the elimination formulas invert, so
-    plugging their output back in reproduces the input right-hand side to
-    machine precision.
-    """
-    dl = np.asarray(dl, dtype=float)
-    dgam = np.asarray(dgam, dtype=float)
-    x = state.ell.x
-    if dl.shape != x.shape or dgam.shape != x.shape:
-        raise ValueError("increments must be sampled on the curve grid")
-    out = []
-    for u, gam in ((state.u1, state.gam1), (state.u2, state.gam2)):
-        tr = _traces_on(u, state.ell)
-        d = _cosine_derivative(dl * tr.u_x, x, state.ell.L)
-        out.append(d - dl * gam * tr.u_y - dgam * tr.u)
-    return tuple(out)
-
-
 def _interface_rhs(state, zbar, gam):
     """Interface residual B zbar = conormal + gam * trace of a continued
     field along the current curve."""
@@ -380,7 +304,7 @@ def joint_newton_step(state, zbar1, zbar2, reg=None, modes_ell=8, modes_gam=8):
 
     ph_l, dph_l = _cos_tables(x, L, modes_ell)
     ph_g, _ = _cos_tables(x, L, modes_gam)
-    wq = np.sqrt(_trapw(x.size, x[1] - x[0]))
+    wq = np.sqrt(_trapezoid_weights(x.size, x[1] - x[0]))
 
     blocks = []
     rhs = []
@@ -398,79 +322,6 @@ def joint_newton_step(state, zbar1, zbar2, reg=None, modes_ell=8, modes_gam=8):
         reg = 1e-6 * float(np.linalg.norm(M, 2))
     coef = np.linalg.solve(M + reg * np.eye(M.shape[0]), A.T @ b)
     return coef[:modes_ell] @ ph_l, coef[modes_ell:] @ ph_g
-
-
-# ----------------------------------------------------------------------
-# elimination diagnostics
-
-
-def eliminate_dl(state, zbar1, zbar2, dl0):
-    """Curve increment from the cross-multiplied one-field-free form.
-
-    Multiplying each linearized interface equation by the other field's
-    trace and subtracting removes the impedance increment and leaves
-    d/dx[dl * w] - dl * bt = rhs with w the trace Wronskian; this solves it
-    by an integrating factor from the left endpoint value ``dl0``.  Needs
-    second-derivative traces, so it serves as a diagnostic cross-check of
-    ``joint_newton_step`` rather than as the reconstruction path.
-    """
-    if not np.allclose(state.gam1, state.gam2, rtol=1e-10, atol=1e-12):
-        raise ValueError("elimination assumes a single impedance; the state's copies differ")
-    gam = state.gam1
-    x = state.ell.x
-    dl_c = state.ell.dell()
-    tr1 = _traces_on(state.u1, state.ell)
-    tr2 = _traces_on(state.u2, state.ell)
-
-    at = tr1.u_x * tr2.u - tr2.u_x * tr1.u
-    scale = float(np.max(np.abs(tr1.u_x * tr2.u)) + np.max(np.abs(tr2.u_x * tr1.u)))
-    low = np.abs(at) < _W_FLOOR * max(scale, 1e-300)
-    if low.any():
-        xbad = x[low]
-        raise ValueError(
-            "trace Wronskian below floor on [%.4f, %.4f]; the eliminated "
-            "equation cannot be integrated there" % (xbad.min(), xbad.max())
-        )
-    bt = dl_c * (tr1.u_x * tr2.u_y - tr2.u_x * tr1.u_y) + gam * (
-        tr1.u_y * tr2.u - tr2.u_y * tr1.u
-    )
-    b1 = _interface_rhs(state, zbar1, gam)
-    b2 = _interface_rhs(state, zbar2, gam)
-    b = b1 * tr2.u - b2 * tr1.u
-
-    expo = cumulative_trapezoid(bt / at, x, initial=0.0)
-    growth = np.exp(np.clip(expo[:, None] - expo[None, :], -_EXP_RANGE, _EXP_RANGE))
-    h = x[1] - x[0]
-    qw = np.tril(np.full((x.size, x.size), h))
-    qw[:, 0] *= 0.5
-    np.fill_diagonal(qw, 0.5 * h)
-    qw[0, 0] = 0.0
-    phi = float(dl0) * at[0] * growth[:, 0] + (growth * b[None, :] * qw).sum(axis=1)
-    return phi / at
-
-
-def eliminate_dgam(state, dl, b1):
-    """Impedance increment once the curve increment is known, from the first
-    field's linearized interface equation solved pointwise:
-    (d/dx[dl * u_x] - dl * gam * u_y - b1) / u.  The bracket is
-    differentiated spectrally, consistently with ``linearized_interface``.
-    """
-    dl = np.asarray(dl, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    x = state.ell.x
-    if dl.shape != x.shape or b1.shape != x.shape:
-        raise ValueError("dl and b1 must be sampled on the curve grid")
-    tr1 = _traces_on(state.u1, state.ell)
-    den = tr1.u
-    low = np.abs(den) < _DEN_FLOOR * max(1.0, float(np.max(np.abs(den))))
-    if low.any():
-        xbad = x[low]
-        raise ValueError(
-            "field trace below floor on [%.4f, %.4f]; the impedance "
-            "increment is not determined there" % (xbad.min(), xbad.max())
-        )
-    d = _cosine_derivative(dl * tr1.u_x, x, state.ell.L)
-    return (d - dl * state.gam1 * tr1.u_y - b1) / den
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +345,7 @@ def range_invariance_residual(xi, xi0):
     if xi.ell.N != xi0.ell.N or abs(xi.ell.L - xi0.ell.L) > 1e-12 * xi0.ell.L:
         raise ValueError("states live on different grids")
     x = xi0.ell.x
-    w = _trapw(x.size, x[1] - x[0])
+    w = _trapezoid_weights(x.size, x[1] - x[0])
     dl = xi.ell.ell - xi0.ell.ell
     ddl = xi.ell.dell() - xi0.ell.dell()
     dl0_c = xi0.ell.dell()
@@ -551,19 +402,18 @@ class _SpanBasis:
         return self.basis.J
 
     def _frac_plus(self, y, order):
+        """Fractional growing profile 1 / E_{a,1}(-k y^a) on the (mode x
+        height) grid and, for ``order`` >= 1, its y-derivative."""
         alpha = self.scheme.alpha
-        pp = np.empty((self.J, y.size))
-        dpp = np.empty_like(pp) if order >= 1 else None
-        for i, lam in enumerate(self.k):
-            for n, yy in enumerate(y):
-                e1 = ml(alpha, 1.0, -lam * yy ** alpha).value if yy > 0.0 else 1.0
-                pp[i, n] = 1.0 / e1
-                if order >= 1:
-                    if yy <= 0.0:
-                        raise ValueError("fractional profile derivatives need y > 0")
-                    ea = ml(alpha, alpha, -lam * yy ** alpha).value
-                    dpp[i, n] = lam * yy ** (alpha - 1.0) * ea / e1 ** 2
-        return pp, dpp
+        if order >= 1 and np.any(y <= 0.0):
+            raise ValueError("fractional profile derivatives need y > 0")
+        z = -np.outer(self.k, np.maximum(y, 0.0) ** alpha)
+        e1 = ml_values(alpha, 1.0, z)
+        dpp = None
+        if order >= 1:
+            ea = ml_values(alpha, alpha, z)
+            dpp = self.k[:, None] * y ** (alpha - 1.0) * ea / e1 ** 2
+        return 1.0 / e1, dpp
 
     def profiles(self, y, order=0):
         """Profile values (and y-derivatives up to ``order``) at heights y.
@@ -690,7 +540,7 @@ class _FrozenSystem:
         x = self.basis.grid
         self.x = x
         self.L = self.basis.L
-        self.wq = _trapw(x.size, x[1] - x[0])
+        self.wq = _trapezoid_weights(x.size, x[1] - x[0])
         self.ph_l, self.dph_l = _cos_tables(x, self.L, cfg.modes_ell)
         self.ph_g, _ = _cos_tables(x, self.L, cfg.modes_gam)
         self.nl = cfg.modes_ell
@@ -877,8 +727,8 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
     wx = sys.xw
     truth_l = truth_g = None
     if truth is not None:
-        truth_l = _on_grid(truth[0], sys.x, "truth[0]")
-        truth_g = _on_grid(truth[1], sys.x, "truth[1]")
+        truth_l = _samples_on_grid(truth[0], sys.x, "truth[0]")
+        truth_g = _samples_on_grid(truth[1], sys.x, "truth[1]")
 
     def log(n, alpha_n, resid):
         _, _, lh, g1h, g2h = sys.unpack(v)

@@ -204,9 +204,11 @@ def _integral_negative(alpha: float, beta: float, z: float):
 
 
 def ml_values(alpha: float, beta: float, z) -> np.ndarray:
-    """Vectorised values of E_{alpha,beta} over a real array (values only)."""
-    vals, _, _ = _ml_array(alpha, beta, np.asarray(z, dtype=float))
-    return vals
+    """Vectorised values of E_{alpha,beta} over a real array of any shape
+    (values only, in the shape of ``z``; a scalar gives shape (1,))."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    vals, _, _ = _ml_array(alpha, beta, z.ravel())
+    return vals.reshape(z.shape)
 
 
 def _ml_array(alpha: float, beta: float, z: np.ndarray):

@@ -20,6 +20,7 @@ from fraccauchy.continuation import (
     _guarded_ratio,
     _right_dc_ratio_large,
 )
+from fraccauchy.elliptic import solve_cauchy_holdall
 from fraccauchy.specfun import ml_reciprocal_bound, ml_values
 from fraccauchy.spectral import LateralBC, SpectralCoeffs, analyze, build_basis, synthesize
 
@@ -342,6 +343,25 @@ def test_scheme_record_validation():
         ContinuationScheme("fac_lap", alpha=1.5)
     with pytest.raises(ValueError):
         ContinuationScheme("fac_lap_split", bands=((6, 0.9), (3, 0.5)))
+    with pytest.raises(ValueError):
+        ContinuationScheme("fac_lap_split", bands=((4, 1.5),))
+
+    # the split rule continues its low modes at the exact order 1.0; the
+    # bands it reports must be accepted back and reproduce its field
+    rng = np.random.default_rng(8)
+    basis = build_basis(math.pi, LateralBC("dirichlet"), 12, 128)
+    c = rng.standard_normal(12) * np.exp(-np.arange(12))
+    data = CauchyData(synthesize(SpectralCoeffs(basis, c)),
+                      synthesize(SpectralCoeffs(basis, 0.5 * c)), 0.02, basis)
+    y = [1.0 / 3.0, 2.0 / 3.0, 1.0]
+    picked = solve_cauchy_holdall(data, basis.bc, ContinuationScheme("fac_lap_split"), y)
+    bands = tuple(picked.meta["bands"])
+    assert bands[0][1] == 1.0 and len(bands) > 1
+    replay = solve_cauchy_holdall(
+        data, basis.bc, ContinuationScheme("fac_lap_split", bands=bands), y
+    )
+    assert replay.meta["bands"] == picked.meta["bands"]
+    assert np.array_equal(replay.values, picked.values)
 
 
 def test_data_validation():

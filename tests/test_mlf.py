@@ -66,6 +66,17 @@ def test_sinc_identity():
     assert np.max(np.abs(vals - np.sin(x) / x)) <= 1e-9
 
 
+def test_values_keep_array_shape():
+    # a (mode x height) grid whose negative arguments reach every branch,
+    # the integral one included (-7.78 and -9.32 at alpha = 0.9)
+    z = np.array([[-7.78, -9.32, -0.5], [-60.0, 2.0, -20.0]])
+    for beta in (1.0, 0.9):
+        grid = ml_values(0.9, beta, z)
+        assert grid.shape == z.shape
+        assert np.array_equal(grid.ravel(), ml_values(0.9, beta, z.ravel()))
+        assert np.array_equal(grid, [[ml(0.9, beta, zz).value for zz in row] for row in z])
+
+
 def test_forced_zero_at_half_pi():
     # E_{2,1}(-x^2) = cos x vanishes at x = pi/2
     r = ml(2.0, 1.0, -((math.pi / 2.0) ** 2))
