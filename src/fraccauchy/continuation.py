@@ -13,6 +13,12 @@ y-derivative by a fractional one of order ``2 alpha < 2``:
   push the growing component through ``1/E_{alpha,1}(-sqrt(lambda) y^alpha)``,
   whose amplification is only algebraic in ``lambda``.
 
+Every scheme takes the height ``y`` as a scalar or a 1-D grid and continues
+all heights in one call: the modal coefficients are computed once, each
+Mittag-Leffler kernel is evaluated in one batched call over the whole
+(height x mode) grid, and one synthesis returns the traces.  A scalar height
+is the 0-d case of the same code.
+
 ``split_frequency_continue`` assigns a per-band order by a discrepancy rule,
 and ``landweber_smooth`` implements the spectral pre-smoothing iteration used
 before continuing the unstable component.
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import _algebraic_tail, ml_values
-from .spectral import SpectralCoeffs, analyze, synthesize
+from .spectral import SpectralCoeffs, analyze
 
 __all__ = [
     "CauchyData",
@@ -80,12 +86,18 @@ class CauchyData:
 
 @dataclass
 class Slice:
-    """Continued trace at height y, with bookkeeping for guarded modes."""
+    """Continued traces at the heights ``y`` (a scalar or a 1-D grid).
 
-    y: float
+    ``values`` has shape ``(N,) + y.shape``: column k is the trace at
+    ``y[k]``.  ``zeroed_modes`` has shape ``y.shape`` and counts, per height,
+    the modes a guard zeroed; ``overflow`` is true if any height leaves the
+    double-precision exponential range.
+    """
+
+    y: np.ndarray
     values: np.ndarray
-    overflow: bool = False
-    zeroed_modes: int = 0
+    overflow: bool
+    zeroed_modes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,11 +127,21 @@ class ContinuationScheme:
                 raise ValueError("band orders must lie in (0, 1]")
 
 
+# Powers of the heights use np.float_power, which rounds like Python's float
+# pow (libm); NumPy's SIMD power loop can differ in the last bit, and the
+# direct right_dc denominator, a difference of two ~exp(2 xi) terms,
+# amplifies that bit to ~1e-11 of the field.
 def _check_height(y):
-    y = float(y)
-    if not (np.isfinite(y) and y >= 0.0):
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y) & (y >= 0.0)):
         raise ValueError("continuation height must be finite and >= 0")
     return y
+
+
+def _slice(data, y, a, zeroed, overflow=False):
+    """Slice from modal coefficients ``a`` of shape ``y.shape + (J,)``;
+    ``zeroed`` counts the guarded modes per height."""
+    return Slice(y, np.tensordot(data.basis.modes, a, axes=(0, -1)), overflow, zeroed)
 
 
 def continue_exact(data, y):
@@ -128,14 +150,15 @@ def continue_exact(data, y):
     y = _check_height(y)
     fc, gc = data.coeffs()
     s = np.sqrt(data.basis.lambdas)
+    yy = y[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.where(
             s > 0.0,
-            fc * np.cosh(s * y) + gc * np.sinh(s * y) / np.where(s > 0.0, s, 1.0),
-            fc + gc * y,
+            fc * np.cosh(s * yy) + gc * np.sinh(s * yy) / np.where(s > 0.0, s, 1.0),
+            fc + gc * yy,
         )
-    overflow = bool(s[-1] * y > 700.0)
-    return Slice(y, synthesize(SpectralCoeffs(data.basis, a)), overflow=overflow)
+    overflow = bool(np.any(s[-1] * y > 700.0))
+    return _slice(data, y, a, np.zeros(y.shape, dtype=int), overflow)
 
 
 def _check_order2(alpha2):
@@ -152,19 +175,15 @@ def continue_left_dc(data, alpha2, y):
     zeroes modes beyond AMP_LIMIT."""
     alpha2 = _check_order2(alpha2)
     y = _check_height(y)
-    fc, gc = data.coeffs()
-    lam = data.basis.lambdas
-    z = lam * y ** alpha2
-    keep = lam ** (1.0 / alpha2) * y <= _LOG_AMP_LIMIT
-    a = np.zeros_like(fc)
+    fc, gc, lam, yy = np.broadcast_arrays(*data.coeffs(), data.basis.lambdas, y[..., None])
+    z = lam * np.float_power(yy, alpha2)
+    keep = lam ** (1.0 / alpha2) * yy <= _LOG_AMP_LIMIT
+    a = np.zeros(z.shape)
     if np.any(keep):
         zk = z[keep]
-        a[keep] = fc[keep] * ml_values(alpha2, 1.0, zk) + gc[keep] * y * ml_values(alpha2, 2.0, zk)
-    return Slice(
-        y,
-        synthesize(SpectralCoeffs(data.basis, a)),
-        zeroed_modes=int(np.count_nonzero(~keep)),
-    )
+        a[keep] = (fc[keep] * ml_values(alpha2, 1.0, zk)
+                   + gc[keep] * yy[keep] * ml_values(alpha2, 2.0, zk))
+    return _slice(data, y, a, np.count_nonzero(~keep, axis=-1))
 
 
 def _right_dc_ratio_large(alpha2, xi, fc, gc, y):
@@ -188,7 +207,7 @@ def _right_dc_ratio_large(alpha2, xi, fc, gc, y):
 
 def _guarded_ratio(num, den, ref):
     """num/den with the spec'd near-zero-denominator and amplification guards;
-    returns (values, number of zeroed modes)."""
+    returns (values, number of zeroed modes along the last axis)."""
     vals = np.zeros_like(num)
     bad = np.abs(den) < 1e-12 * np.abs(num)
     ok = ~bad
@@ -196,7 +215,7 @@ def _guarded_ratio(num, den, ref):
         vals[ok] = num[ok] / den[ok]
     amp_bad = ~np.isfinite(vals) | (np.abs(vals) > AMP_LIMIT * np.maximum(np.abs(ref), 1e-300))
     vals[amp_bad] = 0.0
-    return vals, int(np.count_nonzero(bad | amp_bad))
+    return vals, np.count_nonzero(bad | amp_bad, axis=-1)
 
 
 def continue_right_dc(data, alpha2, y):
@@ -205,14 +224,13 @@ def continue_right_dc(data, alpha2, y):
     denominator can vanish (near-zero modes are zeroed and counted)."""
     alpha2 = _check_order2(alpha2)
     y = _check_height(y)
-    fc, gc = data.coeffs()
-    lam = data.basis.lambdas
-    z = lam * y ** alpha2
-    num = np.zeros_like(fc)
-    den = np.ones_like(fc)
     if alpha2 == 2.0:
         # denominator is cosh^2 - sinh^2 = 1 identically
         return continue_exact(data, y)
+    fc, gc, lam, yy = np.broadcast_arrays(*data.coeffs(), data.basis.lambdas, y[..., None])
+    z = lam * np.float_power(yy, alpha2)
+    num = np.zeros(z.shape)
+    den = np.ones(z.shape)
     xi = z ** (1.0 / alpha2)
     direct = xi <= _XI_ASYMP
     if np.any(direct):
@@ -220,14 +238,24 @@ def continue_right_dc(data, alpha2, y):
         e1 = ml_values(alpha2, 1.0, zd)
         e2 = ml_values(alpha2, 2.0, zd)
         e3 = ml_values(alpha2, alpha2, zd)
-        num[direct] = fc[direct] * e1 + gc[direct] * y * e2
+        num[direct] = fc[direct] * e1 + gc[direct] * yy[direct] * e2
         den[direct] = e1 * e1 - zd * e3 * e2
     large = ~direct
     if np.any(large):
-        num[large], den[large] = _right_dc_ratio_large(alpha2, xi[large], fc[large], gc[large], y)
-    ref = np.hypot(fc, gc)
-    a, zeroed = _guarded_ratio(num, den, ref)
-    return Slice(y, synthesize(SpectralCoeffs(data.basis, a)), zeroed_modes=zeroed)
+        num[large], den[large] = _right_dc_ratio_large(
+            alpha2, xi[large], fc[large], gc[large], yy[large]
+        )
+    a, zeroed = _guarded_ratio(num, den, np.hypot(fc, gc))
+    return _slice(data, y, a, zeroed)
+
+
+def _split_coeffs(fc, gc, lam):
+    """Growing and decaying modal parts (fc +- gc/sqrt(lam))/2; a zero
+    eigenvalue contributes no flux to either."""
+    s = np.sqrt(lam)
+    zero = s == 0.0
+    ginv = np.where(zero, 0.0, gc / np.where(zero, 1.0, s))
+    return 0.5 * (fc + ginv), 0.5 * (fc - ginv)
 
 
 def split_data(data):
@@ -238,79 +266,37 @@ def split_data(data):
     contribution is omitted from both parts (their sum still reproduces f)
     and a warning is issued.
     """
-    fc, gc = data.coeffs()
     lam = data.basis.lambdas
-    s = np.sqrt(lam)
-    zero = s == 0.0
-    if np.any(zero):
+    if np.any(lam == 0.0):
         warnings.warn(
             "zero-eigenvalue mode: flux component omitted in split", stacklevel=2
         )
-    ginv = np.where(zero, 0.0, gc / np.where(zero, 1.0, s))
-    up = 0.5 * (fc + ginv)
-    um = 0.5 * (fc - ginv)
+    up, um = _split_coeffs(*data.coeffs(), lam)
     return SpectralCoeffs(data.basis, up), SpectralCoeffs(data.basis, um)
-
-
-def _fac_lap_coeffs(up, um, lam, alpha, y):
-    """Band-constant-order factored continuation of split coefficients."""
-    s = np.sqrt(lam)
-    pos = s > 0.0
-    amp = np.ones_like(s)
-    if np.any(pos):
-        amp[pos] = 1.0 / ml_values(alpha, 1.0, -(s[pos] * y ** alpha))
-    a = np.where(pos, up * amp + um * np.exp(-s * y), up + um)
-    zeroed = int(np.count_nonzero(np.abs(amp) > AMP_LIMIT))
-    a[np.abs(amp) > AMP_LIMIT] = 0.0
-    return a, zeroed
 
 
 def continue_fac_lap(data, alpha, y):
     """Factored-operator continuation: decaying component propagated exactly,
     growing component amplified through the reciprocal Mittag-Leffler factor
     (bounded by 1 + Gamma(1-alpha) sqrt(lambda) y^alpha).  At alpha = 1 this
-    is the exact formula."""
+    is the exact formula.  This is `continue_banded` with a single band."""
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("fractional half-order must lie in (0, 1]")
-    y = _check_height(y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        up, um = split_data(data)
-    lam = data.basis.lambdas
-    a, zeroed = _fac_lap_coeffs(up.c, um.c, lam, alpha, y)
-    # zero eigenvalue: both kernels equal 1, recover the linear-in-y limit
-    zero = lam == 0.0
-    if np.any(zero):
-        fc, gc = data.coeffs()
-        a[zero] = fc[zero] + gc[zero] * y
-    return Slice(y, synthesize(SpectralCoeffs(data.basis, a)), zeroed_modes=zeroed)
+    return continue_banded(data, [(data.basis.J, alpha)], y)
 
 
 @dataclass
 class SplitResult:
-    """Slices plus the selected frequency bands ``(end_index, alpha)``.
-    Iterates as the pair (slices, bands)."""
+    """The continued `Slice` over the whole height grid plus the selected
+    frequency bands ``(end_index, alpha)``.  Iterates as the pair
+    (continued, bands)."""
 
-    slices: list
+    continued: Slice
     bands: list
 
     def __iter__(self):
-        return iter((self.slices, self.bands))
-
-
-def _consistency_defect(lam, alpha, ystar):
-    """|1 - q_j| where q_j is the go-up-then-come-down factor of the factored
-    scheme at depth ystar; vanishes as alpha -> 1 for fixed frequency.  The
-    scheme can over- as well as under-amplify (q on either side of 1), both
-    count as inconsistency."""
-    s = np.sqrt(lam)
-    q = np.ones_like(s)
-    pos = s > 0.0
-    if np.any(pos):
-        e = ml_values(alpha, 1.0, -(s[pos] * ystar ** alpha))
-        q[pos] = np.exp(-s[pos] * ystar) / e
-    return np.abs(1.0 - q)
+        return iter((self.continued, self.bands))
 
 
 def continue_banded(data, bands, y):
@@ -318,6 +304,7 @@ def continue_banded(data, bands, y):
 
     ``bands`` is a sequence of ``(end_index, alpha)`` pairs with strictly
     increasing end indices covering all modes (the last end equals basis.J).
+    Each band makes one Mittag-Leffler call over all heights.
     """
     y = _check_height(y)
     J = data.basis.J
@@ -327,23 +314,24 @@ def continue_banded(data, bands, y):
         raise ValueError("bands must cover modes 1..J with increasing ends")
     if any(not 0.0 < a <= 1.0 for _, a in bands):
         raise ValueError("band half-orders must lie in (0, 1]")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        up, um = split_data(data)
+    fc, gc = data.coeffs()
     lam = data.basis.lambdas
-    a = np.empty(J)
-    zeroed = 0
+    up, um = _split_coeffs(fc, gc, lam)
+    s = np.sqrt(lam)
+    yy = y[..., None]
+    amp = np.ones(y.shape + (J,))
     start = 0
     for end, alpha_b in bands:
-        sl = slice(start, end)
-        a[sl], z = _fac_lap_coeffs(up.c[sl], um.c[sl], lam[sl], alpha_b, y)
-        zeroed += z
+        sb = s[start:end]
+        pos = sb > 0.0
+        z = -(sb[pos] * np.float_power(yy, alpha_b))
+        amp[..., start:end][..., pos] = 1.0 / ml_values(alpha_b, 1.0, z)
         start = end
-    zero = lam == 0.0
-    if np.any(zero):
-        fc, gc = data.coeffs()
-        a[zero] = fc[zero] + gc[zero] * y
-    return Slice(y, synthesize(SpectralCoeffs(data.basis, a)), zeroed_modes=zeroed)
+    # zero eigenvalue: both kernels equal 1, recover the linear-in-y limit
+    a = np.where(s > 0.0, up * amp + um * np.exp(-s * yy), fc + gc * yy)
+    big = np.abs(amp) > AMP_LIMIT
+    a[big] = 0.0
+    return _slice(data, y, a, np.count_nonzero(big, axis=-1))
 
 
 def split_frequency_continue(data, y_grid, tau=1.5):
@@ -356,25 +344,30 @@ def split_frequency_continue(data, y_grid, tau=1.5):
     continuation (order 1) has zero defect, so noise-free data is continued
     exactly, while strongly amplified noise modes fall to low orders; the
     rule acts like a soft spectral cutoff at shallow depth and as genuinely
-    fractional damping at depth.  Runs of equal order merge into bands.
+    fractional damping at depth.  Runs of equal order merge into bands, and
+    one `continue_banded` call continues the whole grid.
     """
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     tau = float(tau)
     if tau <= 1.0:
         raise ValueError("noise safety factor tau must exceed 1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        up, um = split_data(data)
     lam = data.basis.lambdas
+    up, _ = _split_coeffs(*data.coeffs(), lam)
     J = lam.size
     ystar = float(np.max(y_grid))
     s = np.sqrt(lam)
     pos = s > 0.0
-    defects = np.array([_consistency_defect(lam, a, ystar) for a in ALPHA_GRID])
+    # growth factor 1/e of each order, and the consistency defect |1 - q| with
+    # q = exp(-s ystar)/e the go-up-then-come-down factor at depth ystar; q
+    # tends to 1 as alpha -> 1 for fixed frequency, and the scheme can over-
+    # as well as under-amplify (q on either side of 1)
     growth = np.ones((len(ALPHA_GRID), J))
+    defects = np.zeros((len(ALPHA_GRID), J))
     for i, a in enumerate(ALPHA_GRID):
-        growth[i, pos] = 1.0 / ml_values(a, 1.0, -(s[pos] * ystar ** a))
-    d = np.abs(up.c)
+        e = ml_values(a, 1.0, -(s[pos] * ystar ** a))
+        growth[i, pos] = 1.0 / e
+        defects[i, pos] = np.abs(1.0 - np.exp(-s[pos] * ystar) / e)
+    d = np.abs(up)
     # white-noise model: the data error spreads evenly over the modes the
     # scheme actually amplifies (zero modes are continued exactly)
     sigma = 0.0
@@ -385,17 +378,9 @@ def split_frequency_continue(data, y_grid, tau=1.5):
     pick = (len(ALPHA_GRID) - 1) - np.argmin(cost[::-1, :], axis=0)
     mode_alpha = np.asarray(ALPHA_GRID)[pick]
 
-    bands = []
-    k = 0
-    while k < J:
-        m = k
-        while m + 1 < J and mode_alpha[m + 1] == mode_alpha[k]:
-            m += 1
-        bands.append((m + 1, float(mode_alpha[k])))
-        k = m + 1
-
-    slices = [continue_banded(data, bands, float(y)) for y in y_grid]
-    return SplitResult(slices, bands)
+    breaks = np.flatnonzero(mode_alpha[1:] != mode_alpha[:-1]) + 1
+    bands = [(int(e), float(mode_alpha[e - 1])) for e in (*breaks, J)]
+    return SplitResult(continue_banded(data, bands, y_grid), bands)
 
 
 def landweber_smooth(u0_noisy, sigma_t, mu, l, delta, norm_at_l, c=1.0):

@@ -424,12 +424,14 @@ def interface_traces(field):
 
 
 def solve_cauchy_holdall(data, lateral, scheme, y_grid):
-    """Continue Cauchy data through the hold-all rectangle, slice by slice.
+    """Continue Cauchy data through the hold-all rectangle, with one
+    continuation call over the whole height grid.
 
     By uniqueness of harmonic continuation the resulting field agrees (up to
     the scheme's regularisation error) with the Newton-step field on any
     admissible subdomain, so downstream code may trace it along trial curves
-    with `eval_on_curve`.
+    with `eval_on_curve`.  ``meta["zeroed_modes"]`` lists the modes the
+    scheme's guards zeroed at each level.
     """
     if lateral != data.basis.bc:
         raise ValueError("lateral condition disagrees with the data's basis")
@@ -442,60 +444,54 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
     kind = scheme.kind
     meta = {"scheme": kind}
     if kind == "exact":
-        slices = [continue_exact(data, yy) for yy in y]
-        meta["overflow"] = any(s.overflow for s in slices)
-    elif kind in ("left_dc", "right_dc"):
+        cont = continue_exact(data, y)
+        meta["overflow"] = cont.overflow
+    elif kind == "fac_lap_split":
+        if scheme.bands is None:
+            cont, bands = split_frequency_continue(data, y)
+        else:
+            bands = scheme.bands
+            cont = continue_banded(data, bands, y)
+        meta["bands"] = list(bands)
+    else:
         if scheme.alpha is None:
             raise ValueError("scheme %r needs the half-order alpha" % (kind,))
-        onestep = continue_left_dc if kind == "left_dc" else continue_right_dc
-        slices = [onestep(data, 2.0 * scheme.alpha, yy) for yy in y]
-    elif kind == "fac_lap":
-        if scheme.alpha is None:
-            raise ValueError("scheme 'fac_lap' needs the half-order alpha")
-        slices = [continue_fac_lap(data, scheme.alpha, yy) for yy in y]
-    else:  # fac_lap_split
-        if scheme.bands is not None:
-            bands = list(scheme.bands)
-            slices = [continue_banded(data, bands, yy) for yy in y]
+        if kind == "fac_lap":
+            cont = continue_fac_lap(data, scheme.alpha, y)
         else:
-            picked = split_frequency_continue(data, y)
-            slices, bands = picked.slices, picked.bands
-        meta["bands"] = list(bands)
-    meta["zeroed_modes"] = max(s.zeroed_modes for s in slices)
+            dc = continue_left_dc if kind == "left_dc" else continue_right_dc
+            cont = dc(data, 2.0 * scheme.alpha, y)
+    meta["zeroed_modes"] = cont.zeroed_modes.tolist()
 
     olell = float(y[-1]) if y[-1] > 0.0 else 1.0
     curve = Curve(np.full(data.basis.N, olell), data.basis.L, olell)
-    return MeshField(
-        np.column_stack([s.values for s in slices]),
-        curve,
-        data.basis.bc,
-        None,
-        y / olell,
-        meta=meta,
-    )
+    return MeshField(cont.values, curve, data.basis.bc, None, y / olell, meta=meta)
 
 
 def eval_on_curve(field, ell, dy=0):
     """Interpolate the field (or its ``dy``-th y-derivative) along the curve
     y = ell(x) with a cubic spline through each x-column's depth levels.
-    Mild extrapolation above the top level is allowed."""
+
+    Column i holds the levels eta * base_i, with base_i the mesh's top
+    height there, so one spline in eta serves every column: column i is
+    evaluated at eta = ell_i / base_i and its derivative rescaled by
+    base_i^-dy.  Mild extrapolation above the top level is allowed."""
     ell = np.asarray(ell, dtype=float)
     if ell.shape != (field.curve.N,):
         raise ValueError("curve samples must live on the field's x-grid")
     if field.eta.size < 4:
         raise ValueError("need at least 4 depth levels to interpolate")
     base = field.curve.ell
-    if np.ptp(base) <= 1e-14 * base[0]:
-        # hold-all fields: all columns share one set of physical levels
-        cs = CubicSpline(field.eta * base[0], field.values, axis=1)
-        out = cs(ell, nu=dy)
-        idx = np.arange(ell.size)
-        return out[idx, idx]
-    vals = np.empty(ell.size)
-    for i in range(ell.size):
-        cs = CubicSpline(field.eta * base[i], field.values[i])
-        vals[i] = cs(ell[i], nu=dy)
-    return vals
+    pp = CubicSpline(field.eta, field.values, axis=1).derivative(dy)
+    t = ell / base
+    k = np.clip(np.searchsorted(pp.x, t, side="right") - 1, 0, pp.x.size - 2)
+    d = t - pp.x[k]
+    # Horner on each column's own cubic piece, highest power first
+    c = pp.c[:, k, np.arange(ell.size)]
+    vals = c[0]
+    for row in c[1:]:
+        vals = vals * d + row
+    return vals / base ** dy
 
 
 def save_grid(field, path):

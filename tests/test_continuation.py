@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import fraccauchy.continuation as continuation
 from fraccauchy.continuation import (
+    ALPHA_GRID,
     CauchyData,
     ContinuationScheme,
+    continue_banded,
     continue_exact,
     continue_fac_lap,
     continue_left_dc,
@@ -210,10 +213,10 @@ def test_split_frequency_noise_free_is_exact():
     basis = build_basis(math.pi, LateralBC("dirichlet"), 4, 64)
     c = np.array([1.0, 0.3, 0.1, 0.03])
     data = CauchyData(synthesize(SpectralCoeffs(basis, c)), np.zeros(64), 0.0, basis)
-    slices, bands = split_frequency_continue(data, [1.0 / 3.0])
+    cont, bands = split_frequency_continue(data, [1.0 / 3.0])
     assert bands == [(4, 1.0)]
     ref = continue_exact(data, 1.0 / 3.0)
-    assert np.allclose(slices[0].values, ref.values, rtol=1e-9, atol=1e-12)
+    assert np.allclose(cont.values[:, 0], ref.values, rtol=1e-9, atol=1e-12)
 
 
 def test_split_frequency_single_band_reduces_to_fixed_order():
@@ -223,11 +226,11 @@ def test_split_frequency_single_band_reduces_to_fixed_order():
     c = np.array([1.0, 0.5, 0.25])
     data = CauchyData(synthesize(SpectralCoeffs(basis, c)), np.zeros(64), 0.25, basis)
     res = split_frequency_continue(data, [0.5])
-    slices, bands = res
+    cont, bands = res
     assert len(bands) == 1
     alpha = bands[0][1]
     ref = continue_fac_lap(data, alpha, 0.5)
-    assert np.allclose(slices[0].values, ref.values, atol=1e-12)
+    assert np.allclose(cont.values[:, 0], ref.values, atol=1e-12)
 
 
 def test_split_frequency_band_breakpoints_increase():
@@ -240,6 +243,66 @@ def test_split_frequency_band_breakpoints_increase():
     ends = [k for k, _ in bands]
     assert ends == sorted(set(ends))
     assert ends[-1] == 12
+
+
+GRID_SCHEMES = {
+    "exact": continue_exact,
+    "left_dc": lambda data, y: continue_left_dc(data, 1.5, y),
+    "right_dc": lambda data, y: continue_right_dc(data, 1.3, y),
+    "fac_lap": lambda data, y: continue_fac_lap(data, 0.7, y),
+    "bands": lambda data, y: continue_banded(data, [(3, 1.0), (6, 0.8), (8, 0.5)], y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SCHEMES))
+def test_grid_matches_scalar_levels(name):
+    # a grid call returns, column by column, the scalar call at that height;
+    # only the batched synthesis may round differently
+    rng = np.random.default_rng(9)
+    data = with_noise(_dirichlet_data(cf=CF, cg=CG), 0.01, rng)
+    cont = GRID_SCHEMES[name]
+    y = np.linspace(0.0, 3.0, 13)
+    grid = cont(data, y)
+    assert grid.values.shape == (data.basis.N, y.size)
+    assert grid.zeroed_modes.shape == y.shape
+    scale = np.max(np.abs(grid.values))
+    for k, yy in enumerate(y):
+        one = cont(data, yy)
+        assert np.max(np.abs(grid.values[:, k] - one.values)) <= 1e-14 * scale
+        assert grid.zeroed_modes[k] == one.zeroed_modes
+
+
+@pytest.mark.parametrize(
+    "scheme, bound",
+    [(ContinuationScheme("exact"), 0),
+     (ContinuationScheme("left_dc", alpha=0.8), 2),
+     (ContinuationScheme("right_dc", alpha=0.8), 3),
+     (ContinuationScheme("fac_lap", alpha=0.8), 1),
+     (ContinuationScheme("fac_lap_split", bands=((3, 0.9), (12, 0.6))), 2),
+     (ContinuationScheme("fac_lap_split"), None)],
+    ids=["exact", "left_dc", "right_dc", "fac_lap", "bands", "split"],
+)
+def test_holdall_call_count_independent_of_levels(monkeypatch, scheme, bound):
+    rng = np.random.default_rng(8)
+    basis = build_basis(math.pi, LateralBC("dirichlet"), 12, 128)
+    c = rng.standard_normal(12) * np.exp(-np.arange(12))
+    data = CauchyData(synthesize(SpectralCoeffs(basis, c)),
+                      synthesize(SpectralCoeffs(basis, 0.5 * c)), 0.02, basis)
+    calls = []
+
+    def counted(alpha, beta, z):
+        calls.append(np.size(z))
+        return ml_values(alpha, beta, z)
+
+    monkeypatch.setattr(continuation, "ml_values", counted)
+    counts = []
+    for levels in (9, 81):
+        calls.clear()
+        fld = solve_cauchy_holdall(data, basis.bc, scheme, np.linspace(0.0, 1.0, levels))
+        counts.append(len(calls))
+    if bound is None:
+        bound = len(ALPHA_GRID) + len(fld.meta["bands"])
+    assert counts[0] == counts[1] <= bound
 
 
 def test_landweber_geometric_recursion():

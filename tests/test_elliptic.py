@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from fraccauchy.continuation import (
     CauchyData,
@@ -276,10 +277,19 @@ class TestHoldall:
         fld = solve_cauchy_holdall(
             data, basis.bc, ContinuationScheme("left_dc", alpha=0.75), y
         )
-        for j, yy in enumerate(y):
-            np.testing.assert_array_equal(
-                fld.values[:, j], continue_left_dc(data, 1.5, yy).values
-            )
+        np.testing.assert_array_equal(fld.values, continue_left_dc(data, 1.5, y).values)
+
+    def test_zeroed_modes_per_level(self):
+        basis, x, data = self._data(0.01, np.random.default_rng(3))
+        y = np.linspace(0.0, 2.0 * self.OLH, 17)
+        fld = solve_cauchy_holdall(
+            data, basis.bc, ContinuationScheme("left_dc", alpha=0.75), y
+        )
+        zeroed = fld.meta["zeroed_modes"]
+        assert all(type(z) is int for z in zeroed)
+        assert zeroed[0] == 0 and zeroed[-1] > 1
+        assert all(b >= a for a, b in zip(zeroed, zeroed[1:]))
+        assert zeroed == [continue_left_dc(data, 1.5, yy).zeroed_modes for yy in y]
 
     def test_split_dispatch_reports_bands(self):
         basis, x, data = self._data(0.01, np.random.default_rng(3))
@@ -299,10 +309,7 @@ class TestHoldall:
         fld = solve_cauchy_holdall(
             data, basis.bc, ContinuationScheme("fac_lap_split", bands=bands), y
         )
-        for j, yy in enumerate(y):
-            np.testing.assert_array_equal(
-                fld.values[:, j], continue_banded(data, bands, yy).values
-            )
+        np.testing.assert_array_equal(fld.values, continue_banded(data, bands, y).values)
 
     def test_scheme_requires_alpha(self):
         basis, x, data = self._data()
@@ -369,6 +376,26 @@ class TestEvalOnCurve:
         lev = 0.2 + 0.1 * np.sin(np.pi * x)
         got = eval_on_curve(fld, lev)
         assert np.max(np.abs(got - separable_exact(x, lev, 1.0, 0.4))) < 1e-6
+
+    @pytest.mark.parametrize("dy", [0, 1, 2])
+    def test_matches_per_column_splines(self, dy):
+        # reference: a spline through each column's physical levels; the
+        # curves reach 1% above the top level, so extrapolation is covered
+        _, holdall = self._field()
+        N = 33
+        x = np.linspace(0.0, 1.0, N)
+        curve = Curve(0.1 * (0.8 + 0.1 * np.cos(2 * np.pi * x)), 1.0, 0.12)
+        curved = solve_forward(curve, LateralBC("neumann"), InterfaceBC("N"), np.cos(np.pi * x))
+        for fld in (holdall, curved):
+            base = fld.curve.ell
+            t = np.linspace(0.3, 1.01, base.size)
+            ell = t * base
+            ref = np.array([
+                CubicSpline(fld.eta * base[i], fld.values[i])(ell[i], nu=dy)
+                for i in range(base.size)
+            ])
+            got = eval_on_curve(fld, ell, dy=dy)
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_curved_base_mesh(self):
         # per-column spline path: evaluate a forward solve below its own curve
