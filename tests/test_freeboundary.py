@@ -39,9 +39,9 @@ def excitation(x):
     return 1.0 + 0.3 * np.cos(np.pi * x)
 
 
-def interface_for(kind):
+def interface_for(kind, gamma=GAMMA):
     if kind == "I":
-        return InterfaceBC("I", gamma=GAMMA, combined=False)
+        return InterfaceBC("I", gamma=gamma, combined=False)
     return InterfaceBC(kind)
 
 
@@ -51,12 +51,12 @@ def wnorm(v):
     return math.sqrt(float(np.sum(w * v * v)))
 
 
-def synthetic_flux(kind, olell, fine=257):
+def synthetic_flux(kind, olell, fine=257, gamma=GAMMA):
     # synthesize on a twice-finer mesh and restrict, so the inverse runs do
     # not share their forward solver's discretization error with the data
     xf = np.linspace(0.0, L, fine)
     field = solve_forward(
-        Curve(truth_curve(xf, olell), L, olell), LATERAL, interface_for(kind), excitation(xf)
+        Curve(truth_curve(xf, olell), L, olell), LATERAL, interface_for(kind, gamma), excitation(xf)
     )
     return bottom_flux(field)[::2]
 
@@ -64,11 +64,11 @@ def synthetic_flux(kind, olell, fine=257):
 _ZBAR = {}
 
 
-def holdall_field(kind, olell, delta, seed=3):
-    key = (kind, olell, delta, seed)
+def holdall_field(kind, olell, delta, seed=3, gamma=GAMMA):
+    key = (kind, olell, delta, seed, gamma)
     if key not in _ZBAR:
         basis = build_basis(L, LATERAL, 24, N)
-        data = CauchyData(excitation(basis.grid), synthetic_flux(kind, olell), 0.0, basis)
+        data = CauchyData(excitation(basis.grid), synthetic_flux(kind, olell, gamma=gamma), 0.0, basis)
         if delta > 0.0:
             data = with_noise(data, delta, np.random.default_rng(seed))
         scheme = ContinuationScheme("exact" if delta == 0.0 else "fac_lap_split")
@@ -347,3 +347,120 @@ class TestValidation:
         curve = Curve(truth_curve(X, 0.1), L, 0.1)
         with pytest.raises(ValueError):
             linearized_flux(curve, LATERAL, InterfaceBC("D"), excitation(X), np.zeros(5))
+
+
+class TestNewtonGolden:
+    """End state of each sweep on the 1%-noise fixture started at 0.05,
+    pinned so that a restructuring of the sweep must reproduce it."""
+
+    GOLDEN = {
+        "D": (6, True, [], 0.002222092745115411, 0.009441611052437687, 0.009441609178321127),
+        "N": (5, True, [], 0.0020802637751668063, 0.0011297116632248672, 0.001129736185012624),
+        "I": (
+            6,
+            True,
+            ["iter 0: linearization coefficient below floor at 2 points, update damped there"],
+            0.0051266202677274,
+            0.001891051781356908,
+            0.001891599296623502,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", ["D", "N", "I"])
+    def test_end_state(self, kind):
+        n_iter, converged, flags, relerr, resid, step_res = self.GOLDEN[kind]
+        tr = cached_run(kind, 0.01, 0.05)
+        assert len(tr.iterates) == n_iter
+        assert tr.converged is converged
+        assert tr.flags == flags
+        assert tr.rel_errors[-1] == pytest.approx(relerr, rel=1e-12)
+        assert tr.residual_norms[-1] == pytest.approx(resid, rel=1e-12)
+        assert tr.step_residuals[-1] == pytest.approx(step_res, rel=1e-12)
+
+
+class TestSweepBranches:
+    """Branches of the sweep that the recovery fixtures never reach."""
+
+    def test_dirichlet_flux_floor(self):
+        # u_y of the Dirichlet field excited by cos(pi x) vanishes at x = L/2
+        basis = build_basis(L, LATERAL, 2, N)
+        data = CauchyData(np.cos(np.pi * X), np.zeros(N), 0.0, basis)
+        zbar = solve_cauchy_holdall(
+            data, LATERAL, ContinuationScheme("exact"), np.linspace(0.0, 0.1, 81)
+        )
+        tr = newton_dirichlet(
+            Curve(np.full(N, 0.05), L, 0.1),
+            zbar,
+            LATERAL,
+            np.cos(np.pi * X),
+            NewtonConfig(max_iter=2),
+        )
+        assert tr.flags == [
+            "iter %d: normal flux below floor at 1 points, update damped there" % k
+            for k in (0, 1)
+        ]
+
+    def test_impedance_overflow_halves_update(self):
+        gamma = 10.0
+        zbar = holdall_field("I", 0.1, 0.0, gamma=gamma)
+        tr = newton_impedance(
+            Curve(np.full(N, 0.05), L, 0.1),
+            gamma,
+            zbar,
+            LATERAL,
+            excitation(X),
+            NewtonConfig(max_iter=2),
+        )
+        assert tr.flags[0] == "iter 0: integrating factor overflowed, update halved"
+
+    def test_explicit_clamp_holds_every_iterate(self):
+        lo, hi = 0.075, 0.085
+        tr = run_newton("D", 0.1, 0.01, 0.08, cfg=NewtonConfig(max_iter=3, clamp=(lo, hi)))
+        ells = np.array([it.ell for it in tr.iterates])
+        assert ells.min() >= lo and ells.max() <= hi
+        # the corridor binds: the truth spans 0.07 to 0.09
+        assert np.any(ells == lo) and np.any(ells == hi)
+
+    def test_truth_as_curve(self):
+        lt = truth_curve(X, 0.1)
+        zbar = holdall_field("D", 0.1, 0.01)
+        runs = [
+            newton_dirichlet(
+                Curve(np.full(N, 0.05), L, 0.1),
+                zbar,
+                LATERAL,
+                excitation(X),
+                NewtonConfig(max_iter=2),
+                truth=truth,
+            )
+            for truth in (Curve(lt, L, 0.1), lt)
+        ]
+        assert runs[0].rel_errors == runs[1].rel_errors
+
+
+class TestSweepCost:
+    """One forward solve per executed step and one conormal trace per
+    iterate, whether the sweep stops on its step rule or on max_iter."""
+
+    @pytest.mark.parametrize("max_iter", [2, 10])
+    @pytest.mark.parametrize("kind", ["D", "N", "I"])
+    def test_solves_and_traces(self, kind, max_iter, monkeypatch):
+        import fraccauchy.freeboundary as fb
+
+        calls = {"solve_forward": 0, "curve_conormal": 0}
+
+        def counted(name):
+            fn = getattr(fb, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fb, name, counted(name))
+        tr = run_newton(kind, 0.1, 0.01, 0.05, cfg=NewtonConfig(max_iter=max_iter))
+        assert tr.converged is (max_iter == 10)
+        assert calls["solve_forward"] == len(tr.iterates) - 1
+        assert calls["curve_conormal"] == len(tr.iterates)
