@@ -5,20 +5,21 @@ harmonic below the curve, carries Dirichlet data f at y = 0, homogeneous
 lateral conditions, and satisfies a homogeneous condition on the curve itself
 (Dirichlet, Neumann, or impedance).  The measured flux g at y = 0 enters
 through the hold-all continuation `zbar`, which is computed once from (f, g)
-and frozen; each Newton sweep then alternates
+and frozen.  One Newton sweep serves all three kinds; each step
 
-    1. solve the well-posed mixed problem at the current curve,
-    2. linearize the interface condition around the current curve,
-    3. solve the linearized equation for the curve update,
-    4. smooth the update (low cosine modes), safeguard it, apply it.
+    1. solves the well-posed mixed problem at the current curve,
+    2. linearizes the interface condition around the current curve,
+    3. solves the linearized equation for the curve update,
+    4. smooths the update (low cosine modes), safeguards it, applies it.
 
-The linearized equations differ per interface kind:
+Only the interface residual of zbar and the linearization differ per kind:
 
-* Dirichlet: pointwise update  delta = -zbar(x, ell) / u_y(x, ell).
-* Neumann: regularized least squares for delta from
-      d/dx [delta * u_x(x, ell)] = conormal derivative of zbar on the curve,
+* Dirichlet: residual zbar(x, ell); pointwise update delta = -zbar / u_y.
+* Neumann: residual the conormal derivative of zbar on the curve; delta by
+  regularized least squares from  d/dx [delta * u_x(x, ell)] = residual,
   with an H1-type smoothness weight (1/rho1) and an endpoint penalty rho2.
-* Impedance: a first-order linear ODE for phi = alpha * delta,
+* Impedance: residual b = conormal + sqrt(1 + ell'^2) gamma zbar; a
+  first-order linear ODE for phi = alpha * delta,
       phi' + (beta/alpha) phi = b,
   integrated by the integrating-factor formula with trapezoid quadrature;
   the degenerate endpoint (alpha -> 0 under lateral Neumann conditions) is
@@ -104,11 +105,13 @@ class NewtonConfig:
 class RecoveryTrace:
     """Log of one Newton sweep.
 
-    iterates[0] is the starting curve; residual_norms and rel_errors line up
-    with iterates, step_residuals has one entry per executed step (the
-    weighted-L2 misfit of the smoothed update in the linearized interface
-    equation, before trust-region safeguarding).  rel_errors is None when no
-    truth curve was supplied.
+    iterates[0] is the starting curve and iterates[k] the curve after step k.
+    residual_norms[k] is the weighted-L2 interface residual of zbar on
+    iterates[k] and rel_errors[k] its relative error against the truth
+    (rel_errors is None when no truth curve was supplied).  step_residuals[k]
+    is the misfit of step k's smoothed update in the linearized interface
+    equation, before trust-region safeguarding.  flags holds "iter k: ..."
+    notes; converged is true when the relative step fell below stop_tol.
     """
 
     iterates: list
@@ -181,12 +184,18 @@ def curve_conormal(zbar, ell):
     return zl, (1.0 + dl * dl) * zy - dl * dzl
 
 
-def _clamp_bounds(cfg, olell):
-    if cfg.clamp is None:
-        return 0.01 * olell, olell
-    lo, hi = float(cfg.clamp[0]), float(cfg.clamp[1])
+def _corridor(cfg, curve0, zbar):
+    """Iterate bounds (lo, hi), checked against the hold-all height and the
+    frozen field: zbar's traces take their x-spacing from its own grid, and
+    above its top level its spline in height extrapolates."""
+    olell, top = curve0.olell, zbar.curve
+    lo, hi = (0.01 * olell, olell) if cfg.clamp is None else map(float, cfg.clamp)
     if hi > olell * (1 + 1e-12):
         raise ValueError("clamp upper bound exceeds the hold-all height")
+    if top.N != curve0.N or abs(top.L - curve0.L) > 1e-12 * curve0.L:
+        raise ValueError("hold-all field must be sampled on the curve's x-grid")
+    if float(np.min(top.ell)) * (1 + 1e-12) < hi:
+        raise ValueError("hold-all field stops below the corridor's upper bound")
     return lo, hi
 
 
@@ -204,87 +213,79 @@ def _truth_samples(truth, n):
 def _trust_clamp(ell, dl, lo, hi):
     """Halve dl until it is small against the current curve, then clamp."""
     cap = 0.5 * float(np.min(ell))
-    nh = 0
-    while float(np.max(np.abs(dl))) > cap and nh < 64:
+    for _ in range(64):
+        if float(np.max(np.abs(dl))) <= cap:
+            break
         dl = 0.5 * dl
-        nh += 1
-    return np.clip(ell + dl, lo, hi), nh
+    return np.clip(ell + dl, lo, hi)
 
 
-class _SweepLog:
-    """Accumulates the per-iteration bookkeeping shared by the solvers."""
+def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
+    """The Newton sweep shared by the three interface kinds.
 
-    def __init__(self, curve0, w, truth):
-        self.w = w
-        self.truth = truth
-        self.iterates = [curve0]
-        self.residual_norms = []
-        self.step_residuals = []
-        self.rel_errors = None if truth is None else [self._relerr(curve0.ell)]
-        self.flags = []
-        self.converged = False
+    residual(curve, zl, dnu) is the interface misfit of zbar on the curve,
+    given its trace zl and conormal derivative dnu.  step(curve, u, tr, r,
+    flag) linearizes about the forward field u (interface traces tr) and
+    returns the raw update and the linear operator op it inverts, op(update)
+    ~ r; flag(text) records a flag of the current iteration.  Pass k measures
+    the residual at iterate k and, below max_iter and before convergence,
+    takes one step, so the final residual costs no forward solve.
+    """
+    n, L, olell = curve0.N, curve0.L, curve0.olell
+    w = _trapezoid_weights(n, curve0.h)
+    fv = _samples_on_grid(f, curve0.x, "f")
+    lo, hi = _corridor(cfg, curve0, zbar)
+    truth = _truth_samples(truth, n)
 
-    def _relerr(self, ell):
-        return _wnorm(ell - self.truth, self.w) / _wnorm(self.truth, self.w)
+    def relerr(ell):
+        return _wnorm(ell - truth, w) / _wnorm(truth, w)
 
-    def accept(self, curve, step_residual):
-        prev = self.iterates[-1].ell
-        self.iterates.append(curve)
-        self.step_residuals.append(step_residual)
-        if self.rel_errors is not None:
-            self.rel_errors.append(self._relerr(curve.ell))
-        denom = max(_wnorm(prev, self.w), np.finfo(float).tiny)
-        return _wnorm(curve.ell - prev, self.w) / denom
-
-    def trace(self):
-        return RecoveryTrace(self.iterates, self.residual_norms,
-                             self.step_residuals, self.rel_errors,
-                             self.flags, self.converged)
+    iterates, residual_norms, step_residuals, flags = [curve0], [], [], []
+    rel_errors = None if truth is None else [relerr(curve0.ell)]
+    converged = False
+    for k in range(cfg.max_iter + 1):
+        curve = iterates[-1]
+        r = residual(curve, *curve_conormal(zbar, curve.ell))
+        residual_norms.append(_wnorm(r, w))
+        if converged or k == cfg.max_iter:
+            break
+        u = solve_forward(curve, lateral, interface, fv)
+        dl, op = step(curve, u, interface_traces(u), r,
+                      lambda text: flags.append("iter %d: %s" % (k, text)))
+        dl_sm = project_cosine(dl, L, cfg.smooth_modes)
+        step_residuals.append(_wnorm(op(dl_sm) - r, w))
+        ell = _trust_clamp(curve.ell, dl_sm, lo, hi)
+        iterates.append(Curve(ell, L, olell))
+        if rel_errors is not None:
+            rel_errors.append(relerr(ell))
+        denom = max(_wnorm(curve.ell, w), np.finfo(float).tiny)
+        converged = _wnorm(ell - curve.ell, w) / denom < cfg.stop_tol
+    return RecoveryTrace(iterates, residual_norms, step_residuals, rel_errors,
+                         flags, converged)
 
 
 def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):
     """Recover the curve under a homogeneous Dirichlet interface condition."""
-    n, h, L = curve0.N, curve0.h, curve0.L
-    x = curve0.x
-    w = _trapezoid_weights(n, h)
-    fv = _samples_on_grid(f, x, "f")
-    lo, hi = _clamp_bounds(cfg, curve0.olell)
-    log = _SweepLog(curve0, w, _truth_samples(truth, n))
 
-    ell = curve0.ell.copy()
-    for k in range(cfg.max_iter):
-        curve = Curve(ell, L, curve0.olell)
-        u = solve_forward(curve, lateral, InterfaceBC("D"), fv)
-        tr = interface_traces(u)
-        zl, _ = curve_conormal(zbar, ell)
-        log.residual_norms.append(_wnorm(zl, w))
-
+    def step(curve, u, tr, zl, flag):
         uy = tr.u_y
         floor = _FLUX_FLOOR * max(1.0, float(np.max(np.abs(uy))))
         ok = np.abs(uy) > floor
         if not ok.all():
-            log.flags.append("iter %d: normal flux below floor at %d points, "
-                             "update damped there" % (k, int(n - ok.sum())))
-        dl = np.where(ok, -zl / np.where(ok, uy, 1.0), 0.0)
-        dl_sm = project_cosine(dl, L, cfg.smooth_modes)
-        step_res = _wnorm(zl + dl_sm * uy, w)
-        ell, _ = _trust_clamp(ell, dl_sm, lo, hi)
-        relstep = log.accept(Curve(ell, L, curve0.olell), step_res)
-        if relstep < cfg.stop_tol:
-            log.converged = True
-            break
+            flag("normal flux below floor at %d points, update damped there"
+                 % int(curve.N - ok.sum()))
+        return np.where(ok, -zl / np.where(ok, uy, 1.0), 0.0), lambda d: -uy * d
 
-    zl, _ = curve_conormal(zbar, ell)
-    log.residual_norms.append(_wnorm(zl, w))
-    return log.trace()
+    return _sweep(curve0, zbar, lateral, f, cfg, truth, InterfaceBC("D"),
+                  lambda curve, zl, dnu: zl, step)
 
 
-def _warn_degenerate(u_field, u_x_curve, log, k):
+def _warn_degenerate(u_field, u_x_curve, flag):
     scale = max(1.0, float(np.max(np.abs(u_field.values))) / u_field.curve.L)
     frac = float(np.mean(np.abs(u_x_curve) < _DEGENERATE_TOL * scale))
     if frac >= _DEGENERATE_FRACTION:
-        log.flags.append("iter %d: tangential derivative degenerate on %.0f%% "
-                         "of the interface" % (k, 100 * frac))
+        flag("tangential derivative degenerate on %.0f%% of the interface"
+             % (100 * frac))
         warnings.warn(
             "tangential derivative of the field nearly vanishes on %.0f%% of "
             "the interface: the curve update is nonunique there (constant "
@@ -303,41 +304,27 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     endpoints toward these known heights; otherwise it pins the endpoint
     updates to zero (the starting endpoints are trusted).
     """
-    n, h, L = curve0.N, curve0.h, curve0.L
-    x = curve0.x
-    w = _trapezoid_weights(n, h)
-    fv = _samples_on_grid(f, x, "f")
-    lo, hi = _clamp_bounds(cfg, curve0.olell)
-    log = _SweepLog(curve0, w, _truth_samples(truth, n))
-    G = _gradient_matrix(n, h)
+    w = _trapezoid_weights(curve0.N, curve0.h)
+    G = _gradient_matrix(curve0.N, curve0.h)
     reg = G.T @ (w[:, None] * G)
     warned = False
 
-    ell = curve0.ell.copy()
-    for k in range(cfg.max_iter):
-        curve = Curve(ell, L, curve0.olell)
-        u = solve_forward(curve, lateral, InterfaceBC("N"), fv)
-        tr = interface_traces(u)
-        zl, dnu = curve_conormal(zbar, ell)
-        log.residual_norms.append(_wnorm(dnu, w))
-        if not warned:
-            warned = _warn_degenerate(u, tr.u_x, log, k)
-
+    def step(curve, u, tr, dnu, flag):
+        nonlocal warned
+        warned = warned or _warn_degenerate(u, tr.u_x, flag)
         M = G * tr.u_x[None, :]
         base = M.T @ (w[:, None] * M)
         rhs0 = M.T @ (w * dnu)
-        dl = None
         rho1 = cfg.rho1
-        for attempt in range(4):
+        for _ in range(4):
             K = base + (1.0 / rho1) * reg
             rhs = rhs0.copy()
             if cfg.rho2 > 0:
-                K = K.copy()
                 K[0, 0] += cfg.rho2
                 K[-1, -1] += cfg.rho2
                 if endpoint_values is not None:
-                    rhs[0] += cfg.rho2 * (endpoint_values[0] - ell[0])
-                    rhs[-1] += cfg.rho2 * (endpoint_values[1] - ell[-1])
+                    rhs[0] += cfg.rho2 * (endpoint_values[0] - curve.ell[0])
+                    rhs[-1] += cfg.rho2 * (endpoint_values[1] - curve.ell[-1])
             try:
                 cand = np.linalg.solve(K, rhs)
             except np.linalg.LinAlgError:
@@ -348,26 +335,15 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
                     np.linalg.norm(K, ord="fro") * np.linalg.norm(cand)
                     + np.linalg.norm(rhs) + np.finfo(float).tiny)
                 if back < 1e-8:
-                    dl = cand
-                    break
+                    return cand, lambda d: M @ d
             rho1 /= 10.0
-            log.flags.append("iter %d: near-singular least-squares system, "
-                             "smoothing weight raised to 1/%.3g" % (k, rho1))
-        if dl is None:
-            raise RuntimeError("curve-update least-squares system stayed "
-                               "near-singular after 3 retries")
+            flag("near-singular least-squares system, smoothing weight raised "
+                 "to 1/%.3g" % rho1)
+        raise RuntimeError("curve-update least-squares system stayed "
+                           "near-singular after 3 retries")
 
-        dl_sm = project_cosine(dl, L, cfg.smooth_modes)
-        step_res = _wnorm(dnu - M @ dl_sm, w)
-        ell, _ = _trust_clamp(ell, dl_sm, lo, hi)
-        relstep = log.accept(Curve(ell, L, curve0.olell), step_res)
-        if relstep < cfg.stop_tol:
-            log.converged = True
-            break
-
-    _, dnu = curve_conormal(zbar, ell)
-    log.residual_norms.append(_wnorm(dnu, w))
-    return log.trace()
+    return _sweep(curve0, zbar, lateral, f, cfg, truth, InterfaceBC("N"),
+                  lambda curve, zl, dnu: dnu, step)
 
 
 def _raw_gamma(gamma, curve):
@@ -403,26 +379,14 @@ def _impedance_coeffs(curve, gam, dgam, tr):
 def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     """Recover the curve under an impedance interface condition with known
     (raw, per-arclength) coefficient gamma."""
-    n, h, L = curve0.N, curve0.h, curve0.L
-    x = curve0.x
-    w = _trapezoid_weights(n, h)
-    fv = _samples_on_grid(f, x, "f")
-    lo, hi = _clamp_bounds(cfg, curve0.olell)
-    log = _SweepLog(curve0, w, _truth_samples(truth, n))
+    x, h = curve0.x, curve0.h
+    gam, dgam = _raw_gamma(gamma, curve0)
 
-    ell = curve0.ell.copy()
-    for k in range(cfg.max_iter):
-        curve = Curve(ell, L, curve0.olell)
-        gam, dgam = _raw_gamma(gamma, curve)
-        u = solve_forward(curve, lateral,
-                          InterfaceBC("I", gamma=gam, combined=False), fv)
-        tr = interface_traces(u)
-        zl, dnu = curve_conormal(zbar, ell)
+    def residual(curve, zl, dnu):
         dl_c = curve.dell()
-        sq = np.sqrt(1.0 + dl_c * dl_c)
-        b = dnu + sq * gam * zl
-        log.residual_norms.append(_wnorm(b, w))
+        return dnu + np.sqrt(1.0 + dl_c * dl_c) * gam * zl
 
+    def step(curve, u, tr, b, flag):
         alpha, beta = _impedance_coeffs(curve, gam, dgam, tr)
         floor = _ALPHA_FLOOR * max(1.0, float(np.max(np.abs(alpha))))
         ok = np.abs(alpha) > floor
@@ -432,8 +396,7 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
         overflow = bool(A.max() > _EXP_RANGE)
         if overflow:
             A = np.clip(A, 0.0, _EXP_RANGE)
-            log.flags.append("iter %d: integrating factor overflowed, "
-                             "update halved" % k)
+            flag("integrating factor overflowed, update halved")
         grow = np.exp(A)
         phi = (1.0 / grow) * cumulative_trapezoid(b * grow, x, initial=0.0)
         dl = np.where(ok, phi / np.where(ok, alpha, 1.0), 0.0)
@@ -444,27 +407,14 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
             dl[0] = b[0] / den if abs(den) > floor else 0.0
         dl[~np.isfinite(dl)] = 0.0
         if not ok.all():
-            log.flags.append("iter %d: linearization coefficient below floor "
-                             "at %d points, update damped there"
-                             % (k, int(n - ok.sum())))
-
-        dl_sm = project_cosine(dl, L, cfg.smooth_modes)
+            flag("linearization coefficient below floor at %d points, update "
+                 "damped there" % int(curve.N - ok.sum()))
         if overflow:
-            dl_sm = 0.5 * dl_sm
-        dl_grad = np.gradient(alpha * dl_sm, h, edge_order=2)
-        step_res = _wnorm(dl_grad + beta * dl_sm - b, w)
-        ell, _ = _trust_clamp(ell, dl_sm, lo, hi)
-        relstep = log.accept(Curve(ell, L, curve0.olell), step_res)
-        if relstep < cfg.stop_tol:
-            log.converged = True
-            break
+            dl = 0.5 * dl
+        return dl, lambda d: np.gradient(alpha * d, h, edge_order=2) + beta * d
 
-    curve = Curve(ell, L, curve0.olell)
-    gam, _ = _raw_gamma(gamma, curve)
-    zl, dnu = curve_conormal(zbar, ell)
-    dl_c = curve.dell()
-    log.residual_norms.append(_wnorm(dnu + np.sqrt(1.0 + dl_c ** 2) * gam * zl, w))
-    return log.trace()
+    return _sweep(curve0, zbar, lateral, f, cfg, truth,
+                  InterfaceBC("I", gamma=gam, combined=False), residual, step)
 
 
 def linearized_flux(curve, lateral, interface, f, dl):

@@ -343,6 +343,24 @@ class TestValidation:
                 NewtonConfig(max_iter=1),
             )
 
+    @pytest.mark.parametrize("width, top", [(2.0, 0.1), (L, 0.05)])
+    def test_zbar_off_grid_or_below_corridor(self, width, top):
+        # a hold-all field on [0, 2], or one that stops at 0.05 under the
+        # default corridor (0.001, 0.1) of a curve in a hold-all of 0.1
+        basis = build_basis(width, LATERAL, 1, N)
+        data = CauchyData(np.ones(N), np.zeros(N), 0.0, basis)
+        zbar = solve_cauchy_holdall(
+            data, LATERAL, ContinuationScheme("exact"), np.linspace(0.0, top, 81)
+        )
+        with pytest.raises(ValueError, match="hold-all field"):
+            newton_dirichlet(
+                Curve(np.full(N, 0.04), L, 0.1),
+                zbar,
+                LATERAL,
+                np.ones(N),
+                NewtonConfig(max_iter=1),
+            )
+
     def test_linearized_flux_wrong_shape(self):
         curve = Curve(truth_curve(X, 0.1), L, 0.1)
         with pytest.raises(ValueError):
