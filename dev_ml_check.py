@@ -1,4 +1,10 @@
-"""Dev-only: validate specfun.ml against arbitrary-precision references."""
+"""Dev-only: validate specfun.ml against arbitrary-precision references.
+
+Run from the repository root as ``python3 dev_ml_check.py``.  Exits 1 when
+any case's error exceeds its own estimate, an erfc case is bad, or the
+integral branch disagrees with the asymptotic expansion where the latter is
+trusted; prints the figures either way.
+"""
 import math
 import sys
 
@@ -73,7 +79,14 @@ print("top errors (rel, abs, est, est_ok, alpha, beta, z, branch):")
 for row in worst[:20]:
     print("  rel=%.2e abs=%.2e est=%.2e ok=%s a=%g b=%g z=%g %s" % row)
 
+integral_rows = [w for w in worst if w[7] == "integral"]
+if integral_rows:
+    print("largest integral-branch error: rel=%.2e abs=%.2e est=%.2e ok=%s a=%g b=%g z=%g %s"
+          % integral_rows[0])
+
+failures = 0
 bad_est = [w for w in worst if not w[3]]
+failures += len(bad_est)
 print(f"\ncases where actual error exceeded estimate: {len(bad_est)}")
 for row in bad_est[:20]:
     print("  rel=%.2e abs=%.2e est=%.2e ok=%s a=%g b=%g z=%g %s" % row)
@@ -90,18 +103,22 @@ for x in (0.5, 2.0, 5.0, 5.5, 8.0, 12.0, 30.0, 80.0, 200.0):
         bad += 1
     print(f"  x={x:7.1f} val={r.value: .15e} ref={ref: .15e} err={err:.1e} est={r.est_abs_err:.1e} {r.branch}{flag}")
 print("erfc bad:", bad)
+failures += bad
 
 # force the integral representation and compare with the erfc closed forms:
 # E_{1/2,1}(-x) = e^{x^2} erfc(x),  E_{1/2,1/2}(-x) = 1/sqrt(pi) - x e^{x^2} erfc(x)
 from fraccauchy.specfun import _integral_negative
 
 print("\nintegral branch vs erfc closed forms (alpha=1/2):")
-for x in (1.0, 3.0, 6.0, 10.0, 20.0, 50.0):
+xs = np.array([1.0, 3.0, 6.0, 10.0, 20.0, 50.0])
+v1s, e1s = _integral_negative(0.5, 1.0, -xs)
+v2s, e2s = _integral_negative(0.5, 0.5, -xs)
+for x, v1, e1, v2, e2 in zip(xs, v1s, e1s, v2s, e2s):
     ref1 = float(mp.exp(x * x) * mp.erfc(x))
-    v1, e1 = _integral_negative(0.5, 1.0, -x)
     ref2 = float(1 / mp.sqrt(mp.pi) - x * mp.exp(x * x) * mp.erfc(x))
-    v2, e2 = _integral_negative(0.5, 0.5, -x)
-    print(f"  x={x:5.1f} b=1.0 err={abs(v1-ref1):.2e} (est {e1:.1e})   b=0.5 err={abs(v2-ref2):.2e} (est {e2:.1e})")
+    flag = "" if abs(v1 - ref1) <= e1 and abs(v2 - ref2) <= e2 else "  <-- BAD"
+    failures += bool(flag)
+    print(f"  x={x:5.1f} b=1.0 err={abs(v1-ref1):.2e} (est {e1:.1e})   b=0.5 err={abs(v2-ref2):.2e} (est {e2:.1e}){flag}")
 
 # cross-check integral vs asymptotic where the expansion is reliable
 print("\nintegral vs trusted asymptotic at large |z|:")
@@ -111,7 +128,11 @@ for alpha in (0.25, 0.4, 0.6, 0.8, 0.9):
     for beta in (1.0, alpha, 0.6):
         for z in (-40.0, -150.0):
             va, ea, br = _ml_array(alpha, beta, np.array([z]))
-            vi, ei = _integral_negative(alpha, beta, z)
+            (vi,), (ei,) = _integral_negative(alpha, beta, np.array([z]))
             d = abs(va[0] - vi)
             tag = "" if d < 1e-8 * (1 + abs(vi)) + ea[0] + ei else "  <-- DISAGREE"
+            failures += bool(tag)
             print(f"  a={alpha} b={beta} z={z}: asym={va[0]: .10e} intg={vi: .10e} diff={d:.1e}{tag}")
+
+print(f"\nfailures: {failures}")
+sys.exit(1 if failures else 0)

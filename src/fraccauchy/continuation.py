@@ -57,9 +57,6 @@ _LOG_AMP_LIMIT = math.log(AMP_LIMIT)
 # search grid of fractional half-orders for the band-wise discrepancy rule
 ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0)
 
-# beyond this value of xi = (lam * y^a2)^(1/a2) the right_dc denominator is
-# evaluated from its analytically cancelled large-argument form
-_XI_ASYMP = 14.0
 
 
 @dataclass
@@ -186,6 +183,21 @@ def continue_left_dc(data, alpha2, y):
     return _slice(data, y, a, np.count_nonzero(~keep, axis=-1))
 
 
+def _xi_switch(alpha2):
+    """Value of xi = (lam y^a2)^(1/a2) beyond which right_dc evaluates its
+    denominator from the cancelled large-argument form.
+
+    The direct form E1^2 - z E3 E2 is a difference of two terms near
+    e^{2 xi}, so its error grows with xi; the cancelled form's error, from
+    truncating the algebraic tails, falls with xi.  Measured against
+    90-digit references (fc = gc = 1, y = 0.7) for orders a2 in
+    [1.05, 1.995] and xi in [4, 30], the two errors cross between xi = 14
+    and 18.5; this fit keeps the error of the chosen form within 6x the
+    better one's on that grid.
+    """
+    return min(14.25 + 5.0 * (alpha2 - 1.0), 17.5)
+
+
 def _right_dc_ratio_large(alpha2, xi, fc, gc, y):
     """Modal coefficients of right_dc for large xi, from the cancelled form.
 
@@ -232,7 +244,7 @@ def continue_right_dc(data, alpha2, y):
     num = np.zeros(z.shape)
     den = np.ones(z.shape)
     xi = z ** (1.0 / alpha2)
-    direct = xi <= _XI_ASYMP
+    direct = xi <= _xi_switch(alpha2)
     if np.any(direct):
         zd = z[direct]
         e1 = ml_values(alpha2, 1.0, zd)

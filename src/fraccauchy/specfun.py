@@ -6,8 +6,10 @@ The evaluator switches between three algorithms:
 * the large-argument expansion (algebraic series plus, where it belongs,
   the exponential branch term z^{(1-beta)/alpha} * exp(z^{1/alpha}) / alpha
   or the conjugate pair of such terms for negative arguments),
-* a real-axis integral representation as a safety net for negative
-  arguments when the truncated expansion cannot reach the target accuracy.
+* for 0 < alpha < 1 and negative arguments where the series cancels or the
+  truncated expansion misses 1e-10, a real-axis integral representation,
+  evaluated for all such points of a call at once by one graded composite
+  Gauss-Legendre rule (see ``_integral_negative``).
 
 Every evaluation carries a conservative absolute error estimate so that
 downstream code can reason about amplification factors honestly.
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # noqa: F401  not called; bench/tracing.py wraps specfun.quad
 from scipy.special import gammaln, rgamma
 
 __all__ = [
@@ -39,6 +41,15 @@ _ASYM_TARGET = 1e-10
 _EXP_ARG_LIMIT = 705.0
 
 _BRANCH_NAMES = ("series", "asymptotic", "integral")
+
+# integral branch: points evaluated per (points x nodes) block, and the
+# composite Gauss-Legendre rule on the unit interval, graded geometrically
+# (ratio _PANEL_RATIO) towards both ends from the midpoint
+_BLOCK = 32
+_GL_NODES = 16
+_PANEL_RATIO = 0.25
+_PANELS_LOW = 14
+_PANELS_HIGH = 10
 
 
 @dataclass
@@ -169,38 +180,95 @@ def _exp_branch_negative(alpha: float, beta: float, z: np.ndarray) -> np.ndarray
     return vals, scale * (2.0 + r) * 1e-16
 
 
-def _integral_negative(alpha: float, beta: float, z: float):
-    """Real-axis integral representation for 0 < alpha < 1, z < 0.
+def _unit_rule(n):
+    """Graded composite n-point Gauss-Legendre rule on (0, 1).
 
-    After substituting u = chi^{1/alpha} the representation reads
-
-      E = (1/pi) int_0^inf u^{alpha-beta} e^{-u}
-              [u^alpha s1 - z s2] / (u^{2 alpha} - 2 u^alpha z c + z^2) du
-
-    with s1 = sin(pi(1-beta)), s2 = sin(pi(1-beta+alpha)), c = cos(pi alpha),
-    valid for beta < 1 + alpha.  Larger beta is reduced with the exact
-    recursion E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z.
+    Returns (s, 1 - s, weights); each panel's nodes are placed from its own
+    end of the interval, so both s and 1 - s keep full relative accuracy.
     """
-    if beta >= 1.0 + alpha:
-        inner, err = _integral_negative(alpha, beta - alpha, z)
-        return (inner - rgamma(beta - alpha)) / z, abs(err / z) + 1e-16
-    s1 = math.sin(math.pi * (1.0 - beta))
-    s2 = math.sin(math.pi * (1.0 - beta + alpha))
-    c = math.cos(math.pi * alpha)
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, mirrored, weights = [], [], []
+    for count, flip in ((_PANELS_LOW, False), (_PANELS_HIGH, True)):
+        edges = np.concatenate(([0.0], 0.5 * _PANEL_RATIO ** np.arange(count)[::-1]))
+        a, b = edges[:-1, None], edges[1:, None]
+        d = (a + 0.5 * (b - a) * (x + 1.0)).ravel()
+        nodes.append(1.0 - d if flip else d)
+        mirrored.append(d if flip else 1.0 - d)
+        weights.append((0.5 * (b - a) * w).ravel())
+    return np.concatenate(nodes), np.concatenate(mirrored), np.concatenate(weights)
 
-    def integrand(u):
-        ua = u ** alpha
-        den = ua * ua - 2.0 * ua * z * c + z * z
-        return u ** (alpha - beta) * math.exp(-u) * (ua * s1 - z * s2) / den / math.pi
 
-    pts = []
-    if c < 0.0:
-        pts.append((abs(z) * abs(c)) ** (1.0 / alpha))
-    upper = 120.0
-    pts = sorted(p for p in pts if 0.0 < p < upper)
-    val1, err1 = quad(integrand, 0.0, upper, points=pts or None, limit=200)
-    tail = math.exp(-upper) * (1.0 + abs(upper ** (alpha - beta)))
-    return val1, err1 + tail
+# the n- and 2n-point rules side by side; the first _N_LOW nodes are the n-point rule
+_UNIT_RULES = [np.concatenate(parts)
+               for parts in zip(_unit_rule(_GL_NODES), _unit_rule(2 * _GL_NODES))]
+_N_LOW = (_PANELS_LOW + _PANELS_HIGH) * _GL_NODES
+
+
+def _integral_negative(alpha: float, beta: float, z: np.ndarray):
+    """Integral representation for 0 < alpha < 1 and z < 0, vectorised over z.
+
+    For beta <= 1 the representation in chi = u^alpha reads
+
+      E = 1/(pi alpha) int_0^inf chi^p e^{-chi^{1/alpha}} (chi s1 - z s2)
+                                / ((chi - z c)^2 + z^2 sin^2(pi alpha)) dchi
+
+    with p = (1 - beta)/alpha in [0, 1/alpha), s1 = sin(pi(1-beta)),
+    s2 = sin(pi(1-beta+alpha)) and c = cos(pi alpha).  The factor after
+    e^{-chi^{1/alpha}} is a Lorentzian centred at z c with half-width
+    |z| sin(pi alpha), narrow as alpha -> 1.  The substitution
+    chi = z c + |z| sin(pi alpha) tan(theta) flattens it exactly; with
+    t = theta - theta(chi=0) in (0, pi alpha) it becomes
+    chi = |z| sin(t) / sin(pi alpha - t), and
+
+      E = |z|^p / (pi alpha sin(pi alpha))
+            int_0^{pi alpha} e^{-|z|^{1/alpha} r^{1/alpha}} r^p (r s1 + s2) dt,
+      r = sin(t) / sin(pi alpha - t).
+
+    The nodes do not depend on z, so every point of a call shares them and a
+    block of points is one (points x nodes) array.  The interval is covered by
+    _PANELS_LOW panels graded geometrically (ratio _PANEL_RATIO) towards
+    t = 0, where chi^p is not smooth and chi grows like |z| t / sin(pi alpha),
+    and _PANELS_HIGH towards t = pi alpha, where e^{-chi^{1/alpha}} vanishes.
+    The value comes from the 2n-point rule on each panel; its error estimate
+    is the difference from the n-point rule (n = _GL_NODES).  Points are
+    evaluated _BLOCK at a time to bound the size of the arrays.
+
+    beta > 1 is reduced to beta - k alpha <= 1 with the exact recursion
+    E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, which keeps chi^p bounded
+    at chi = 0.  Returns (values, error_estimates).
+    """
+    z = np.asarray(z, dtype=float)
+    betas = [beta]
+    while betas[-1] > 1.0:
+        betas.append(betas[-1] - alpha)
+    b = betas[-1]
+    p = (1.0 - b) / alpha
+    s1 = math.sin(math.pi * (1.0 - b))
+    s2 = math.sin(math.pi * (1.0 - b + alpha))
+    span = math.pi * alpha
+    s, s_up, w = _UNIT_RULES
+    r = np.sin(span * s) / np.sin(span * s_up)
+    with np.errstate(over="ignore"):
+        decay = -(r ** (1.0 / alpha))
+        weight = span * w * (r * s1 + s2) * r ** p
+    # r^p overflows only where r^(1/alpha) > r^p does too, and e^(-chi^(1/alpha)) is 0
+    weight[~np.isfinite(weight)] = 0.0
+    az = np.abs(z)
+    scale = az ** (1.0 / alpha)
+    coarse = np.empty_like(az)
+    fine = np.empty_like(az)
+    with np.errstate(over="ignore"):
+        for i in range(0, az.size, _BLOCK):
+            terms = np.exp(scale[i:i + _BLOCK, None] * decay) * weight
+            coarse[i:i + _BLOCK] = np.sum(terms[:, :_N_LOW], axis=-1)
+            fine[i:i + _BLOCK] = np.sum(terms[:, _N_LOW:], axis=-1)
+    pre = az ** p / (span * math.sin(span))
+    vals = pre * fine
+    ests = pre * np.abs(fine - coarse)
+    for bj in betas[-2::-1]:
+        vals = (vals - rgamma(bj - alpha)) / z
+        ests = ests / az + 1e-16
+    return vals, ests + 1e-14 * (1.0 + np.abs(vals))
 
 
 def ml_values(alpha: float, beta: float, z) -> np.ndarray:
@@ -297,13 +365,9 @@ def _ml_array(alpha: float, beta: float, z: np.ndarray):
         if alpha < 1.0:
             need_integral[idx[weak]] = True
 
-    for i in np.where(need_integral)[0]:
-        if alpha >= 1.0:
-            continue  # no integral representation; keep expansion result
-        v, e = _integral_negative(alpha, beta, float(z[i]))
-        vals[i] = v
-        ests[i] = e + 1e-14 * (1.0 + abs(v))
-        branch[i] = 2
+    if need_integral.any():
+        vals[need_integral], ests[need_integral] = _integral_negative(alpha, beta, z[need_integral])
+        branch[need_integral] = 2
 
     return vals, ests, branch
 

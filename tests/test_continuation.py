@@ -2,7 +2,9 @@
 stabilisations, frequency-band selection, and Landweber pre-smoothing."""
 
 import math
+from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -137,6 +139,46 @@ def test_right_dc_paths_agree_at_switch():
     direct = (0.7 * e1 - 0.4 * y * e2) / (e1 * e1 - z * e3 * e2)
     num, den = _right_dc_ratio_large(alpha2, xi, 0.7, -0.4, y)
     assert abs(num / den - direct) < 2e-3 * abs(direct)
+
+
+def _right_dc_coefficient_mp(alpha2, z, y):
+    """(E1 + y E2) / (E1^2 - z E3 E2) at E_b = E_{alpha2,b}(z) from the
+    series, with digits to spare over the e^{2 xi} cancellation."""
+    xi = z ** (1.0 / alpha2)
+    with mp.workdps(30 + int(2.0 * xi / math.log(10))):
+        a, zz = mp.mpf(alpha2), mp.mpf(z)
+        e = [mp.mpf(0)] * 3
+        t, k = mp.mpf(1), 0
+        while True:
+            terms = [t * mp.rgamma(a * k + b) for b in (1, 2, a)]
+            e = [s + u for s, u in zip(e, terms)]
+            if k > xi and terms[0] < mp.mpf(10) ** (-mp.mp.dps) * e[0]:
+                break
+            t *= zz
+            k += 1
+        e1, e2, e3 = e
+        return float((e1 + mp.mpf(y) * e2) / (e1 * e1 - zz * e3 * e2))
+
+
+@pytest.mark.parametrize("alpha2", [1.2, 1.5, 1.8, 1.98])
+def test_right_dc_switch_tracks_better_form(alpha2):
+    # one mode per xi with fc = gc = 1 at y = 0.7: the dispatched coefficient
+    # must be within 10x of the better of the direct and cancelled forms
+    y = 0.7
+    xi = np.arange(4.0, 24.5, 1.0)
+    lam = (xi / y) ** alpha2
+    ones = np.ones_like(xi)
+    data = SimpleNamespace(basis=SimpleNamespace(lambdas=lam, modes=np.eye(xi.size)),
+                           coeffs=lambda: (ones, ones))
+    got = continue_right_dc(data, alpha2, y).values
+    z = lam * np.float_power(y, alpha2)
+    e1, e2, e3 = (ml_values(alpha2, b, z) for b in (1.0, 2.0, alpha2))
+    direct = (e1 + y * e2) / (e1 * e1 - z * e3 * e2)
+    num, den = _right_dc_ratio_large(alpha2, z ** (1.0 / alpha2), ones, ones, y)
+    ref = np.array([_right_dc_coefficient_mp(alpha2, zz, y) for zz in z])
+    err = np.abs(got / ref - 1.0)
+    best = np.minimum(np.abs(direct / ref - 1.0), np.abs(num / den / ref - 1.0))
+    assert np.all(err <= 10.0 * np.maximum(best, 1e-15))
 
 
 def test_right_dc_cancelled_form_stays_finite_deep():

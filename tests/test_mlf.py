@@ -2,13 +2,23 @@
 references, and the inequalities the continuation analysis relies on."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 from scipy.special import erfcx, gamma
 
-from fraccauchy.specfun import ml, ml_kernel, ml_reciprocal_bound, ml_values
+from fraccauchy import specfun
+from fraccauchy.specfun import (
+    _integral_negative,
+    _ml_array,
+    ml,
+    ml_kernel,
+    ml_reciprocal_bound,
+    ml_values,
+)
 
 # Reference values computed with an arbitrary-precision partial-sum oracle
 # (adaptive working precision covering the worst intermediate term, absolute
@@ -75,6 +85,64 @@ def test_values_keep_array_shape():
         assert grid.shape == z.shape
         assert np.array_equal(grid.ravel(), ml_values(0.9, beta, z.ravel()))
         assert np.array_equal(grid, [[ml(0.9, beta, zz).value for zz in row] for row in z])
+
+
+def _ml_series_mp(alpha, beta, z):
+    """E_{alpha,beta}(z) from its defining series in mpmath.  The working
+    precision covers the largest term (about e^{|z|^{1/alpha}}) and the
+    gamma arguments are formed in mpmath, as in dev_ml_check.ml_mp."""
+    x = abs(z) ** (1.0 / alpha)
+    # exact only where alpha is exactly 1/lag in binary (alpha = 1/2 here)
+    lag = round(1.0 / alpha) if Fraction(alpha) * round(1.0 / alpha) == 1 else None
+    with mp.workdps(40 + int(x / math.log(10))):
+        a, b, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        s, t, k, rg = mp.mpf(0), mp.mpf(1), 0, []
+        while True:
+            # 1/Gamma(a k + b); for a = 1/lag, Gamma(x + 1) = x Gamma(x) steps it
+            if lag and k >= lag:
+                rg.append(rg[k - lag] / (a * (k - lag) + b))
+            else:
+                rg.append(mp.rgamma(a * k + b))
+            term = t * rg[k]
+            s += term
+            if k > x and abs(term) < mp.mpf(10) ** -30:
+                return float(s)
+            t *= zz
+            k += 1
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 0.9, 0.999])
+def test_integral_branch_against_series(alpha):
+    # the batched integral rule on its own, beta = 1.7 and 2 through the
+    # reduction to beta <= 1; the error must stay within the reported estimate
+    z = np.array([-5.5, -12.0, -25.0])
+    for beta in sorted({0.5, 1.0, alpha, 1.7, 2.0}):
+        vals, ests = _integral_negative(alpha, beta, z)
+        for v, e, zz in zip(vals, ests, z):
+            ref = _ml_series_mp(alpha, beta, zz)
+            assert abs(v - ref) <= e, (beta, zz)
+            assert abs(v - ref) <= 1e-8 * (1.0 + abs(ref)), (beta, zz)
+
+
+def test_integral_branch_tiny_alpha():
+    # r^p overflows at the nodes next to t = pi alpha, where the integrand
+    # underflows; those nodes must drop out instead of giving inf * 0
+    r = ml(0.02, 0.05, -1.05)
+    assert r.branch == "integral"
+    assert abs(r.value - _ml_series_mp(0.02, 0.05, -1.05)) <= r.est_abs_err
+
+
+def test_integral_branch_needs_no_quad(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("integral branch evaluated point by point")
+
+    monkeypatch.setattr(specfun, "quad", no_quad)
+    z = -np.linspace(4.0, 40.0, 37)
+    for alpha in (0.7, 0.99):
+        vals, _, branch = _ml_array(alpha, 1.0, z)
+        assert np.count_nonzero(branch == 2) >= 10
+        assert np.array_equal(ml_values(alpha, 1.0, z), vals)
+        assert np.all(np.isfinite(vals))
 
 
 def test_forced_zero_at_half_pi():
