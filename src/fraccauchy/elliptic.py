@@ -8,9 +8,11 @@ an anisotropic operator with a cross term and a drift,
     u_xx + u_yy = U_xx - 2 a U_xeta + (a^2 + 1/ell^2) U_etaeta - b U_eta,
     a = eta ell'/ell,   b = eta (ell''/ell - 2 (ell'/ell)^2),
 
-discretised with central differences (a nine-point stencil) and solved by a
-sparse direct factorisation.  The curve enters only through coefficient
-arrays, so outer Newton loops can move it without remeshing.
+discretised with central differences (a nine-point stencil).  `assemble`
+factorises the sparse matrix once per curve; each right-hand side (the
+bottom trace, plus any verification data) is then a back-solve.  The curve
+enters only through coefficient arrays, so outer Newton loops can move it
+without remeshing.
 
 Boundary rows: the bottom edge carries a Dirichlet trace, the lateral edges
 the same condition family as the eigenbasis of module `spectral`, and the
@@ -44,6 +46,8 @@ __all__ = [
     "MeshField",
     "InterfaceTraces",
     "combined_impedance",
+    "ForwardOperator",
+    "assemble",
     "solve_forward",
     "bottom_flux",
     "interface_traces",
@@ -208,21 +212,73 @@ def _corner_compat_warning(curve, lateral, f):
         )
 
 
-def solve_forward(curve, lateral, interface, f, M=None, source=None,
-                  interface_rhs=None, lateral_rhs=None):
-    """Solve the mixed boundary-value problem on the curved strip.
+@dataclass
+class ForwardOperator:
+    """The discrete mixed problem below one curve, factorised by `assemble`."""
 
-    The field is harmonic (unless ``source`` is given), equals ``f`` on the
-    bottom edge, satisfies ``lateral`` on the sides and ``interface`` on the
-    upper curve.  ``M`` is the number of depth levels (default keeps the
+    curve: Curve
+    lateral: object
+    interface: object
+    eta: np.ndarray
+    A: object
+    lu: object
+
+    def solve(self, f, source=None, interface_rhs=None, lateral_rhs=None):
+        """Back-solve for the field equal to ``f`` on the bottom edge.
+
+        ``source``, ``interface_rhs`` and ``lateral_rhs`` add a volume source
+        and inhomogeneous boundary data to the discrete operator; they exist
+        for manufactured-solution verification and stay None in the physical
+        problem.  ``lateral_rhs`` is a pair (left, right) of per-level values:
+        u on the edge for a Dirichlet side, u_x for a Neumann side, and
+        -u_x + sigma*u resp. u_x + sigma*u for a Robin side.
+        """
+        curve, eta = self.curve, self.eta
+        N, M = curve.N, eta.size
+        x, ell = curve.x, curve.ell
+        f = np.asarray(f, dtype=float)
+        if f.shape != (N,):
+            raise ValueError("bottom trace must be sampled on the curve's x-grid")
+        src = np.zeros((N, M)) if source is None else source
+        if callable(src):
+            src = src(np.broadcast_to(x[:, None], (N, M)), ell[:, None] * eta[None, :])
+        src = np.asarray(src, dtype=float)
+        if src.shape != (N, M):
+            raise ValueError("source must evaluate to shape (N, M)")
+        itf = np.zeros(N)
+        if interface_rhs is not None:
+            itf = _samples_on_grid(interface_rhs, x, "interface_rhs")
+        if lateral_rhs is None:
+            _corner_compat_warning(curve, self.lateral, f)
+            lateral_rhs = (0.0, 0.0)
+        lat_left = _samples_on_grid(lateral_rhs[0], eta * ell[0], "lateral_rhs[0]")
+        lat_right = _samples_on_grid(lateral_rhs[1], eta * ell[-1], "lateral_rhs[1]")
+
+        # row k = i * M + j; the bottom owns the corners, the sides the top ones
+        rhs = np.zeros((N, M))
+        rhs[1:-1, 1:-1] = src[1:-1, 1:-1]
+        rhs[:, 0] = f
+        rhs[1:-1, -1] = itf[1:-1]
+        rhs[0, 1:] = lat_left[1:]
+        rhs[-1, 1:] = lat_right[1:]
+        rhs = rhs.ravel()
+        u = self.lu.solve(rhs)
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError("sparse linear solve returned non-finite values")
+        resid = float(np.max(np.abs(self.A @ u - rhs)))
+        scale = float(np.max(np.abs(self.A) @ np.abs(u))) + float(np.max(np.abs(rhs)))
+        if resid > 1e-8 * max(1.0, scale):
+            raise RuntimeError("discrete residual too large: %.3g" % resid)
+        return MeshField(u.reshape(N, M), curve, self.lateral, self.interface, eta)
+
+
+def assemble(curve, lateral, interface, M=None):
+    """Build and factorise the discrete mixed problem below the curve.
+
+    The field is to satisfy ``lateral`` on the sides and ``interface`` on
+    the upper curve; the returned `ForwardOperator` back-solves for each
+    bottom trace.  ``M`` is the number of depth levels (default keeps the
     mapped cells roughly square, 129 x 65 at the standard resolution).
-
-    ``source``, ``interface_rhs`` and ``lateral_rhs`` add a volume source and
-    inhomogeneous boundary data to the discrete operator; they exist for
-    manufactured-solution verification and stay None in the physical problem.
-    ``lateral_rhs`` is a pair (left, right) of per-level values: u on the
-    edge for a Dirichlet side, u_x for a Neumann side, and -u_x + sigma*u
-    resp. u_x + sigma*u for a Robin side.
     """
     N = curve.N
     if N < 5:
@@ -230,13 +286,9 @@ def solve_forward(curve, lateral, interface, f, M=None, source=None,
     M = (N - 1) // 2 + 1 if M is None else int(M)
     if M < 5:
         raise ValueError("need at least 5 depth levels")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (N,):
-        raise ValueError("bottom trace must be sampled on the curve's x-grid")
     if interface.kind not in _INTERFACE_KINDS:
         raise ValueError("unknown interface kind %r" % (interface.kind,))
 
-    x = curve.x
     hx = curve.h
     eta = np.linspace(0.0, 1.0, M)
     he = 1.0 / (M - 1)
@@ -246,35 +298,10 @@ def solve_forward(curve, lateral, interface, f, M=None, source=None,
 
     gamc = None
     if interface.kind == "I":
-        gamc = _samples_on_grid(interface.gamma, x, "gamma")
-        if not interface.combined:
-            gamc = np.sqrt(1.0 + dl ** 2) * gamc
+        gamc = (_samples_on_grid(interface.gamma, curve.x, "gamma") if interface.combined
+                else combined_impedance(interface.gamma, curve))
         if np.any(gamc <= 0.0):
             raise ValueError("impedance coefficient must be positive")
-
-    if lateral_rhs is None:
-        _corner_compat_warning(curve, lateral, f)
-        lat_left = np.zeros(M)
-        lat_right = np.zeros(M)
-    else:
-        lat_left = _samples_on_grid(lateral_rhs[0], eta * ell[0], "lateral_rhs[0]")
-        lat_right = _samples_on_grid(lateral_rhs[1], eta * ell[-1], "lateral_rhs[1]")
-
-    src = np.zeros((N, M))
-    if source is not None:
-        if callable(source):
-            src = np.asarray(
-                source(np.broadcast_to(x[:, None], (N, M)), ell[:, None] * eta[None, :]),
-                dtype=float,
-            )
-        else:
-            src = np.asarray(source, dtype=float)
-        if src.shape != (N, M):
-            raise ValueError("source must evaluate to shape (N, M)")
-
-    itf = np.zeros(N)
-    if interface_rhs is not None:
-        itf = _samples_on_grid(interface_rhs, x, "interface_rhs")
 
     rows, cols, vals = [], [], []
 
@@ -284,8 +311,6 @@ def solve_forward(curve, lateral, interface, f, M=None, source=None,
         rows.append(r)
         cols.append(c)
         vals.append(np.broadcast_to(np.asarray(v, dtype=float), r.shape).ravel())
-
-    rhs = np.zeros(N * M)
 
     # interior nine-point stencil
     I, J = np.meshgrid(np.arange(1, N - 1), np.arange(1, M - 1), indexing="ij")
@@ -308,19 +333,16 @@ def solve_forward(curve, lateral, interface, f, M=None, source=None,
     add(k, k - M - 1, cc)
     add(k, k + M - 1, -cc)
     add(k, k - M + 1, -cc)
-    rhs[k] = src[I, J]
 
     # bottom edge: Dirichlet trace (owns the corners)
     kb = np.arange(N) * M
     add(kb, kb, 1.0)
-    rhs[kb] = f
 
     # top edge, interior columns
     it = np.arange(1, N - 1)
     kt = it * M + (M - 1)
     if interface.kind == "D":
         add(kt, kt, 1.0)
-        rhs[kt] = itf[it]
     else:
         # ((1+ell'^2)/ell) U_eta - ell' U_x + gamma_comb U = rhs, with the
         # backward one-sided U_eta; identical to -ell' u_x + u_y + gamma_comb u
@@ -330,21 +352,19 @@ def solve_forward(curve, lateral, interface, f, M=None, source=None,
         add(kt, kt - 2, w)
         add(kt, kt + M, -dl[it] / (2.0 * hx))
         add(kt, kt - M, dl[it] / (2.0 * hx))
-        rhs[kt] = itf[it]
 
-    def lateral_rows(i0, inward, edge_sign, rv):
+    def lateral_rows(i0, inward, edge_sign):
         """Rows j = 1..M-1 of one lateral edge (the top corner included)."""
         jall = np.arange(1, M)
         kall = i0 * M + jall
         if lateral.kind == "dirichlet":
             add(kall, kall, 1.0)
-            rhs[kall] = rv[jall]
             return
         if lateral.kind == "neumann":
             cxs, cu = 1.0, 0.0
         else:
             cxs, cu = edge_sign, lateral.robin_coeff
-        # row: cxs * (U_x - a U_eta) + cu * U = rv, one-sided U_x inward
+        # row: cxs * (U_x - a U_eta) + cu * U = rhs, one-sided U_x inward
         sgn = float(inward)
         add(kall, kall, cxs * sgn * (-3.0) / (2.0 * hx) + cu)
         add(kall, (i0 + inward) * M + jall, cxs * sgn * 2.0 / hx)
@@ -358,26 +378,27 @@ def solve_forward(curve, lateral, interface, f, M=None, source=None,
         add(ktc, ktc, 3.0 * aa[M - 1] / (2.0 * he))
         add(ktc, ktc - 1, -4.0 * aa[M - 1] / (2.0 * he))
         add(ktc, ktc - 2, aa[M - 1] / (2.0 * he))
-        rhs[kall] = rv[jall]
 
-    lateral_rows(0, +1, -1.0, lat_left)
-    lateral_rows(N - 1, -1, +1.0, lat_right)
+    lateral_rows(0, +1, -1.0)
+    lateral_rows(N - 1, -1, +1.0)
 
     A = coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N * M, N * M),
     ).tocsc()
     try:
-        u = splu(A).solve(rhs)
+        lu = splu(A)
     except RuntimeError as exc:
-        raise RuntimeError("sparse linear solve failed: %s" % (exc,))
-    if not np.all(np.isfinite(u)):
-        raise RuntimeError("sparse linear solve returned non-finite values")
-    resid = float(np.max(np.abs(A @ u - rhs)))
-    scale = float(np.max(np.abs(A) @ np.abs(u))) + float(np.max(np.abs(rhs)))
-    if resid > 1e-8 * max(1.0, scale):
-        raise RuntimeError("discrete residual too large: %.3g" % resid)
-    return MeshField(u.reshape(N, M), curve, lateral, interface, eta)
+        raise RuntimeError("sparse factorisation failed: %s" % (exc,))
+    return ForwardOperator(curve, lateral, interface, eta, A, lu)
+
+
+def solve_forward(curve, lateral, interface, f, M=None):
+    """Solve the mixed boundary-value problem on the curved strip: the field
+    is harmonic, equals ``f`` on the bottom edge, satisfies ``lateral`` on the
+    sides and ``interface`` on the upper curve.  One-shot form of
+    ``assemble(curve, lateral, interface, M).solve(f)``."""
+    return assemble(curve, lateral, interface, M).solve(f)
 
 
 def _uniform_step(eta, what):

@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .elliptic import (Curve, InterfaceBC, _samples_on_grid, bottom_flux,
-                       eval_on_curve, interface_traces, solve_forward)
+from .elliptic import (Curve, InterfaceBC, _samples_on_grid, assemble, bottom_flux,
+                       combined_impedance, eval_on_curve, interface_traces,
+                       solve_forward)
 from .spectral import _trapezoid_weights
 
 __all__ = [
@@ -120,15 +121,6 @@ class RecoveryTrace:
     rel_errors: list
     flags: list
     converged: bool
-
-    def rows(self):
-        """(iter, residual, relerr) tuples for CSV dumps; relerr is nan
-        when no truth was supplied."""
-        out = []
-        for k in range(len(self.iterates)):
-            re = self.rel_errors[k] if self.rel_errors is not None else float("nan")
-            out.append((k, self.residual_norms[k], re))
-        return out
 
 
 def _wnorm(v, w):
@@ -383,8 +375,7 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     gam, dgam = _raw_gamma(gamma, curve0)
 
     def residual(curve, zl, dnu):
-        dl_c = curve.dell()
-        return dnu + np.sqrt(1.0 + dl_c * dl_c) * gam * zl
+        return dnu + combined_impedance(gam, curve) * zl
 
     def step(curve, u, tr, b, flag):
         alpha, beta = _impedance_coeffs(curve, gam, dgam, tr)
@@ -432,9 +423,8 @@ def linearized_flux(curve, lateral, interface, f, dl):
     dl = np.asarray(dl, dtype=float)
     if dl.shape != x.shape:
         raise ValueError("dl must be sampled on the curve grid")
-    u = solve_forward(curve, lateral, interface, fv)
-    tr = interface_traces(u)
-    zero = np.zeros_like(fv)
+    op = assemble(curve, lateral, interface)
+    tr = interface_traces(op.solve(fv))
     if interface.kind == "D":
         rhs = -tr.u_y * dl
     elif interface.kind == "N":
@@ -450,5 +440,4 @@ def linearized_flux(curve, lateral, interface, f, dl):
         alpha = tr.u_x - dl_c / sq * gam * tr.u
         ddl = np.gradient(dl, h, edge_order=2)
         rhs = ddl * alpha - dl * (tr.u_yy - dl_c * tr.u_xy + sq * gam * tr.u_y)
-    v = solve_forward(curve, lateral, interface, zero, interface_rhs=rhs)
-    return bottom_flux(v)
+    return bottom_flux(op.solve(np.zeros_like(fv), interface_rhs=rhs))

@@ -16,6 +16,7 @@ from fraccauchy.continuation import (
 from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
+    assemble,
     bottom_flux,
     combined_impedance,
     eval_on_curve,
@@ -136,10 +137,7 @@ def _mms_errors(N, lat_kind, itf_kind):
             u_x(1.0 + 0.0 * yr, yr) + sig * u(1.0 + 0.0 * yr, yr),
         )
     itf = InterfaceBC(itf_kind, gam if itf_kind == "I" else None)
-    fld = solve_forward(
-        curve,
-        lat,
-        itf,
+    fld = assemble(curve, lat, itf).solve(
         f,
         source=lambda X, Y: (Q * Q - K * K) * u(X, Y),
         interface_rhs=itf_rhs,
@@ -201,6 +199,29 @@ def test_impedance_combined_coefficient_invariance():
         curve, LateralBC("dirichlet"), InterfaceBC("I", combined_impedance(gam, curve)), f
     )
     assert np.max(np.abs(raw.values - pre.values)) < 1e-13
+
+
+def test_operator_back_solves_match_one_shot_solves():
+    # two right-hand sides on one factor, the first with every verification
+    # input, equal solves on fresh operators
+    N = 65
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.3 + 0.05 * np.cos(2 * np.pi * x), 1.0, 0.4)
+    lat, itf = LateralBC("neumann"), InterfaceBC("I", 0.8 + 0.4 * x)
+    eta = np.linspace(0.0, 1.0, 33)
+    verify = dict(
+        source=lambda X, Y: np.sin(3 * X) * np.exp(Y),
+        interface_rhs=0.7 * np.cos(2 * x),
+        lateral_rhs=(np.sin(eta * curve.ell[0]), 0.5 * np.cos(eta * curve.ell[-1])),
+    )
+    f = np.cos(np.pi * x)
+    op = assemble(curve, lat, itf)
+    first, second = op.solve(f, **verify), op.solve(f)
+    np.testing.assert_array_equal(
+        first.values, assemble(curve, lat, itf).solve(f, **verify).values
+    )
+    np.testing.assert_array_equal(second.values, solve_forward(curve, lat, itf, f).values)
+    assert np.max(np.abs(first.values - second.values)) > 0.1
 
 
 def test_corner_compatibility_warning():
@@ -407,10 +428,7 @@ class TestEvalOnCurve:
         curve = Curve(ell, 1.0, 0.12)
         f = np.cos(K * x + PH)
         gam = 1.0 + 0.3 * np.sin(np.pi * x)
-        fld = solve_forward(
-            curve,
-            LateralBC("neumann"),
-            InterfaceBC("I", gam),
+        fld = assemble(curve, LateralBC("neumann"), InterfaceBC("I", gam)).solve(
             f,
             source=lambda X, Y: (Q * Q - K * K) * np.cos(K * X + PH) * np.exp(Q * Y),
             interface_rhs=-(-0.02 * np.pi * np.sin(2 * np.pi * x))

@@ -183,6 +183,25 @@ class TestLinearization:
         assert e_mid < e_big
         assert math.log(e_big / e_mid) / math.log(3.0) >= 0.9
 
+    @pytest.mark.parametrize("kind", ["D", "N", "I"])
+    def test_one_factorisation(self, kind, monkeypatch):
+        # the field and its perturbation share one factor; the count goes
+        # through the module attribute that the benchmark's tracer wraps
+        import fraccauchy.elliptic as el
+
+        factor, calls = el.splu, []
+
+        def counted(A):
+            calls.append(A.shape)
+            return factor(A)
+
+        monkeypatch.setattr(el, "splu", counted)
+        curve = Curve(truth_curve(X, 0.1), L, self.HOLD)
+        dl = 0.1 * np.cos(np.pi * X)
+        lin = linearized_flux(curve, LATERAL, interface_for(kind), excitation(X), dl)
+        assert np.all(np.isfinite(lin))
+        assert len(calls) == 1
+
 
 class TestNonuniquenessDetector:
     """Constant Cauchy data under lateral Neumann walls: the continued field
@@ -260,9 +279,6 @@ class TestTraceBookkeeping:
         assert len(tr.rel_errors) == k
         assert len(tr.step_residuals) == k - 1
         assert tr.converged
-        rows = tr.rows()
-        assert len(rows) == k
-        assert rows[0][0] == 0 and rows[-1][0] == k - 1
 
     def test_rows_nan_without_truth(self):
         lt = truth_curve(X, 0.1)
@@ -271,7 +287,6 @@ class TestTraceBookkeeping:
             Curve(lt, L, 0.1), zbar, LATERAL, excitation(X), NewtonConfig(max_iter=1)
         )
         assert tr.rel_errors is None
-        assert all(math.isnan(r[2]) for r in tr.rows())
 
     def test_trust_region_limits_first_step(self):
         tr = cached_run("D", 0.01, 0.02)
