@@ -14,6 +14,19 @@ bottom trace, plus any verification data) is then a back-solve.  The curve
 enters only through coefficient arrays, so outer Newton loops can move it
 without remeshing.
 
+The factor is of the row-equilibrated matrix (each row divided by its
+largest entry) in a geometric nested-dissection order of the grid (A.
+George, SIAM J. Numer. Anal. 10 (1973) 345-363), with threshold partial
+pivoting.  The scaling is what lets the order survive the pivoting:
+unscaled, the unit Dirichlet rows sit far below the 1/(ell h)^2
+coefficients of their columns, any nonzero threshold pivots away from the
+order, and the fill exceeds that of SuperLU's default ordering.  Scaled,
+all but a few diagonal pivots are accepted and the fill at 129 x 65 drops
+by about 40%.  The threshold guards against pivot growth where the rows
+are far from diagonally dominant: the one-sided lateral and interface
+rows, and the cross terms of thin or steep curves.  The residual gate of
+every solve checks the unscaled matrix.
+
 Boundary rows: the bottom edge carries a Dirichlet trace, the lateral edges
 the same condition family as the eigenbasis of module `spectral`, and the
 top edge one of u = 0, a vanishing co-normal derivative, or the impedance
@@ -214,7 +227,10 @@ def _corner_compat_warning(curve, lateral, f):
 
 @dataclass
 class ForwardOperator:
-    """The discrete mixed problem below one curve, factorised by `assemble`."""
+    """The discrete mixed problem below one curve, factorised by `assemble`.
+
+    ``A`` is the unscaled matrix; ``lu`` factors it with each row scaled by
+    ``rowscale`` and rows and columns permuted by ``perm``."""
 
     curve: Curve
     lateral: object
@@ -222,6 +238,8 @@ class ForwardOperator:
     eta: np.ndarray
     A: object
     lu: object
+    perm: np.ndarray
+    rowscale: np.ndarray
 
     def solve(self, f, source=None, interface_rhs=None, lateral_rhs=None):
         """Back-solve for the field equal to ``f`` on the bottom edge.
@@ -262,7 +280,8 @@ class ForwardOperator:
         rhs[0, 1:] = lat_left[1:]
         rhs[-1, 1:] = lat_right[1:]
         rhs = rhs.ravel()
-        u = self.lu.solve(rhs)
+        u = np.empty_like(rhs)
+        u[self.perm] = self.lu.solve((self.rowscale * rhs)[self.perm])
         if not np.all(np.isfinite(u)):
             raise RuntimeError("sparse linear solve returned non-finite values")
         resid = float(np.max(np.abs(self.A @ u - rhs)))
@@ -272,6 +291,30 @@ class ForwardOperator:
         return MeshField(u.reshape(N, M), curve, self.lateral, self.interface, eta)
 
 
+def _dissection(N, M):
+    """Geometric nested-dissection order of the N x M grid (node i*M + j):
+    split the longer side at its middle line, order both halves first and
+    the separating line last.  Blocks of at most 16 nodes keep their
+    row-major order."""
+    order = []
+
+    def split(block):
+        n, m = block.shape
+        if n * m <= 16:
+            order.append(block.ravel())
+        elif n >= m:
+            split(block[: n // 2])
+            split(block[n // 2 + 1:])
+            order.append(block[n // 2])
+        else:
+            split(block[:, : m // 2])
+            split(block[:, m // 2 + 1:])
+            order.append(block[:, m // 2])
+
+    split(np.arange(N * M).reshape(N, M))
+    return np.concatenate(order)
+
+
 def assemble(curve, lateral, interface, M=None):
     """Build and factorise the discrete mixed problem below the curve.
 
@@ -279,6 +322,13 @@ def assemble(curve, lateral, interface, M=None):
     the upper curve; the returned `ForwardOperator` back-solves for each
     bottom trace.  ``M`` is the number of depth levels (default keeps the
     mapped cells roughly square, 129 x 65 at the standard resolution).
+
+    The operator keeps the unscaled matrix ``A`` for the residual gate and
+    factors P D A P^T in its natural order: D scales each row by
+    ``rowscale`` = 1/max|row|, P is the symmetric permutation ``perm`` of
+    `_dissection`, and a pivot is taken off the diagonal only when it falls
+    below a tenth of its column.  Without D that threshold rejects the unit
+    diagonal of every Dirichlet row and the fill roughly doubles.
     """
     N = curve.N
     if N < 5:
@@ -385,12 +435,16 @@ def assemble(curve, lateral, interface, M=None):
     A = coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N * M, N * M),
-    ).tocsc()
+    ).tocsr()
+    rowscale = 1.0 / np.maximum.reduceat(np.abs(A.data), A.indptr[:-1])
+    scaled = A.copy()
+    scaled.data *= np.repeat(rowscale, np.diff(A.indptr))
+    perm = _dissection(N, M)
     try:
-        lu = splu(A)
+        lu = splu(scaled[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
     except RuntimeError as exc:
         raise RuntimeError("sparse factorisation failed: %s" % (exc,))
-    return ForwardOperator(curve, lateral, interface, eta, A, lu)
+    return ForwardOperator(curve, lateral, interface, eta, A, lu, perm, rowscale)
 
 
 def solve_forward(curve, lateral, interface, f, M=None):

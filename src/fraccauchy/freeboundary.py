@@ -112,7 +112,11 @@ class RecoveryTrace:
     (rel_errors is None when no truth curve was supplied).  step_residuals[k]
     is the misfit of step k's smoothed update in the linearized interface
     equation, before trust-region safeguarding.  flags holds "iter k: ..."
-    notes; converged is true when the relative step fell below stop_tol.
+    notes.  stop says why the sweep ended: "step_below_tol" (the relative
+    step fell below stop_tol), "pinned_to_corridor" (it did, but only
+    because the corridor clamp cut the last update) or "max_iter".
+    converged is true on "step_below_tol" with the final residual not above
+    the starting one.
     """
 
     iterates: list
@@ -121,6 +125,7 @@ class RecoveryTrace:
     rel_errors: list
     flags: list
     converged: bool
+    stop: str
 
 
 def _wnorm(v, w):
@@ -203,13 +208,15 @@ def _truth_samples(truth, n):
 
 
 def _trust_clamp(ell, dl, lo, hi):
-    """Halve dl until it is small against the current curve, then clamp."""
+    """Halve dl until it is small against the current curve, then clamp.
+    Returns the new curve and whether the clamp cut the update."""
     cap = 0.5 * float(np.min(ell))
     for _ in range(64):
         if float(np.max(np.abs(dl))) <= cap:
             break
         dl = 0.5 * dl
-    return np.clip(ell + dl, lo, hi)
+    new = ell + dl
+    return np.clip(new, lo, hi), bool(np.any((new < lo) | (new > hi)))
 
 
 def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
@@ -220,8 +227,8 @@ def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
     flag) linearizes about the forward field u (interface traces tr) and
     returns the raw update and the linear operator op it inverts, op(update)
     ~ r; flag(text) records a flag of the current iteration.  Pass k measures
-    the residual at iterate k and, below max_iter and before convergence,
-    takes one step, so the final residual costs no forward solve.
+    the residual at iterate k and, below max_iter and until the step rule
+    fires, takes one step, so the final residual costs no forward solve.
     """
     n, L, olell = curve0.N, curve0.L, curve0.olell
     w = _trapezoid_weights(n, curve0.h)
@@ -234,26 +241,31 @@ def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
 
     iterates, residual_norms, step_residuals, flags = [curve0], [], [], []
     rel_errors = None if truth is None else [relerr(curve0.ell)]
-    converged = False
+    stop = None
     for k in range(cfg.max_iter + 1):
         curve = iterates[-1]
         r = residual(curve, *curve_conormal(zbar, curve.ell))
         residual_norms.append(_wnorm(r, w))
-        if converged or k == cfg.max_iter:
+        if stop is not None:
+            break
+        if k == cfg.max_iter:
+            stop = "max_iter"
             break
         u = solve_forward(curve, lateral, interface, fv)
         dl, op = step(curve, u, interface_traces(u), r,
                       lambda text: flags.append("iter %d: %s" % (k, text)))
         dl_sm = project_cosine(dl, L, cfg.smooth_modes)
         step_residuals.append(_wnorm(op(dl_sm) - r, w))
-        ell = _trust_clamp(curve.ell, dl_sm, lo, hi)
+        ell, pinned = _trust_clamp(curve.ell, dl_sm, lo, hi)
         iterates.append(Curve(ell, L, olell))
         if rel_errors is not None:
             rel_errors.append(relerr(ell))
         denom = max(_wnorm(curve.ell, w), np.finfo(float).tiny)
-        converged = _wnorm(ell - curve.ell, w) / denom < cfg.stop_tol
+        if _wnorm(ell - curve.ell, w) / denom < cfg.stop_tol:
+            stop = "pinned_to_corridor" if pinned else "step_below_tol"
+    converged = stop == "step_below_tol" and residual_norms[-1] <= residual_norms[0]
     return RecoveryTrace(iterates, residual_norms, step_residuals, rel_errors,
-                         flags, converged)
+                         flags, converged, stop)
 
 
 def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.sparse.linalg import splu
 
 from fraccauchy.continuation import (
     CauchyData,
@@ -16,6 +17,7 @@ from fraccauchy.continuation import (
 from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
+    _dissection,
     assemble,
     bottom_flux,
     combined_impedance,
@@ -222,6 +224,52 @@ def test_operator_back_solves_match_one_shot_solves():
     )
     np.testing.assert_array_equal(second.values, solve_forward(curve, lat, itf, f).values)
     assert np.max(np.abs(first.values - second.values)) > 0.1
+
+
+_THIN_CURVES = {
+    "flat": lambda x: np.full(x.size, 0.001),
+    "wavy": lambda x: 0.002 + 0.0019 * np.cos(8 * np.pi * x),
+}
+_INTERFACES = {
+    "D": InterfaceBC("D"),
+    "N": InterfaceBC("N"),
+    "I_stiff": InterfaceBC("I", 1e4, combined=False),
+    "I_soft": InterfaceBC("I", 1e-4, combined=False),
+}
+
+
+@pytest.mark.parametrize("itf", sorted(_INTERFACES))
+@pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("shape", sorted(_THIN_CURVES))
+def test_backward_stable_on_thin_curves(shape, lat_kind, itf):
+    # curves down to 1% of the hold-all put 1/ell^2 ~ 1e6 against unit
+    # Dirichlet rows; the factor must not trade stability for its ordering
+    N = 33
+    x = np.linspace(0.0, 1.0, N)
+    op = assemble(
+        Curve(_THIN_CURVES[shape](x), 1.0, 0.1), LateralBC(lat_kind, 100.0), _INTERFACES[itf]
+    )
+    # one seeded value per row: every edge's data comes from the grid R
+    R = np.random.default_rng(5).standard_normal((N, op.eta.size))
+    u = op.solve(R[:, 0], source=R, interface_rhs=R[:, -1], lateral_rhs=(R[0], R[-1]))
+    u, b = u.values.ravel(), R.ravel()
+    back = np.max(np.abs(op.A @ u - b)) / (
+        np.max(abs(op.A).sum(axis=1)) * np.max(np.abs(u)) + np.max(np.abs(b))
+    )
+    assert back <= 1e-13
+
+
+@pytest.mark.parametrize("N,M", [(5, 5), (33, 17), (128, 64), (129, 65), (257, 129)])
+def test_dissection_is_a_permutation(N, M):
+    np.testing.assert_array_equal(np.sort(_dissection(N, M)), np.arange(N * M))
+
+
+def test_dissection_order_cuts_fill():
+    N = 129
+    x = np.linspace(0.0, 1.0, N)
+    op = assemble(Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1),
+                  LateralBC("neumann"), InterfaceBC("N"))
+    assert op.lu.nnz <= 0.75 * splu(op.A.tocsc()).nnz
 
 
 def test_corner_compatibility_warning():

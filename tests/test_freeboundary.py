@@ -191,9 +191,9 @@ class TestLinearization:
 
         factor, calls = el.splu, []
 
-        def counted(A):
+        def counted(A, **kw):
             calls.append(A.shape)
-            return factor(A)
+            return factor(A, **kw)
 
         monkeypatch.setattr(el, "splu", counted)
         curve = Curve(truth_curve(X, 0.1), L, self.HOLD)
@@ -387,15 +387,15 @@ class TestNewtonGolden:
     pinned so that a restructuring of the sweep must reproduce it."""
 
     GOLDEN = {
-        "D": (6, True, [], 0.00222209272478372, 0.009441611083560375, 0.009441609209426726),
-        "N": (5, True, [], 0.0020802641553382185, 0.0011297114090863766, 0.0011297359298313384),
+        "D": (6, True, [], 0.0022220881452926313, 0.009441594082711384, 0.009441592208547825),
+        "N": (5, True, [], 0.0020800295487210315, 0.0011296280962457513, 0.0011296526168188582),
         "I": (
             6,
             True,
             ["iter 0: linearization coefficient below floor at 2 points, update damped there"],
-            0.0051266183072924765,
-            0.0018910523684694998,
-            0.0018916008769236032,
+            0.005126245165700907,
+            0.001891514214407867,
+            0.0018920619933547515,
         ),
     }
 
@@ -405,6 +405,7 @@ class TestNewtonGolden:
         tr = cached_run(kind, 0.01, 0.05)
         assert len(tr.iterates) == n_iter
         assert tr.converged is converged
+        assert tr.stop == "step_below_tol"
         assert tr.flags == flags
         assert tr.rel_errors[-1] == pytest.approx(relerr, rel=1e-12)
         assert tr.residual_norms[-1] == pytest.approx(resid, rel=1e-12)
@@ -445,6 +446,19 @@ class TestSweepBranches:
             NewtonConfig(max_iter=2),
         )
         assert tr.flags[0] == "iter 0: integrating factor overflowed, update halved"
+
+    @pytest.mark.parametrize("start", [0.05, 0.09])
+    def test_divergent_impedance_sweep_not_converged(self, start):
+        # with gamma = 10 the sweep runs into both corridor bounds, where the
+        # clamped curve stops moving while the residual has grown ninefold or more
+        gamma = 10.0
+        zbar = holdall_field("I", 0.1, 0.0, gamma=gamma)
+        tr = newton_impedance(
+            Curve(np.full(N, start), L, 0.1), gamma, zbar, LATERAL, excitation(X), NewtonConfig()
+        )
+        assert tr.residual_norms[-1] > 5.0 * tr.residual_norms[0]
+        assert tr.stop == "pinned_to_corridor"
+        assert tr.converged is False
 
     def test_explicit_clamp_holds_every_iterate(self):
         lo, hi = 0.075, 0.085
@@ -495,5 +509,6 @@ class TestSweepCost:
             monkeypatch.setattr(fb, name, counted(name))
         tr = run_newton(kind, 0.1, 0.01, 0.05, cfg=NewtonConfig(max_iter=max_iter))
         assert tr.converged is (max_iter == 10)
+        assert tr.stop == ("step_below_tol" if max_iter == 10 else "max_iter")
         assert calls["solve_forward"] == len(tr.iterates) - 1
         assert calls["curve_conormal"] == len(tr.iterates)
