@@ -22,6 +22,11 @@ is the 0-d case of the same code.
 ``split_frequency_continue`` assigns a per-band order by a discrepancy rule,
 and ``landweber_smooth`` implements the spectral pre-smoothing iteration used
 before continuing the unstable component.
+
+`ContinuationScheme` is the one place that knows the schemes by name: it
+checks the parameters of its kind when built and runs itself through
+``continue_data``, which calls the ``continue_*`` functions through this
+module's globals, so callers pass a scheme on without branching on its kind.
 """
 
 import math
@@ -37,7 +42,6 @@ __all__ = [
     "CauchyData",
     "Slice",
     "ContinuationScheme",
-    "SplitResult",
     "continue_exact",
     "continue_left_dc",
     "continue_right_dc",
@@ -97,13 +101,21 @@ class Slice:
     zeroed_modes: np.ndarray
 
 
+_KINDS = ("exact", "left_dc", "right_dc", "fac_lap", "fac_lap_split")
+_KINDS_WITH_ALPHA = ("left_dc", "right_dc", "fac_lap")
+
+
 @dataclass(frozen=True)
 class ContinuationScheme:
-    """Configuration record used by the harness to select a scheme.
+    """A continuation scheme with its parameters; `continue_data` runs it.
 
-    ``alpha`` is the fractional half-order (the propagator order is
-    ``2 alpha``); ``bands`` holds ``(end_index, alpha)`` pairs for the
-    split-frequency variant.
+    ``kind`` is one of ``exact``, ``left_dc``, ``right_dc``, ``fac_lap`` and
+    ``fac_lap_split``.  ``alpha`` is the fractional half-order (the
+    propagator order is ``2 alpha``): ``left_dc``, ``right_dc`` and
+    ``fac_lap`` need it, and the other kinds refuse it.  ``bands`` holds
+    ``(end_index, alpha)`` pairs and is taken only by ``fac_lap_split``,
+    which picks its bands by `split_frequency_continue` when none are given.
+    The record is checked when it is built, so a scheme that exists can run.
     """
 
     kind: str
@@ -111,17 +123,39 @@ class ContinuationScheme:
     bands: tuple = None
 
     def __post_init__(self):
-        kinds = ("exact", "left_dc", "right_dc", "fac_lap", "fac_lap_split")
-        if self.kind not in kinds:
+        if self.kind not in _KINDS:
             raise ValueError("unknown continuation scheme %r" % (self.kind,))
+        if self.kind in _KINDS_WITH_ALPHA and self.alpha is None:
+            raise ValueError("scheme %r needs the half-order alpha" % (self.kind,))
+        if self.kind not in _KINDS_WITH_ALPHA and self.alpha is not None:
+            raise ValueError("scheme %r takes no half-order alpha" % (self.kind,))
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise ValueError("fractional half-order must lie in (0, 1]")
         if self.bands is not None:
+            if self.kind != "fac_lap_split":
+                raise ValueError("only the fac_lap_split scheme takes bands")
             ends = [k for k, _ in self.bands]
             if any(b >= a for a, b in zip(ends[1:], ends)):
                 raise ValueError("band breakpoints must be strictly increasing")
             if any(not 0.0 < a <= 1.0 for _, a in self.bands):
                 raise ValueError("band orders must lie in (0, 1]")
+
+    def continue_data(self, data, y):
+        """Continue ``data`` to the heights ``y`` by this scheme.
+
+        Returns the `Slice` and, for ``fac_lap_split``, the list of bands
+        ``(end_index, alpha)`` it used; None for the other kinds.
+        """
+        if self.kind == "exact":
+            return continue_exact(data, y), None
+        if self.kind == "fac_lap_split":
+            if self.bands is None:
+                return split_frequency_continue(data, y)
+            return continue_banded(data, self.bands, y), list(self.bands)
+        if self.kind == "fac_lap":
+            return continue_fac_lap(data, self.alpha, y), None
+        dc = continue_left_dc if self.kind == "left_dc" else continue_right_dc
+        return dc(data, 2.0 * self.alpha, y), None
 
 
 # Powers of the heights use np.float_power, which rounds like Python's float
@@ -292,23 +326,7 @@ def continue_fac_lap(data, alpha, y):
     growing component amplified through the reciprocal Mittag-Leffler factor
     (bounded by 1 + Gamma(1-alpha) sqrt(lambda) y^alpha).  At alpha = 1 this
     is the exact formula.  This is `continue_banded` with a single band."""
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("fractional half-order must lie in (0, 1]")
     return continue_banded(data, [(data.basis.J, alpha)], y)
-
-
-@dataclass
-class SplitResult:
-    """The continued `Slice` over the whole height grid plus the selected
-    frequency bands ``(end_index, alpha)``.  Iterates as the pair
-    (continued, bands)."""
-
-    continued: Slice
-    bands: list
-
-    def __iter__(self):
-        return iter((self.continued, self.bands))
 
 
 def continue_banded(data, bands, y):
@@ -357,7 +375,8 @@ def split_frequency_continue(data, y_grid, tau=1.5):
     exactly, while strongly amplified noise modes fall to low orders; the
     rule acts like a soft spectral cutoff at shallow depth and as genuinely
     fractional damping at depth.  Runs of equal order merge into bands, and
-    one `continue_banded` call continues the whole grid.
+    one `continue_banded` call continues the whole grid.  Returns the
+    continued `Slice` and the list of bands ``(end_index, alpha)``.
     """
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     tau = float(tau)
@@ -392,7 +411,7 @@ def split_frequency_continue(data, y_grid, tau=1.5):
 
     breaks = np.flatnonzero(mode_alpha[1:] != mode_alpha[:-1]) + 1
     bands = [(int(e), float(mode_alpha[e - 1])) for e in (*breaks, J)]
-    return SplitResult(continue_banded(data, bands, y_grid), bands)
+    return continue_banded(data, bands, y_grid), bands
 
 
 def landweber_smooth(u0_noisy, sigma_t, mu, l, delta, norm_at_l, c=1.0):
@@ -415,9 +434,10 @@ def landweber_smooth(u0_noisy, sigma_t, mu, l, delta, norm_at_l, c=1.0):
     if np.max(step) > 1.0:
         raise ValueError("mu violates the contraction bound mu*lambda^-sigma_t <= 1")
     i_star = max(1, math.ceil(c * l ** (-2.0) * math.log(norm_at_l / delta)))
-    v = np.zeros_like(u0_noisy.c)
-    for _ in range(i_star):
-        v = v * (1.0 - step) + step * u0_noisy.c
+    # the iterates sum to v_i = (1 - (1 - step)^i) c; expm1/log1p keep the digits
+    # that form cancels for small steps (step = 1: log1p = -inf, v = c)
+    with np.errstate(divide="ignore"):
+        v = -np.expm1(i_star * np.log1p(-step)) * u0_noisy.c
     return SpectralCoeffs(u0_noisy.basis, v)
 
 

@@ -44,15 +44,6 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from .continuation import (
-    continue_banded,
-    continue_exact,
-    continue_fac_lap,
-    continue_left_dc,
-    continue_right_dc,
-    split_frequency_continue,
-)
-
 __all__ = [
     "Curve",
     "InterfaceBC",
@@ -502,11 +493,15 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
     """Continue Cauchy data through the hold-all rectangle, with one
     continuation call over the whole height grid.
 
-    By uniqueness of harmonic continuation the resulting field agrees (up to
+    ``scheme`` (a `continuation.ContinuationScheme`) runs itself; this
+    function checks the grid and wraps the result in a `MeshField`.  By
+    uniqueness of harmonic continuation the resulting field agrees (up to
     the scheme's regularisation error) with the Newton-step field on any
     admissible subdomain, so downstream code may trace it along trial curves
-    with `eval_on_curve`.  ``meta["zeroed_modes"]`` lists the modes the
-    scheme's guards zeroed at each level.
+    with `eval_on_curve`.  ``meta`` holds the ``scheme`` kind, the
+    ``zeroed_modes`` the scheme's guards zeroed at each level, the ``bands``
+    of a scheme that has them, and ``overflow``: whether a level leaves the
+    double-precision exponential range, which only the exact formula can.
     """
     if lateral != data.basis.bc:
         raise ValueError("lateral condition disagrees with the data's basis")
@@ -516,27 +511,11 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
     if np.any(np.diff(y) <= 0.0):
         raise ValueError("y_grid must be strictly increasing")
 
-    kind = scheme.kind
-    meta = {"scheme": kind}
-    if kind == "exact":
-        cont = continue_exact(data, y)
-        meta["overflow"] = cont.overflow
-    elif kind == "fac_lap_split":
-        if scheme.bands is None:
-            cont, bands = split_frequency_continue(data, y)
-        else:
-            bands = scheme.bands
-            cont = continue_banded(data, bands, y)
-        meta["bands"] = list(bands)
-    else:
-        if scheme.alpha is None:
-            raise ValueError("scheme %r needs the half-order alpha" % (kind,))
-        if kind == "fac_lap":
-            cont = continue_fac_lap(data, scheme.alpha, y)
-        else:
-            dc = continue_left_dc if kind == "left_dc" else continue_right_dc
-            cont = dc(data, 2.0 * scheme.alpha, y)
-    meta["zeroed_modes"] = cont.zeroed_modes.tolist()
+    cont, bands = scheme.continue_data(data, y)
+    meta = {"scheme": scheme.kind, "zeroed_modes": cont.zeroed_modes.tolist(),
+            "overflow": cont.overflow}
+    if bands is not None:
+        meta["bands"] = bands
 
     olell = float(y[-1]) if y[-1] > 0.0 else 1.0
     curve = Curve(np.full(data.basis.N, olell), data.basis.L, olell)

@@ -367,6 +367,20 @@ def test_landweber_two_mode_closed_form():
     assert np.allclose(out.c, expected, rtol=1e-13)
 
 
+def test_landweber_matches_iteration():
+    # the closed form against the 40-step iteration it sums, to about 40
+    # roundings; steps down to 5.6e-5 would cost 1 - (1 - step)^40 8e-13
+    rng = np.random.default_rng(4)
+    basis = build_basis(1.0, LateralBC("dirichlet"), 12, 64)
+    u = rng.standard_normal(12)
+    step = 3.0 * basis.lambdas ** -1.5
+    v = np.zeros(12)
+    for _ in range(40):
+        v = v * (1.0 - step) + step * u
+    out = landweber_smooth(SpectralCoeffs(basis, u), 1.5, 3.0, 1.0, 1.0, math.exp(39.5))
+    assert np.allclose(out.c, v, rtol=1e-13, atol=0.0)
+
+
 def test_landweber_contracts_toward_data():
     rng = np.random.default_rng(9)
     basis = build_basis(1.0, LateralBC("dirichlet"), 8, 64)
@@ -450,6 +464,16 @@ def test_scheme_record_validation():
         ContinuationScheme("fac_lap_split", bands=((6, 0.9), (3, 0.5)))
     with pytest.raises(ValueError):
         ContinuationScheme("fac_lap_split", bands=((4, 1.5),))
+    # each kind takes exactly the fields it runs on
+    for kind in ("left_dc", "right_dc", "fac_lap"):
+        with pytest.raises(ValueError, match="needs the half-order"):
+            ContinuationScheme(kind)
+    for kind in ("exact", "fac_lap_split"):
+        with pytest.raises(ValueError, match="takes no half-order"):
+            ContinuationScheme(kind, alpha=0.9)
+    for kind, alpha in (("exact", None), ("left_dc", 0.9), ("right_dc", 0.9), ("fac_lap", 0.9)):
+        with pytest.raises(ValueError, match="takes bands"):
+            ContinuationScheme(kind, alpha=alpha, bands=((4, 0.9), (8, 0.5)))
 
     # the split rule continues its low modes at the exact order 1.0; the
     # bands it reports must be accepted back and reproduce its field

@@ -1,6 +1,8 @@
-"""The package's declared surface matches its tree: public names resolve
-and the files named in pyproject.toml exist."""
+"""The package's declared surface matches its tree: public names resolve,
+the files named in pyproject.toml exist and the modules import one another
+in layers."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -35,3 +37,29 @@ def test_declared_files_exist():
         declared.append(ROOT / where[0] / (module + ".py"))
     missing = [str(p.relative_to(ROOT)) for p in declared if not p.exists()]
     assert not missing
+
+
+def _sibling_imports(name):
+    """Modules of the package that module ``name`` imports relatively."""
+    path = pathlib.Path(fraccauchy.__path__[0]) / (name + ".py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found & set(MODULES)
+
+
+def test_import_layers():
+    graph = {name: _sibling_imports(name) for name in MODULES}
+    # the finite-difference solver stands alone; the continuation schemes
+    # reach it only as objects its callers pass in
+    assert graph["elliptic"] == set()
+    # peel off modules whose imports are all placed: a cycle leaves a rest
+    placed = set()
+    while len(placed) < len(graph):
+        ready = {n for n, deps in graph.items() if n not in placed and deps <= placed}
+        assert ready, "import cycle among %s" % sorted(set(graph) - placed)
+        placed |= ready

@@ -135,6 +135,27 @@ def test_degenerate_excitations(problem):
         joint_newton_step(same, zbar, zbar)
 
 
+def test_joint_step_reduces_both_errors(problem):
+    # the start fields against exact hold-all continuations of the data:
+    # one step takes the curve error from 0.0705 to 0.0131 and the
+    # impedance error from 0.208 to 0.0139
+    levels = np.linspace(0.0, OLELL, 41)
+    exact = ContinuationScheme("exact")
+    z1, z2 = (solve_cauchy_holdall(d, LATERAL, exact, levels) for d in problem["data"])
+    xi0 = problem["xi0"]
+    dl, dg = joint_newton_step(xi0, z1, z2)
+    assert np.all(np.isfinite(dl)) and np.all(np.isfinite(dg))
+    # trapezoid weights; the mesh step cancels in the relative error
+    w = np.r_[0.5, np.ones(N - 2), 0.5]
+
+    def rel(v, target):
+        return np.sqrt(np.sum(w * (v - target) ** 2) / np.sum(w * target ** 2))
+
+    gam0 = np.full(N, START_GAM)
+    for start, inc, target in ((xi0.ell.ell, dl, truth_curve(X)), (gam0, dg, truth_gamma(X))):
+        assert rel(start + inc, target) < 0.5 * rel(start, target)
+
+
 def test_range_invariance_decays_quadratically(problem):
     levels = np.linspace(0.0, OLELL, 41)
     exact = ContinuationScheme("exact")
