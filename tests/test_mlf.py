@@ -8,12 +8,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
-from scipy.special import erfcx, gamma
+from scipy.special import erfcx, gamma, gammaln, rgamma
 
 from fraccauchy import specfun
 from fraccauchy.specfun import (
+    _SERIES_KMAX,
+    _algebraic_tail,
     _integral_negative,
     _ml_array,
+    _series,
     ml,
     ml_kernel,
     ml_reciprocal_bound,
@@ -143,6 +146,121 @@ def test_integral_branch_needs_no_quad(monkeypatch):
         assert np.count_nonzero(branch == 2) >= 10
         assert np.array_equal(ml_values(alpha, 1.0, z), vals)
         assert np.all(np.isfinite(vals))
+
+
+# The Taylor series and the algebraic tail as one pass per term over every
+# point, the form they had before the terms were walked in chunks.  The
+# chunked code must return the same floats, bit for bit.
+def _series_loop(alpha, beta, z):
+    val = np.full(z.shape, rgamma(beta))
+    term = np.ones_like(z)
+    max_term = np.abs(val).copy()
+    est = np.zeros_like(z)
+    active = np.ones(z.shape, dtype=bool)
+    for k in range(1, _SERIES_KMAX):
+        term = term * z
+        coef = rgamma(alpha * k + beta)
+        contrib = term * coef
+        val = np.where(active, val + contrib, val)
+        mag = np.abs(contrib)
+        max_term = np.maximum(max_term, np.where(active, mag, 0.0))
+        done = active & (mag <= 1e-18 * (1.0 + np.abs(val))) & (k * alpha + beta > 2.0)
+        est = np.where(done & (est == 0.0), mag, est)
+        active &= ~done
+        if not active.any():
+            break
+    if active.any():
+        est = np.where(active, np.abs(term) * abs(rgamma(alpha * _SERIES_KMAX + beta)) + 1.0, est)
+    with np.errstate(over="ignore"):
+        xr = np.minimum(np.abs(z) ** (1.0 / alpha), 750.0)
+    est = est + 2e-14 * max_term + np.abs(val) * 1e-16 * (2.0 + xr * np.log1p(xr))
+    return val, est, max_term
+
+
+def _algebraic_tail_loop(alpha, beta, z):
+    az = np.abs(z)
+    kopt = np.clip((az ** (1.0 / alpha) + beta - 1.0) / alpha, 1.0, 199.0)
+    kend = np.floor(kopt)
+    ln_est = -kopt * np.log(az) + gammaln(np.maximum(1.0 + alpha * kopt - beta, 0.5)) - math.log(math.pi)
+    est = 4.0 * np.exp(np.minimum(ln_est, 700.0))
+    val = np.zeros_like(z)
+    zinv = 1.0 / z
+    power = np.ones_like(z)
+    first_mag = np.zeros_like(z)
+    kmax = int(np.max(kend))
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        for k in range(1, kmax + 1):
+            power = power * zinv
+            coef = rgamma(beta - alpha * k)
+            contrib = power * coef
+            good = (k <= kend) & np.isfinite(contrib) & (np.abs(power) > 1e-290)
+            val = np.where(good, val - contrib, val)
+            first_mag = np.maximum(first_mag, np.where(good, np.abs(contrib), 0.0))
+            if not np.any(good & (k < kend)):
+                break
+    est = est + 1e-14 * first_mag
+    return val, est
+
+
+PIN_ALPHAS = [0.5, 0.6, 0.9, 0.999, 1.0, 1.8]
+
+
+def _pin_betas(alpha):
+    return sorted({1.0, alpha, 1.7, 2.0})
+
+
+def _assert_same(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert np.shape(g) == np.shape(r)
+        np.testing.assert_array_equal(g, r, strict=True)
+
+
+@pytest.mark.parametrize("alpha", PIN_ALPHAS)
+def test_series_bitwise_equal_to_term_loop(alpha):
+    # both signs and z = 0, out to the series' reach on the negative axis
+    # (|z|^(1/alpha) <= 17) and a little past it on the positive one
+    reach = 17.0 ** alpha
+    z = np.concatenate([np.linspace(-reach, reach, 401), [0.0, -0.0, 1e-300, 2.0 * reach]])
+    for beta in _pin_betas(alpha):
+        _assert_same(_series(alpha, beta, z), _series_loop(alpha, beta, z))
+
+
+def test_series_unfinished_at_kmax_bitwise():
+    # at alpha = 0.1, |z| = 1.6 the terms still grow at k = _SERIES_KMAX;
+    # the other points of the call converge early
+    z = np.array([-1.6, -0.5, 0.0, 0.7, 1.6, 1.55])
+    for beta in (1.0, 0.1, 1.7):
+        got = _series(0.1, beta, z)
+        _assert_same(got, _series_loop(0.1, beta, z))
+        assert got[1][[0, 4]].min() > 1.0
+
+
+@pytest.mark.parametrize("alpha", PIN_ALPHAS)
+def test_algebraic_tail_bitwise_equal_to_term_loop(alpha):
+    # |z| from below 1 to where kend sits at its 199-term clip, both signs
+    mag = np.logspace(-0.5, 3.0, 300)
+    z = np.concatenate([-mag, mag, [0.0]])
+    for beta in _pin_betas(alpha):
+        with np.errstate(divide="ignore"):
+            _assert_same(_algebraic_tail(alpha, beta, z), _algebraic_tail_loop(alpha, beta, z))
+
+
+def test_algebraic_tail_at_clip_bitwise():
+    # alpha = 0.5 reaches kend = 199 from |z| ~ 10 on
+    z = -np.linspace(10.0, 60.0, 101)
+    kend = np.floor(np.clip((z * z) / 0.5, 1.0, 199.0))
+    assert np.all(kend == 199.0)
+    for beta in (1.0, 0.5, 2.0):
+        _assert_same(_algebraic_tail(0.5, beta, z), _algebraic_tail_loop(0.5, beta, z))
+
+
+@pytest.mark.parametrize("z", [20.0, -7.5, np.float64(3.0), np.array(-40.0)])
+def test_algebraic_tail_scalar_input(z):
+    for alpha, beta in ((0.9, 1.0), (1.8, 1.8), (0.5, 2.0)):
+        got = _algebraic_tail(alpha, beta, z)
+        _assert_same(got, _algebraic_tail_loop(alpha, beta, z))
+        assert np.ndim(got[0]) == 0
 
 
 def test_forced_zero_at_half_pi():
