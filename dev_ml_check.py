@@ -1,9 +1,11 @@
 """Dev-only: validate specfun.ml against arbitrary-precision references.
 
 Run from the repository root as ``python3 dev_ml_check.py``.  Exits 1 when
-any case's error exceeds its own estimate, an erfc case is bad, or the
-integral branch disagrees with the asymptotic expansion where the latter is
-trusted; prints the figures either way.
+any case's error exceeds its own estimate (the case grid, and the edges of
+the chunked series and algebraic-tail walks, where no edge class may go
+unchecked), an erfc case is bad, or the integral branch disagrees with the
+asymptotic expansion where the latter is trusted; prints the figures either
+way.
 """
 import math
 import sys
@@ -90,6 +92,84 @@ failures += len(bad_est)
 print(f"\ncases where actual error exceeded estimate: {len(bad_est)}")
 for row in bad_est[:20]:
     print("  rel=%.2e abs=%.2e est=%.2e ok=%s a=%g b=%g z=%g %s" % row)
+
+# the edges of the chunked term walks: series points whose stopping term is
+# the first or last of a chunk, algebraic tails truncated at the 199-term
+# clip, and tails the envelope cut retires before their truncation index
+from scipy.special import rgamma
+
+from fraccauchy import specfun
+from fraccauchy.specfun import _SERIES_CHUNK, _SERIES_KMAX, _TAIL_CHUNK, _algebraic_tail, _ml_array
+
+
+def series_stop(alpha, beta, z):
+    """Index of the term at which the series stops for z (its stopping rule,
+    in the same float operations), or None if it runs to _SERIES_KMAX."""
+    s, t = rgamma(beta), 1.0
+    for k in range(1, _SERIES_KMAX):
+        t *= z
+        c = t * rgamma(alpha * k + beta)
+        s += c
+        if abs(c) <= 1e-18 * (1.0 + abs(s)) and k * alpha + beta > 2.0:
+            return k
+    return None
+
+
+def tail_chunks(alpha, beta, z):
+    """Chunks the algebraic tail walks for the single point z: one
+    reciprocal-gamma call each."""
+    count = [0]
+
+    def counted(x):
+        count[0] += 1
+        return rgamma(x)
+
+    specfun.rgamma = counted
+    try:
+        _algebraic_tail(alpha, beta, np.array([z]))
+    finally:
+        specfun.rgamma = rgamma
+    return count[0]
+
+
+edges = {"series stop on a chunk edge": [], "tail at the 199 clip": [], "tail cut before kend": []}
+for alpha in (0.5, 0.6, 0.9, 1.3, 1.8):
+    for beta in sorted({1.0, alpha, 1.7}):
+        reach = 17.0 ** alpha
+        zs = np.concatenate([np.linspace(-reach, 2.0 * reach, 240), -np.geomspace(reach, 40.0 * reach, 120)])
+        _, _, branch = _ml_array(alpha, beta, zs)
+        picked = {key: 0 for key in edges}
+        for z, br in zip(zs, branch):
+            z = float(z)
+            if br == 0 and picked["series stop on a chunk edge"] < 4:
+                k = series_stop(alpha, beta, z)
+                if k is not None and k % _SERIES_CHUNK in (0, 1):
+                    edges["series stop on a chunk edge"].append((alpha, beta, z))
+                    picked["series stop on a chunk edge"] += 1
+            elif br == 1:
+                kend = math.floor(min(max((abs(z) ** (1.0 / alpha) + beta - 1.0) / alpha, 1.0), 199.0))
+                if kend == 199 and picked["tail at the 199 clip"] < 3:
+                    edges["tail at the 199 clip"].append((alpha, beta, z))
+                    picked["tail at the 199 clip"] += 1
+                if tail_chunks(alpha, beta, z) < -(-kend // _TAIL_CHUNK) and picked["tail cut before kend"] < 3:
+                    edges["tail cut before kend"].append((alpha, beta, z))
+                    picked["tail cut before kend"] += 1
+
+print("\nchunk edges of the series and the algebraic tail:")
+for name, rows in edges.items():
+    bad_edge = checked = 0
+    for alpha, beta, z in rows:
+        r = ml(alpha, beta, z)
+        ref = ml_mp(alpha, beta, z)
+        if ref is None:
+            continue
+        checked += 1
+        err = abs(r.value - ref)
+        if err > max(r.est_abs_err * 1.05, 1e-14 * (1 + abs(ref))):
+            bad_edge += 1
+            print("  BAD a=%g b=%g z=%.6g err=%.2e est=%.2e %s" % (alpha, beta, z, err, r.est_abs_err, r.branch))
+    print(f"  {name}: {len(rows)} cases, {checked} checked, {bad_edge} above their estimate")
+    failures += bad_edge + (checked == 0)
 
 # independent anchor: E_{1/2,1}(-x) = exp(x^2) erfc(x), exact for all x > 0
 print("\nerfc identity, alpha=1/2:")

@@ -11,8 +11,17 @@ The evaluator switches between three algorithms:
   evaluated for all such points of a call at once by one graded composite
   Gauss-Legendre rule (see ``_integral_negative``).
 
+The series and the algebraic series of the expansion walk their terms in
+chunks, one (terms x points) array per chunk with the powers and partial
+sums accumulated sequentially along the term axis, so every value is the
+float a one-term-at-a-time loop gives.  A point leaves the active set once
+its sum is final: the Taylor series at its stopping rule, the algebraic
+series at its truncation index or once the envelope of its remaining terms
+is below half an ulp of its partial sum, where adding them changes no bit.
+
 Every evaluation carries a conservative absolute error estimate so that
-downstream code can reason about amplification factors honestly.
+downstream code can reason about amplification factors honestly.  A NaN
+argument gives NaN with an infinite estimate.
 """
 
 from __future__ import annotations
@@ -40,7 +49,16 @@ _SERIES_CANCEL_LIMIT = 1e4
 _ASYM_TARGET = 1e-10
 _EXP_ARG_LIMIT = 705.0
 
-_BRANCH_NAMES = ("series", "asymptotic", "integral")
+# "none": a NaN argument, which no branch evaluates
+_BRANCH_NAMES = ("series", "asymptotic", "integral", "none")
+
+# series and algebraic tail: terms summed per (terms x points) chunk, and the
+# fraction of its partial sum below which the tail's envelope retires a point
+# (half an ulp is at least 2^-54 of a float64; the factor 2 covers rounding
+# in the computed terms and in the envelope)
+_SERIES_CHUNK = 12
+_TAIL_CHUNK = 16
+_TAIL_CUT = 2.0 ** -55
 
 # integral branch: points evaluated per (points x nodes) block, and the
 # composite Gauss-Legendre rule on the unit interval, graded geometrically
@@ -69,27 +87,53 @@ def _check_params(alpha: float, beta: float) -> None:
 
 
 def _series(alpha: float, beta: float, z: np.ndarray):
-    """Vectorised Taylor series. Returns (value, est, max_term)."""
+    """Taylor series sum_k z^k / Gamma(alpha k + beta) over a 1-D array z.
+
+    The terms are walked _SERIES_CHUNK at a time as one (terms x points)
+    array: the powers z^k come from np.multiply.accumulate and the partial
+    sums from np.add.accumulate along the term axis.  Both run sequentially,
+    so every partial sum is the float a one-term-at-a-time loop gives.  A
+    point stops at the first term k with |term| <= 1e-18 (1 + |partial sum|)
+    and alpha k + beta > 2, which is its truncation estimate, and leaves the
+    active set, so later chunks carry only the points still summing.  Points
+    still summing at _SERIES_KMAX keep the magnitude of the next term plus
+    one as their (large) estimate.  Returns (value, est, max_term).
+    """
     val = np.full(z.shape, rgamma(beta))
-    term = np.ones_like(z)
-    max_term = np.abs(val).copy()
+    max_term = np.abs(val)
     est = np.zeros_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, _SERIES_KMAX):
-        term = term * z
-        coef = rgamma(alpha * k + beta)
-        contrib = term * coef
-        val = np.where(active, val + contrib, val)
+    # the points still summing: their index, last power, partial sum and largest term
+    act = np.arange(z.size)
+    power, part, big = np.ones_like(z), val.copy(), max_term.copy()
+    for k0 in range(1, _SERIES_KMAX, _SERIES_CHUNK):
+        ks = np.arange(k0, min(k0 + _SERIES_CHUNK, _SERIES_KMAX), dtype=float)
+        powers = np.empty((ks.size, act.size))
+        powers[:] = z[act]
+        powers[0] *= power
+        powers = np.multiply.accumulate(powers, axis=0)
+        contrib = powers * rgamma(alpha * ks + beta)[:, None]
+        sums = contrib.copy()
+        sums[0] += part
+        sums = np.add.accumulate(sums, axis=0)
         mag = np.abs(contrib)
-        max_term = np.maximum(max_term, np.where(active, mag, 0.0))
-        done = active & (mag <= 1e-18 * (1.0 + np.abs(val))) & (k * alpha + beta > 2.0)
-        est = np.where(done & (est == 0.0), mag, est)
-        active &= ~done
-        if not active.any():
+        done = (mag <= 1e-18 * (1.0 + np.abs(sums))) & (ks * alpha + beta > 2.0)[:, None]
+        fin = done.any(axis=0)
+        # the row each point stops at: its first done row, else the chunk's last
+        stop = np.where(fin, np.argmax(done, axis=0), ks.size - 1)
+        cols = np.arange(act.size)
+        part = sums[stop, cols]
+        big = np.maximum(big, np.max(np.where(np.arange(ks.size)[:, None] <= stop, mag, 0.0), axis=0))
+        power = powers[-1]
+        out = act[fin]
+        val[out], est[out], max_term[out] = part[fin], mag[stop, cols][fin], big[fin]
+        keep = ~fin
+        act, power, part, big = act[keep], power[keep], part[keep], big[keep]
+        if not act.size:
             break
-    # unfinished points keep the last term magnitude as (large) estimate
-    if active.any():
-        est = np.where(active, np.abs(term) * abs(rgamma(alpha * _SERIES_KMAX + beta)) + 1.0, est)
+    else:
+        # unfinished points keep the next term magnitude as (large) estimate
+        val[act], max_term[act] = part, big
+        est[act] = np.abs(power) * abs(rgamma(alpha * _SERIES_KMAX + beta)) + 1.0
     # 2e-14 * largest term covers accumulated cancellation; the second piece
     # covers the loss from computing the gamma argument alpha*k + beta in
     # double precision, which is amplified by psi(alpha*k) near convergence
@@ -99,39 +143,72 @@ def _series(alpha: float, beta: float, z: np.ndarray):
     return val, est, max_term
 
 
-def _algebraic_tail(alpha: float, beta: float, z: np.ndarray):
+def _algebraic_tail(alpha: float, beta: float, z):
     """Optimally truncated sum -sum_{k>=1} z^{-k}/Gamma(beta - alpha k).
 
-    The term magnitudes follow the envelope |z|^{-k} Gamma(1 + alpha k - beta)
+    The term magnitudes follow the envelope |z|^{-k} Gamma(1 + alpha k - beta)/pi
     (the sine factor from the reflection formula only creates spurious dips),
-    so the truncation index is chosen from the envelope minimum instead of
-    comparing consecutive terms.  Returns (value, error_estimate).
+    so the truncation index kend is chosen from the envelope minimum instead
+    of comparing consecutive terms.
+
+    The terms are walked _TAIL_CHUNK at a time as one (terms x points) array,
+    powers by np.multiply.accumulate and partial sums by np.subtract.accumulate
+    along the term axis, so every partial sum is the float a one-term-at-a-time
+    loop gives.  A point leaves the active set at kend, or earlier once the
+    envelope at the chunk's last term falls below _TAIL_CUT of its partial
+    sum: the envelope decreases up to kend (which lies below its minimum)
+    and so bounds every later term, and a term below half an ulp of a float64 sum (at least 2^-54 of it)
+    leaves the sum unchanged, so the cut gives the same float as summing on
+    to kend.  ``z`` may be an array of any shape or a scalar.  Returns
+    (value, error_estimate) in the shape of ``z``.
     """
+    z = np.asarray(z, dtype=float)
+    shape = z.shape
+    z = z.ravel()
     az = np.abs(z)
     # envelope minimum: d/dk [-k ln|z| + lnGamma(1 + alpha k - beta)] = 0
     kopt = np.clip((az ** (1.0 / alpha) + beta - 1.0) / alpha, 1.0, 199.0)
     kend = np.floor(kopt)
-    ln_est = -kopt * np.log(az) + gammaln(np.maximum(1.0 + alpha * kopt - beta, 0.5)) - math.log(math.pi)
+    lnz = np.log(az)
+    ln_est = -kopt * lnz + gammaln(np.maximum(1.0 + alpha * kopt - beta, 0.5)) - math.log(math.pi)
     # factor 4: several near-minimal terms contribute to the truncation error
     est = 4.0 * np.exp(np.minimum(ln_est, 700.0))
 
     val = np.zeros_like(z)
-    zinv = 1.0 / z
-    power = np.ones_like(z)
     first_mag = np.zeros_like(z)
-    kmax = int(np.max(kend))
+    zinv = 1.0 / z
+    # the points still summing: their index, last power, partial sum and largest term
+    act = np.arange(z.size)
+    power, part, big = np.ones_like(z), np.zeros_like(z), np.zeros_like(z)
+    k0 = 1
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        for k in range(1, kmax + 1):
-            power = power * zinv
-            coef = rgamma(beta - alpha * k)
-            contrib = power * coef
-            good = (k <= kend) & np.isfinite(contrib) & (np.abs(power) > 1e-290)
-            val = np.where(good, val - contrib, val)
-            first_mag = np.maximum(first_mag, np.where(good, np.abs(contrib), 0.0))
-            if not np.any(good & (k < kend)):
-                break
+        while act.size:
+            ks = np.arange(k0, k0 + _TAIL_CHUNK, dtype=float)
+            powers = np.empty((ks.size, act.size))
+            powers[:] = zinv[act]
+            powers[0] *= power
+            powers = np.multiply.accumulate(powers, axis=0)
+            contrib = powers * rgamma(beta - alpha * ks)[:, None]
+            good = (ks[:, None] <= kend[act]) & np.isfinite(contrib) & (np.abs(powers) > 1e-290)
+            steps = np.where(good, contrib, 0.0)
+            steps[0] = part - steps[0]
+            part = np.subtract.accumulate(steps, axis=0)[-1]
+            big = np.maximum(big, np.max(np.where(good, np.abs(contrib), 0.0), axis=0))
+            power = powers[-1]
+            k = ks[-1]
+            # written so that a NaN z, whose kend is NaN, retires at once
+            fin = ~(kend[act] > k)
+            # the envelope is convex in k only where the gamma argument is positive
+            if 1.0 + alpha * k - beta > 0.0:
+                env = np.exp(gammaln(1.0 + alpha * k - beta) - k * lnz[act]) / math.pi
+                fin |= env < _TAIL_CUT * np.abs(part)
+            out = act[fin]
+            val[out], first_mag[out] = part[fin], big[fin]
+            keep = ~fin
+            act, power, part, big = act[keep], power[keep], part[keep], big[keep]
+            k0 += _TAIL_CHUNK
     est = est + 1e-14 * first_mag
-    return val, est
+    return val.reshape(shape), est.reshape(shape)
 
 
 def _exp_branch_positive(alpha: float, beta: float, z: np.ndarray):
@@ -141,8 +218,10 @@ def _exp_branch_positive(alpha: float, beta: float, z: np.ndarray):
     float64 evaluation of the (possibly huge) exponent.
     """
     w = z ** (1.0 / alpha)
-    logmag = w + (1.0 - beta) / alpha * np.log(z) - math.log(alpha)
-    if np.any(logmag > _EXP_ARG_LIMIT):
+    # z = +inf gives logmag = inf - inf or 0 * inf = nan, which must raise too
+    with np.errstate(invalid="ignore"):
+        logmag = w + (1.0 - beta) / alpha * np.log(z) - math.log(alpha)
+    if not np.all(logmag <= _EXP_ARG_LIMIT):
         raise OverflowError(
             "Mittag-Leffler value exceeds double range for alpha=%g beta=%g" % (alpha, beta)
         )
@@ -282,9 +361,10 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
 def _ml_array(alpha: float, beta: float, z: np.ndarray):
     _check_params(alpha, beta)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    vals = np.empty_like(z)
-    ests = np.empty_like(z)
-    branch = np.zeros(z.shape, dtype=np.int8)
+    # a point no branch claims (z is NaN) stays NaN with an infinite estimate
+    vals = np.full_like(z, np.nan)
+    ests = np.full_like(z, np.inf)
+    branch = np.full(z.shape, _BRANCH_NAMES.index("none"), dtype=np.int8)
 
     # The series converges around index k_conv ~ |z|^(1/alpha)/alpha; it is
     # float64-feasible only if the bare powers z^k stay below overflow that
@@ -319,6 +399,7 @@ def _ml_array(alpha: float, beta: float, z: np.ndarray):
         sv, se, smax = _series(alpha, beta, z[small])
         vals[small] = sv
         ests[small] = se
+        branch[small] = 0
         # belt and braces: reroute any unexpectedly cancelled alternating
         # series to the integral representation
         bad = (z[small] < 0) & (smax > _SERIES_CANCEL_LIMIT)

@@ -263,6 +263,55 @@ def test_algebraic_tail_scalar_input(z):
         assert np.ndim(got[0]) == 0
 
 
+class TestTermCost:
+    """One reciprocal-gamma call per chunk of terms, and a call stops once
+    every point's sum is final: a pass per term costs 199 calls for the tail
+    and 82 for the series below."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(x):
+            count[0] += 1
+            return rgamma(x)
+
+        monkeypatch.setattr(specfun, "rgamma", counted)
+        return count
+
+    def test_tail_at_clip(self, calls):
+        # the asymptotic points of alpha = 0.5 just past the series; from
+        # |z| ~ 10 on, kend sits at the 199-term clip
+        z = np.linspace(-32.3, -2.83, 1471)
+        _algebraic_tail(0.5, 1.0, z)
+        assert calls[0] <= 16
+
+    def test_series(self, calls):
+        # the negative-axis series of alpha = 0.6 up to |z|^(1/alpha) = 8
+        z = np.linspace(-(8.0 ** 0.6), 0.0, 1001)
+        _series(0.6, 1.0, z)
+        assert calls[0] <= 16
+
+
+def test_nan_argument_is_nan():
+    r = ml(0.5, 1.0, float("nan"))
+    assert math.isnan(r.value)
+    assert r.est_abs_err == math.inf
+    assert r.branch == "none"
+    z = np.array([-60.0, np.nan, -1.0, 2.0, -9.0])
+    vals, ests, _ = _ml_array(0.9, 1.0, z)
+    assert np.isnan(vals[1]) and ests[1] == np.inf
+    others = np.array([0, 2, 3, 4])
+    assert np.array_equal(vals[others], ml_values(0.9, 1.0, z[others]))
+    assert np.all(np.isfinite(vals[others]))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 1.0), (0.8, 1.7), (0.9, 0.5), (1.5, 1.0), (2.0, 2.0)])
+def test_positive_infinity_overflows(alpha, beta):
+    with pytest.raises(OverflowError):
+        ml(alpha, beta, math.inf)
+
+
 def test_forced_zero_at_half_pi():
     # E_{2,1}(-x^2) = cos x vanishes at x = pi/2
     r = ml(2.0, 1.0, -((math.pi / 2.0) ** 2))
