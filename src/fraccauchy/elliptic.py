@@ -35,6 +35,7 @@ sqrt(1 + ell'^2) * gamma, matching the weak form in which the arc-length
 factor and the raw impedance never appear separately.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -282,11 +283,12 @@ class ForwardOperator:
         return MeshField(u.reshape(N, M), curve, self.lateral, self.interface, eta)
 
 
+@functools.lru_cache(maxsize=None)
 def _dissection(N, M):
     """Geometric nested-dissection order of the N x M grid (node i*M + j):
     split the longer side at its middle line, order both halves first and
     the separating line last.  Blocks of at most 16 nodes keep their
-    row-major order."""
+    row-major order.  Computed once per grid size and shared read-only."""
     order = []
 
     def split(block):
@@ -303,7 +305,9 @@ def _dissection(N, M):
             order.append(block[:, m // 2])
 
     split(np.arange(N * M).reshape(N, M))
-    return np.concatenate(order)
+    perm = np.concatenate(order)
+    perm.setflags(write=False)
+    return perm
 
 
 def assemble(curve, lateral, interface, M=None):
@@ -522,30 +526,50 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
     return MeshField(cont.values, curve, data.basis.bc, None, y / olell, meta=meta)
 
 
-def eval_on_curve(field, ell, dy=0):
-    """Interpolate the field (or its ``dy``-th y-derivative) along the curve
-    y = ell(x) with a cubic spline through each x-column's depth levels.
+def _curve_sampler(field):
+    """Column splines of ``field`` in height, built once: returns
+    ``sample(ell, dy=0)``, the field (or its ``dy``-th y-derivative) along
+    the curve y = ell(x), for any number of curves on the field's x-grid.
 
-    Column i holds the levels eta * base_i, with base_i the mesh's top
-    height there, so one spline in eta serves every column: column i is
-    evaluated at eta = ell_i / base_i and its derivative rescaled by
-    base_i^-dy.  Mild extrapolation above the top level is allowed."""
-    ell = np.asarray(ell, dtype=float)
-    if ell.shape != (field.curve.N,):
-        raise ValueError("curve samples must live on the field's x-grid")
+    One cubic spline in eta serves every column: column i holds the levels
+    eta * base_i, with base_i the mesh's top height there, so it is
+    evaluated at eta = ell_i / base_i by Horner on its own cubic piece and
+    its derivative rescaled by base_i^-dy.  Each derivative's coefficients
+    are formed on first use and kept.  Mild extrapolation above the top
+    level is allowed."""
     if field.eta.size < 4:
         raise ValueError("need at least 4 depth levels to interpolate")
     base = field.curve.ell
-    pp = CubicSpline(field.eta, field.values, axis=1).derivative(dy)
-    t = ell / base
-    k = np.clip(np.searchsorted(pp.x, t, side="right") - 1, 0, pp.x.size - 2)
-    d = t - pp.x[k]
-    # Horner on each column's own cubic piece, highest power first
-    c = pp.c[:, k, np.arange(ell.size)]
-    vals = c[0]
-    for row in c[1:]:
-        vals = vals * d + row
-    return vals / base ** dy
+    cols = np.arange(base.size)
+    spline = CubicSpline(field.eta, field.values, axis=1)
+    pieces = {}
+
+    def sample(ell, dy=0):
+        ell = np.asarray(ell, dtype=float)
+        if ell.shape != base.shape:
+            raise ValueError("curve samples must live on the field's x-grid")
+        if dy not in pieces:
+            pieces[dy] = spline.derivative(dy)
+        pp = pieces[dy]
+        t = ell / base
+        k = np.clip(np.searchsorted(pp.x, t, side="right") - 1, 0, pp.x.size - 2)
+        d = t - pp.x[k]
+        # Horner on each column's own cubic piece, highest power first
+        c = pp.c[:, k, cols]
+        vals = c[0]
+        for row in c[1:]:
+            vals = vals * d + row
+        return vals / base ** dy
+
+    return sample
+
+
+def eval_on_curve(field, ell, dy=0):
+    """Interpolate the field (or its ``dy``-th y-derivative) along the curve
+    y = ell(x) with a cubic spline through each x-column's depth levels, as
+    `_curve_sampler` does; a caller tracing one field along several curves,
+    or several derivatives, builds the sampler once instead."""
+    return _curve_sampler(field)(ell, dy)
 
 
 def save_grid(field, path):

@@ -42,8 +42,8 @@ from .elliptic import (
     Curve,
     InterfaceTraces,
     MeshField,
+    _curve_sampler,
     _samples_on_grid,
-    eval_on_curve,
     interface_traces,
 )
 from .freeboundary import _cos_coeffs, _cos_tables, curve_conormal
@@ -222,9 +222,10 @@ def _traces_on(fld, curve):
     ell = curve.ell
     if np.any(ell > fld.curve.ell * (1.0 + 1e-12)):
         raise ValueError("curve leaves the field's mesh; trace it on a covering field")
-    u = eval_on_curve(fld, ell)
-    uy = eval_on_curve(fld, ell, dy=1)
-    uyy = eval_on_curve(fld, ell, dy=2)
+    sample = _curve_sampler(fld)
+    u = sample(ell)
+    uy = sample(ell, dy=1)
+    uyy = sample(ell, dy=2)
     h = curve.h
     dl = curve.dell()
     ux = np.gradient(u, h, edge_order=2) - dl * uy
@@ -507,8 +508,9 @@ class _SpanBasis:
         """
         levels = np.linspace(0.0, float(np.min(fld.curve.ell)), 12)
         C = np.empty((self.J, levels.size))
+        sample = _curve_sampler(fld)
         for m, yy in enumerate(levels):
-            tracev = eval_on_curve(fld, np.full(self.basis.N, yy))
+            tracev = sample(np.full(self.basis.N, yy))
             C[:, m] = analyze(tracev, self.basis).c
         pp, pm = self.profiles(levels)[:2]
         a = np.empty(self.J)

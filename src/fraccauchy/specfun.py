@@ -21,7 +21,9 @@ is below half an ulp of its partial sum, where adding them changes no bit.
 
 Every evaluation carries a conservative absolute error estimate so that
 downstream code can reason about amplification factors honestly.  A NaN
-argument gives NaN with an infinite estimate.
+argument gives NaN with an infinite estimate, and so does z = -inf at
+alpha = 2, where the function oscillates; for alpha < 2 the limit there is
+0.  A value beyond the double range raises OverflowError at every order.
 """
 
 from __future__ import annotations
@@ -221,12 +223,18 @@ def _exp_branch_positive(alpha: float, beta: float, z: np.ndarray):
     # z = +inf gives logmag = inf - inf or 0 * inf = nan, which must raise too
     with np.errstate(invalid="ignore"):
         logmag = w + (1.0 - beta) / alpha * np.log(z) - math.log(alpha)
+    _check_exp_range(alpha, beta, logmag)
+    vals = np.exp(logmag)
+    return vals, vals * (1e-15 + 3e-16 * np.abs(logmag))
+
+
+def _check_exp_range(alpha: float, beta: float, logmag: np.ndarray) -> None:
+    """Raise OverflowError unless every log-magnitude (NaN included) is at
+    most _EXP_ARG_LIMIT."""
     if not np.all(logmag <= _EXP_ARG_LIMIT):
         raise OverflowError(
             "Mittag-Leffler value exceeds double range for alpha=%g beta=%g" % (alpha, beta)
         )
-    vals = np.exp(logmag)
-    return vals, vals * (1e-15 + 3e-16 * np.abs(logmag))
 
 
 def _exp_branch_negative(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
@@ -407,35 +415,47 @@ def _ml_array(alpha: float, beta: float, z: np.ndarray):
         if alpha < 1.0:
             need_integral[idx[bad]] = True
 
+    # E_{1,1} = exp: the algebraic tail vanishes term by term (1/Gamma(1 - k)
+    # = 0), so neither large-argument branch computes it
+    is_exp = alpha == 1.0 and beta == 1.0
     big_pos = (~small) & (z > 0)
     if big_pos.any():
         zp = z[big_pos]
-        alg, alg_est = _algebraic_tail(alpha, beta, zp)
-        if alpha == 1.0 and beta == 1.0:
+        if is_exp:
+            _check_exp_range(alpha, beta, zp)
             vals[big_pos] = np.exp(zp)
             ests[big_pos] = np.abs(vals[big_pos]) * (1e-15 + 1.5e-16 * zp)
         else:
+            alg, alg_est = _algebraic_tail(alpha, beta, zp)
             lead, lead_est = _exp_branch_positive(alpha, beta, zp)
             vals[big_pos] = lead + alg
             ests[big_pos] = alg_est + lead_est
         ests[big_pos] += 1e-16 * (1.0 + np.abs(vals[big_pos]))
         branch[big_pos] = 1
 
-    big_neg = (~small) & (z < 0)
+    # E_{alpha,beta}(-x) -> 0 as x -> inf for alpha < 2, where the expansion
+    # below would meet inf * 0; at alpha = 2 it oscillates (cos x, sin(x)/x),
+    # so -inf keeps the NaN value and infinite estimate of an unclaimed point
+    at_neg_inf = z == -np.inf
+    if alpha < 2.0 and at_neg_inf.any():
+        vals[at_neg_inf] = 0.0
+        ests[at_neg_inf] = 1e-16
+        branch[at_neg_inf] = 1
+    big_neg = (~small) & (z < 0) & ~at_neg_inf
     if big_neg.any():
         zn = z[big_neg]
-        alg, alg_est = _algebraic_tail(alpha, beta, zn)
-        if alpha == 1.0:
-            if beta == 1.0:
-                vals[big_neg] = np.exp(zn)
-                ests[big_neg] = np.abs(vals[big_neg]) * 1e-15
-            else:
-                # the two branch points merge on the axis at alpha = 1: a
-                # single copy of Re[z^{1-beta}] e^z remains
-                expo = np.abs(zn) ** (1.0 - beta) * math.cos(math.pi * (1.0 - beta)) * np.exp(zn)
-                vals[big_neg] = expo + alg
-                ests[big_neg] = alg_est + np.abs(expo) * 1e-12 + np.exp(zn) * 1e-12
+        if is_exp:
+            vals[big_neg] = np.exp(zn)
+            ests[big_neg] = np.abs(vals[big_neg]) * 1e-15
+        elif alpha == 1.0:
+            # the two branch points merge on the axis at alpha = 1: a
+            # single copy of Re[z^{1-beta}] e^z remains
+            alg, alg_est = _algebraic_tail(alpha, beta, zn)
+            expo = np.abs(zn) ** (1.0 - beta) * math.cos(math.pi * (1.0 - beta)) * np.exp(zn)
+            vals[big_neg] = expo + alg
+            ests[big_neg] = alg_est + np.abs(expo) * 1e-12 + np.exp(zn) * 1e-12
         else:
+            alg, alg_est = _algebraic_tail(alpha, beta, zn)
             pair, pair_est = _exp_branch_negative(alpha, beta, zn)
             vals[big_neg] = alg + pair
             ests[big_neg] = alg_est + pair_est

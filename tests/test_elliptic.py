@@ -17,6 +17,7 @@ from fraccauchy.continuation import (
 from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
+    _curve_sampler,
     _dissection,
     assemble,
     bottom_flux,
@@ -264,6 +265,18 @@ def test_dissection_is_a_permutation(N, M):
     np.testing.assert_array_equal(np.sort(_dissection(N, M)), np.arange(N * M))
 
 
+def test_dissection_cached_read_only():
+    # one order per grid size, shared by every assemble on that grid
+    first = _dissection(33, 17)
+    again = _dissection(33, 17)
+    assert again is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1
+    np.testing.assert_array_equal(np.sort(again), np.arange(33 * 17))
+    assert _dissection(33, 9) is not first
+
+
 def test_dissection_order_cuts_fill():
     N = 129
     x = np.linspace(0.0, 1.0, N)
@@ -465,6 +478,25 @@ class TestEvalOnCurve:
             ])
             got = eval_on_curve(fld, ell, dy=dy)
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_sampler_bitwise_equal_to_eval_on_curve(self):
+        # one sampler serves several curves and derivative orders, asked in
+        # any order, with exactly the values of a fresh spline per call
+        _, holdall = self._field()
+        x = holdall.x
+        N = 33
+        xc = np.linspace(0.0, 1.0, N)
+        curved = solve_forward(Curve(0.1 * (0.8 + 0.1 * np.cos(2 * np.pi * xc)), 1.0, 0.12),
+                               LateralBC("neumann"), InterfaceBC("N"), np.cos(np.pi * xc))
+        for fld, ells in ((holdall, (0.2 + 0.1 * np.sin(np.pi * x), np.full(x.size, 0.4 * 1.01))),
+                          (curved, (0.9 * curved.curve.ell, 0.5 * curved.curve.ell))):
+            sample = _curve_sampler(fld)
+            for dy in (2, 0, 1):
+                for ell in ells:
+                    np.testing.assert_array_equal(sample(ell, dy), eval_on_curve(fld, ell, dy=dy),
+                                                  strict=True)
+            with pytest.raises(ValueError):
+                sample(ells[0][:-1])
 
     def test_curved_base_mesh(self):
         # per-column spline path: evaluate a forward solve below its own curve

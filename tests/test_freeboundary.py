@@ -387,15 +387,15 @@ class TestNewtonGolden:
     pinned so that a restructuring of the sweep must reproduce it."""
 
     GOLDEN = {
-        "D": (6, True, [], 0.0022220881452926313, 0.009441594082711384, 0.009441592208547825),
-        "N": (5, True, [], 0.0020800295487210315, 0.0011296280962457513, 0.0011296526168188582),
+        "D": (6, True, [], 0.0022220632319496546, 0.00944159317267223, 0.009441590978036728),
+        "N": (5, True, [], 0.0020800134854557215, 0.001129635628662997, 0.0011296603818563044),
         "I": (
             6,
             True,
             ["iter 0: linearization coefficient below floor at 2 points, update damped there"],
-            0.005126245165700907,
-            0.001891514214407867,
-            0.0018920619933547515,
+            0.0051262612474436775,
+            0.001891545502629012,
+            0.0018920928049500707,
         ),
     }
 
@@ -447,17 +447,20 @@ class TestSweepBranches:
         )
         assert tr.flags[0] == "iter 0: integrating factor overflowed, update halved"
 
+    DIVERGENT_STOP = {0.05: "pinned_to_corridor", 0.09: "max_iter"}
+
     @pytest.mark.parametrize("start", [0.05, 0.09])
     def test_divergent_impedance_sweep_not_converged(self, start):
-        # with gamma = 10 the sweep runs into both corridor bounds, where the
-        # clamped curve stops moving while the residual has grown ninefold or more
+        # with gamma = 10 the residual grows ninefold or more: from 0.05 the
+        # sweep runs into a corridor bound, where the clamped curve stops
+        # moving; from 0.09 it keeps moving until max_iter
         gamma = 10.0
         zbar = holdall_field("I", 0.1, 0.0, gamma=gamma)
         tr = newton_impedance(
             Curve(np.full(N, start), L, 0.1), gamma, zbar, LATERAL, excitation(X), NewtonConfig()
         )
         assert tr.residual_norms[-1] > 5.0 * tr.residual_norms[0]
-        assert tr.stop == "pinned_to_corridor"
+        assert tr.stop == self.DIVERGENT_STOP[start]
         assert tr.converged is False
 
     def test_explicit_clamp_holds_every_iterate(self):
@@ -486,21 +489,25 @@ class TestSweepBranches:
 
 
 class TestSweepCost:
-    """One forward solve per executed step and one conormal trace per
-    iterate, whether the sweep stops on its step rule or on max_iter."""
+    """One coarse forward solve per executed step, one spline build of zbar
+    per sweep and one conormal trace per iterate, whether the sweep stops on
+    its step rule or on max_iter."""
 
     @pytest.mark.parametrize("max_iter", [2, 10])
     @pytest.mark.parametrize("kind", ["D", "N", "I"])
     def test_solves_and_traces(self, kind, max_iter, monkeypatch):
         import fraccauchy.freeboundary as fb
 
-        calls = {"solve_forward": 0, "curve_conormal": 0}
+        calls = {"solve_forward": 0, "_curve_sampler": 0, "_conormal": 0}
+        levels = []
 
         def counted(name):
             fn = getattr(fb, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "solve_forward":
+                    levels.append(kwargs["M"])
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -511,4 +518,30 @@ class TestSweepCost:
         assert tr.converged is (max_iter == 10)
         assert tr.stop == ("step_below_tol" if max_iter == 10 else "max_iter")
         assert calls["solve_forward"] == len(tr.iterates) - 1
-        assert calls["curve_conormal"] == len(tr.iterates)
+        assert levels == [fb._SWEEP_LEVELS] * calls["solve_forward"]
+        assert calls["_curve_sampler"] == 1
+        assert calls["_conormal"] == len(tr.iterates)
+
+
+class TestCoarseLinearization:
+    """The sweep linearizes on _SWEEP_LEVELS depth levels; its residual is
+    measured on zbar, so it must end where a sweep linearized on the square
+    65-level mesh ends, in as many steps and for the same reason."""
+
+    @pytest.mark.parametrize("kind", ["D", "N", "I"])
+    def test_end_state_matches_fine_mesh(self, kind, monkeypatch):
+        import fraccauchy.freeboundary as fb
+
+        coarse = cached_run(kind, 0.01, 0.05)
+        assert fb._SWEEP_LEVELS < (N - 1) // 2 + 1
+        monkeypatch.setattr(fb, "_SWEEP_LEVELS", (N - 1) // 2 + 1)
+        fine = run_newton(kind, 0.1, 0.01, 0.05)
+        assert len(coarse.iterates) == len(fine.iterates)
+        assert coarse.stop == fine.stop
+        assert coarse.converged is fine.converged
+        assert coarse.flags == fine.flags
+        a, b = coarse.iterates[-1].ell, fine.iterates[-1].ell
+        assert np.max(np.abs(a - b)) <= 1e-4 * np.max(np.abs(b))
+        for got, ref in ((coarse.rel_errors[-1], fine.rel_errors[-1]),
+                         (coarse.residual_norms[-1], fine.residual_norms[-1])):
+            assert got == pytest.approx(ref, rel=1e-4)

@@ -312,6 +312,52 @@ def test_positive_infinity_overflows(alpha, beta):
         ml(alpha, beta, math.inf)
 
 
+@pytest.mark.parametrize("z", [720.0, math.inf])
+def test_exponential_order_overflows(z):
+    # E_{1,1} = exp: past the exponent limit it raises like every other order
+    with pytest.raises(OverflowError):
+        ml(1.0, 1.0, z)
+
+
+def test_exponential_order_skips_algebraic_tail(monkeypatch):
+    # the tail of E_{1,1} vanishes term by term (1/Gamma(1 - k) = 0), so
+    # neither large-argument branch computes it
+    def no_tail(*args):
+        raise AssertionError("algebraic tail computed for alpha = beta = 1")
+
+    z = np.array([-700.0, -60.0, -18.5, -1.0, 0.0, 3.0, 200.0, 700.0])
+    monkeypatch.setattr(specfun, "_algebraic_tail", no_tail)
+    vals, ests, branch = _ml_array(1.0, 1.0, z)
+    big = np.abs(z) > 10.0
+    assert np.all(branch[big] == 1) and np.all(branch[~big] == 0)
+    np.testing.assert_array_equal(vals[big], np.exp(z[big]), strict=True)
+    assert np.all(np.isfinite(ests))
+    with pytest.raises(AssertionError):
+        _ml_array(1.5, 1.0, z[:1])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.9, 1.0, 1.3, 1.5, 1.8, 1.99])
+def test_negative_infinity_limit(alpha):
+    # E_{alpha,beta}(-x) -> 0 as x -> inf for alpha < 2
+    for beta in (0.5, 1.0, 1.7, 2.0):
+        r = ml(alpha, beta, -math.inf)
+        assert r.value == 0.0
+        assert math.isfinite(r.est_abs_err) and r.est_abs_err >= 0.0
+        assert r.branch == "asymptotic"
+        z = np.array([-40.0, -3.0, 0.5])
+        vals, ests, branch = _ml_array(alpha, beta, np.append(z, -math.inf))
+        for got, ref in zip((vals, ests, branch), _ml_array(alpha, beta, z)):
+            np.testing.assert_array_equal(got[:-1], ref, strict=True)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.7, 2.0])
+def test_negative_infinity_oscillates_at_order_two(beta):
+    # E_{2,1}(-x^2) = cos x and E_{2,2}(-x^2) = sin(x)/x: no limit at alpha = 2
+    r = ml(2.0, beta, -math.inf)
+    assert math.isnan(r.value)
+    assert r.est_abs_err == math.inf
+
+
 def test_forced_zero_at_half_pi():
     # E_{2,1}(-x^2) = cos x vanishes at x = pi/2
     r = ml(2.0, 1.0, -((math.pi / 2.0) ** 2))

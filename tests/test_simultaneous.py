@@ -15,6 +15,7 @@ from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
     bottom_flux,
+    eval_on_curve,
     solve_cauchy_holdall,
     solve_forward,
 )
@@ -23,6 +24,8 @@ from fraccauchy.simultaneous import (
     JointState,
     PenaltyOp,
     _FrozenSystem,
+    _SpanBasis,
+    _traces_on,
     frozen_newton,
     joint_newton_step,
     range_invariance_residual,
@@ -184,3 +187,28 @@ def test_stacked_singular_values(problem, name):
     )
     assert np.isfinite(s_min) and np.isfinite(s_max)
     assert 0.0 < s_min < s_max
+
+
+def test_one_spline_per_traced_field(problem, monkeypatch):
+    # a covering field is traced through one sampler for all three
+    # derivative orders, and projected through one for all twelve levels,
+    # with the values of a fresh spline per evaluation
+    import fraccauchy.simultaneous as sim
+
+    levels = np.linspace(0.0, OLELL, 41)
+    z1 = solve_cauchy_holdall(problem["data"][0], LATERAL, ContinuationScheme("exact"), levels)
+    curve = Curve(truth_curve(X), L, OLELL)
+    built = []
+
+    def counted(fld):
+        built.append(fld)
+        return sampler(fld)
+
+    sampler = sim._curve_sampler
+    monkeypatch.setattr(sim, "_curve_sampler", counted)
+    tr = _traces_on(z1, curve)
+    assert built == [z1]
+    for got, dy in ((tr.u, 0), (tr.u_y, 1), (tr.u_yy, 2)):
+        np.testing.assert_array_equal(got, eval_on_curve(z1, curve.ell, dy=dy), strict=True)
+    _SpanBasis(build_basis(L, LATERAL, J, N), OLELL).project(z1)
+    assert built == [z1, z1]
