@@ -60,6 +60,10 @@ _LOG_AMP_LIMIT = math.log(AMP_LIMIT)
 
 # search grid of fractional half-orders for the band-wise discrepancy rule
 ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0)
+# safety factor on the noise level of that rule
+_NOISE_SAFETY = 1.5
+# stopping constant of the Landweber pre-smoothing
+_LANDWEBER_C = 1.0
 
 
 
@@ -364,13 +368,14 @@ def continue_banded(data, bands, y):
     return _slice(data, y, a, np.count_nonzero(big, axis=-1))
 
 
-def split_frequency_continue(data, y_grid, tau=1.5):
+def split_frequency_continue(data, y_grid):
     """Continue with a band-wise fractional order chosen mode by mode.
 
     Each mode's order minimizes an estimated error at the deepest requested
     level: the consistency defect of the factored scheme times the mode's
     coefficient (signal distortion) plus the scheme's growth factor times an
-    estimated per-mode noise level tau * delta * rms(coefficients).  Exact
+    estimated per-mode noise level tau * delta * rms(coefficients), where
+    tau = 1.5 (_NOISE_SAFETY).  Exact
     continuation (order 1) has zero defect, so noise-free data is continued
     exactly, while strongly amplified noise modes fall to low orders; the
     rule acts like a soft spectral cutoff at shallow depth and as genuinely
@@ -379,9 +384,6 @@ def split_frequency_continue(data, y_grid, tau=1.5):
     continued `Slice` and the list of bands ``(end_index, alpha)``.
     """
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    tau = float(tau)
-    if tau <= 1.0:
-        raise ValueError("noise safety factor tau must exceed 1")
     lam = data.basis.lambdas
     up, _ = _split_coeffs(*data.coeffs(), lam)
     J = lam.size
@@ -403,7 +405,7 @@ def split_frequency_continue(data, y_grid, tau=1.5):
     # scheme actually amplifies (zero modes are continued exactly)
     sigma = 0.0
     if np.any(pos):
-        sigma = tau * data.delta * math.sqrt(float(np.mean(d[pos] ** 2)))
+        sigma = _NOISE_SAFETY * data.delta * math.sqrt(float(np.mean(d[pos] ** 2)))
     cost = defects * d[None, :] + sigma * growth
     # ties (zero modes, noise-free data) resolve toward the exact order
     pick = (len(ALPHA_GRID) - 1) - np.argmin(cost[::-1, :], axis=0)
@@ -414,9 +416,9 @@ def split_frequency_continue(data, y_grid, tau=1.5):
     return continue_banded(data, bands, y_grid), bands
 
 
-def landweber_smooth(u0_noisy, sigma_t, mu, l, delta, norm_at_l, c=1.0):
+def landweber_smooth(u0_noisy, sigma_t, mu, l, delta, norm_at_l):
     """Landweber iteration v <- v - mu (-Lap)^(-sigma_t) (v - u) started at 0,
-    run for ceil(c l^-2 log(norm_at_l / delta)) steps.
+    run for ceil(C l^-2 log(norm_at_l / delta)) steps, C = 1 (_LANDWEBER_C).
 
     The smoothing operator must be a contraction (mu lambda^-sigma_t <= 1 for
     every mode) and needs strictly positive eigenvalues.
@@ -433,7 +435,7 @@ def landweber_smooth(u0_noisy, sigma_t, mu, l, delta, norm_at_l, c=1.0):
     step = mu * lam ** (-sigma_t)
     if np.max(step) > 1.0:
         raise ValueError("mu violates the contraction bound mu*lambda^-sigma_t <= 1")
-    i_star = max(1, math.ceil(c * l ** (-2.0) * math.log(norm_at_l / delta)))
+    i_star = max(1, math.ceil(_LANDWEBER_C * l ** (-2.0) * math.log(norm_at_l / delta)))
     # the iterates sum to v_i = (1 - (1 - step)^i) c; expm1/log1p keep the digits
     # that form cancels for small steps (step = 1: log1p = -inf, v = c)
     with np.errstate(divide="ignore"):

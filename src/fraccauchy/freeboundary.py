@@ -78,6 +78,11 @@ _EXP_RANGE = 300.0
 # the tests and benchmark inputs as on the square 65-level mesh, where 9
 # levels changed one
 _SWEEP_LEVELS = 17
+# Neumann step: H1 smoothness weight 1/_RHO1, endpoint penalty _RHO2
+_RHO1 = 1e3
+_RHO2 = 1e6
+# cosine modes kept of every curve update
+_SMOOTH_MODES = 8
 
 
 @dataclass(frozen=True)
@@ -85,30 +90,20 @@ class NewtonConfig:
     """Knobs shared by the three curve solvers.
 
     clamp is the admissible corridor (ell_min, ell_max) for the iterates; when
-    None it defaults to (0.01 * olell, olell) of the starting curve.  rho1
-    weighs the H1 smoothness term 1/rho1 * int |delta'|^2 of the Neumann
-    least-squares step, rho2 the endpoint penalty.  Updates are projected onto
-    the first smooth_modes cosine modes before being applied.
+    None it defaults to (0.01 * olell, olell) of the starting curve.  Fixed:
+    updates keep 8 cosine modes (_SMOOTH_MODES), and the Neumann step uses
+    rho1 = 1e3 (_RHO1) and rho2 = 1e6 (_RHO2).
     """
 
     max_iter: int = 10
-    rho1: float = 1e3
-    rho2: float = 1e6
     stop_tol: float = 1e-4
     clamp: tuple = None
-    smooth_modes: int = 8
 
     def __post_init__(self):
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.rho1 > 0:
-            raise ValueError("rho1 must be positive")
-        if self.rho2 < 0:
-            raise ValueError("rho2 must be nonnegative")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        if int(self.smooth_modes) < 1:
-            raise ValueError("smooth_modes must be at least 1")
         if self.clamp is not None:
             lo, hi = self.clamp
             if not (0.0 < lo < hi):
@@ -153,10 +148,9 @@ def _cos_tables(x, L, modes):
     return ph, dph
 
 
-def _cos_coeffs(values, x, L, modes):
-    """Trapezoid-weighted least-squares cosine coefficients of grid samples."""
-    ph, _ = _cos_tables(x, L, modes)
-    w = _trapezoid_weights(x.size, x[1] - x[0])
+def _cos_coeffs(values, ph, w):
+    """Least-squares coefficients of grid samples on the cosine rows ph under
+    the trapezoid weights w."""
     return (ph * (w * values)).sum(axis=1) / (ph * ph * w).sum(axis=1)
 
 
@@ -164,7 +158,8 @@ def project_cosine(values, L, modes):
     """Project grid samples on [0, L] onto span{cos(k pi x / L), k < modes}."""
     values = np.asarray(values, dtype=float)
     x = np.linspace(0.0, L, values.size)
-    return _cos_coeffs(values, x, L, modes) @ _cos_tables(x, L, modes)[0]
+    ph, _ = _cos_tables(x, L, modes)
+    return _cos_coeffs(values, ph, _trapezoid_weights(x.size, x[1] - x[0])) @ ph
 
 
 def _gradient_matrix(n, h):
@@ -274,7 +269,7 @@ def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
         u = solve_forward(curve, lateral, interface, fv, M=_SWEEP_LEVELS)
         dl, op = step(curve, u, interface_traces(u), r,
                       lambda text: flags.append("iter %d: %s" % (k, text)))
-        dl_sm = project_cosine(dl, L, cfg.smooth_modes)
+        dl_sm = project_cosine(dl, L, _SMOOTH_MODES)
         step_residuals.append(_wnorm(op(dl_sm) - r, w))
         ell, pinned = _trust_clamp(curve.ell, dl_sm, lo, hi)
         iterates.append(Curve(ell, L, olell))
@@ -323,7 +318,7 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     """Recover the curve under a homogeneous Neumann interface condition.
 
     The update minimizes the weighted least-squares misfit of the linearized
-    interface equation plus (1/rho1) |delta'|^2 and an endpoint penalty rho2.
+    interface equation plus (1/_RHO1) |delta'|^2 and an endpoint penalty _RHO2.
     When endpoint_values = (v0, vL) is given, the penalty pulls the curve
     endpoints toward these known heights; otherwise it pins the endpoint
     updates to zero (the starting endpoints are trusted).
@@ -339,16 +334,15 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
         M = G * tr.u_x[None, :]
         base = M.T @ (w[:, None] * M)
         rhs0 = M.T @ (w * dnu)
-        rho1 = cfg.rho1
+        rho1 = _RHO1
         for _ in range(4):
             K = base + (1.0 / rho1) * reg
+            K[0, 0] += _RHO2
+            K[-1, -1] += _RHO2
             rhs = rhs0.copy()
-            if cfg.rho2 > 0:
-                K[0, 0] += cfg.rho2
-                K[-1, -1] += cfg.rho2
-                if endpoint_values is not None:
-                    rhs[0] += cfg.rho2 * (endpoint_values[0] - curve.ell[0])
-                    rhs[-1] += cfg.rho2 * (endpoint_values[1] - curve.ell[-1])
+            if endpoint_values is not None:
+                rhs[0] += _RHO2 * (endpoint_values[0] - curve.ell[0])
+                rhs[-1] += _RHO2 * (endpoint_values[1] - curve.ell[-1])
             try:
                 cand = np.linalg.solve(K, rhs)
             except np.linalg.LinAlgError:

@@ -68,6 +68,12 @@ _W_FLOOR = 1e-8
 _DEN_FLOOR = 1e-8
 _EXP_RANGE = 300.0
 _DIVERGENCE_FACTOR = 10.0
+# cosine modes of each curve and impedance unknown (one table serves both)
+_COS_MODES = 8
+# state-norm block weights: field coefficients, curve, impedance
+_STATE_WEIGHTS = (1.0, 1.0, 1.0)
+# `joint_newton_step`'s Tikhonov weight, relative to the normal matrix's norm
+_STEP_REG = 1e-6
 
 
 def _mode_derivatives(basis):
@@ -153,20 +159,17 @@ class FrozenNewtonConfig:
     ``alpha0`` and ``theta`` define the geometric regularization schedule
     alpha_n = alpha0 * theta^n; the iteration stops at the first n >= 1 with
     alpha_n <= (tau * delta)^2 (delta = relative data noise) or at
-    ``max_iter``.  ``weights`` scales the three blocks of the state norm
-    (field coefficients, curve, impedance).  ``modes_ell`` / ``modes_gam``
-    are the cosine-mode counts of the curve and impedance unknowns.
-    ``scheme`` optionally replaces the growing field profile and the
-    bottom-data coupling by their fractional-continuation counterparts.
+    ``max_iter``.  ``scheme`` optionally replaces the growing field profile
+    and the bottom-data coupling by their fractional-continuation
+    counterparts.  Fixed: the curve and impedance unknowns keep 8 cosine
+    modes (_COS_MODES), and the state norm's blocks unit weights
+    (_STATE_WEIGHTS).
     """
 
     alpha0: float = 1e-2
     theta: float = 0.6
     tau: float = 1.5
     max_iter: int = 25
-    weights: tuple = (1.0, 1.0, 1.0)
-    modes_ell: int = 8
-    modes_gam: int = 8
     scheme: object = None
 
     def __post_init__(self):
@@ -178,10 +181,6 @@ class FrozenNewtonConfig:
             raise ValueError("tau must exceed 1")
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
-        if len(self.weights) != 3 or any(not w > 0.0 for w in self.weights):
-            raise ValueError("weights must be three positive numbers")
-        if int(self.modes_ell) < 1 or int(self.modes_gam) < 1:
-            raise ValueError("mode counts must be at least 1")
         if self.scheme is not None and self.scheme.kind != "fac_lap":
             raise ValueError("only the factored fractional scheme can replace the data-side operator")
 
@@ -274,15 +273,15 @@ def _interface_rhs(state, zbar, gam):
     return dn + gam * zl
 
 
-def joint_newton_step(state, zbar1, zbar2, reg=None, modes_ell=8, modes_gam=8):
+def joint_newton_step(state, zbar1, zbar2):
     """One linearized step for the pair (curve, impedance).
 
     The shape derivative of the interface condition for both fields is
     collocated on the curve grid and solved for the increments in a
-    Tikhonov-regularized least-squares sense, the curve increment expanded
-    in ``modes_ell`` cosine modes (differentiated exactly) and the impedance
-    increment in ``modes_gam`` modes.  ``reg`` defaults to 1e-6 times the
-    norm of the normal matrix.  Both increments are additive.
+    Tikhonov-regularized least-squares sense, both increments expanded in
+    8 cosine modes (_COS_MODES; the curve's differentiated exactly), with
+    weight 1e-6 (_STEP_REG) times the norm of the normal matrix.  Both
+    increments are additive.
 
     Raises ValueError when the two excitations are degenerate (their trace
     Wronskian cancels over most of the interval), since the system then no
@@ -303,26 +302,24 @@ def joint_newton_step(state, zbar1, zbar2, reg=None, modes_ell=8, modes_gam=8):
             "Wronskian vanishes, so curve and impedance cannot be separated" % bad
         )
 
-    ph_l, dph_l = _cos_tables(x, L, modes_ell)
-    ph_g, _ = _cos_tables(x, L, modes_gam)
+    ph, dph = _cos_tables(x, L, _COS_MODES)
     wq = np.sqrt(_trapezoid_weights(x.size, x[1] - x[0]))
 
     blocks = []
     rhs = []
     for tr, gam, zbar in ((tr1, state.gam1, zbar1), (tr2, state.gam2, zbar2)):
         q = _shape_term(tr, dl_c, gam)
-        cols_l = -q[None, :] * ph_l + tr.u_x[None, :] * dph_l
-        cols_g = -tr.u[None, :] * ph_g
+        cols_l = -q[None, :] * ph + tr.u_x[None, :] * dph
+        cols_g = -tr.u[None, :] * ph
         blocks.append(wq[None, :] * np.vstack([cols_l, cols_g]))
         rhs.append(wq * _interface_rhs(state, zbar, gam))
     A = np.vstack([b.T for b in blocks])
     b = np.concatenate(rhs)
 
     M = A.T @ A
-    if reg is None:
-        reg = 1e-6 * float(np.linalg.norm(M, 2))
+    reg = _STEP_REG * float(np.linalg.norm(M, 2))
     coef = np.linalg.solve(M + reg * np.eye(M.shape[0]), A.T @ b)
-    return coef[:modes_ell] @ ph_l, coef[modes_ell:] @ ph_g
+    return coef[:_COS_MODES] @ ph, coef[_COS_MODES:] @ ph
 
 
 # ----------------------------------------------------------------------
@@ -526,15 +523,23 @@ class _SpanBasis:
 
 
 class _FrozenSystem:
-    """Discretized aggregate residual, its frozen Jacobian, and the norms."""
+    """Discretized aggregate residual and its norms, frozen at the start.
+
+    ``v0`` is the packed start state and ``K`` the Jacobian there; ``prow``
+    and ``pw`` are the penalty's matrix rows and their weights, which no
+    iterate changes.
+    """
 
     def __init__(self, data, xi0, penalty, cfg):
         d1, d2 = data
-        if d1.basis is not d2.basis and not (
-            d1.basis.N == d2.basis.N and np.allclose(d1.basis.grid, d2.basis.grid)
+        b1, b2 = d1.basis, d2.basis
+        if b1 is not b2 and not (
+            (b1.bc, b1.J, b1.N) == (b2.bc, b2.J, b2.N)
+            and abs(b1.L - b2.L) <= 1e-12 * b1.L and np.allclose(b1.grid, b2.grid)
         ):
-            raise ValueError("the two data sets must share one basis")
-        self.basis = d1.basis
+            raise ValueError("the two data sets must share one basis "
+                             "(lateral condition, J, L and grid)")
+        self.basis = b1
         self.cfg = cfg
         self.penalty = penalty
         self.olell = xi0.ell.olell
@@ -543,40 +548,40 @@ class _FrozenSystem:
         self.x = x
         self.L = self.basis.L
         self.wq = _trapezoid_weights(x.size, x[1] - x[0])
-        self.ph_l, self.dph_l = _cos_tables(x, self.L, cfg.modes_ell)
-        self.ph_g, _ = _cos_tables(x, self.L, cfg.modes_gam)
-        self.nl = cfg.modes_ell
-        self.ng = cfg.modes_gam
-        J = self.span.J
-        self.nu = 2 * J
-        self.npar = 4 * J + self.nl + 2 * self.ng
-        self.slices = {
+        self.ph, self.dph = _cos_tables(x, self.L, _COS_MODES)
+        J, m = self.span.J, _COS_MODES
+        self.npar = 4 * J + 3 * m
+        s = self.slices = {
             "u1": slice(0, 2 * J),
             "u2": slice(2 * J, 4 * J),
-            "ell": slice(4 * J, 4 * J + self.nl),
-            "g1": slice(4 * J + self.nl, 4 * J + self.nl + self.ng),
-            "g2": slice(4 * J + self.nl + self.ng, self.npar),
+            "ell": slice(4 * J, 4 * J + m),
+            "g1": slice(4 * J + m, 4 * J + 2 * m),
+            "g2": slice(4 * J + 2 * m, self.npar),
         }
-        self.data = (d1, d2)
         if cfg.scheme is None:
-            self.targets = [(d.f, d.g) for d in self.data]
+            self.targets = [(d.f, d.g) for d in data]
         else:
             self.targets = []
-            for d in self.data:
+            for d in data:
                 fh, gh = d.coeffs()
                 self.targets.append(
                     (0.5 * (fh + gh / self.span.keff), 0.5 * (fh - gh / self.span.keff))
                 )
         self.xw = self._state_weights()
+        self.prow = np.zeros((x.size + 1, self.npar))
+        self.prow[: x.size, s["g1"]] = self.ph.T
+        self.prow[: x.size, s["g2"]] = -self.ph.T
+        self.prow[-1, s["ell"]] = self.ph[:, 0]
+        self.pw = np.concatenate([self.wq, [1.0]])
+        self.v0 = self.pack(xi0)
+        self.K = self.jacobian(self.v0)
 
     # --- parameter vector helpers
 
     def pack(self, xi0):
         a1, b1 = self.span.project(xi0.u1)
         a2, b2 = self.span.project(xi0.u2)
-        lh = _cos_coeffs(xi0.ell.ell, self.x, self.L, self.nl)
-        g1 = _cos_coeffs(xi0.gam1, self.x, self.L, self.ng)
-        g2 = _cos_coeffs(xi0.gam2, self.x, self.L, self.ng)
+        lh, g1, g2 = (_cos_coeffs(v, self.ph, self.wq) for v in (xi0.ell.ell, xi0.gam1, xi0.gam2))
         return np.concatenate([a1, b1, a2, b2, lh, g1, g2])
 
     def unpack(self, v):
@@ -593,17 +598,16 @@ class _FrozenSystem:
         )
 
     def curve_of(self, lh):
-        ell = np.clip(lh @ self.ph_l, 1e-3 * self.olell, (1.0 - 1e-3) * self.olell)
-        return ell, lh @ self.dph_l
+        ell = np.clip(lh @ self.ph, 1e-3 * self.olell, (1.0 - 1e-3) * self.olell)
+        return ell, lh @ self.dph
 
     def _state_weights(self):
-        cfg = self.cfg
-        J = self.span.J
-        wu = cfg.weights[0] * (1.0 + self.basis.lambdas) ** 1.5
-        k_l = np.arange(self.nl) * math.pi / self.L
-        mass = np.where(np.arange(self.nl) == 0, self.L, 0.5 * self.L)
-        wl = cfg.weights[1] * (mass + k_l ** 2 * 0.5 * self.L * (np.arange(self.nl) > 0))
-        wg = cfg.weights[2] * np.where(np.arange(self.ng) == 0, self.L, 0.5 * self.L)
+        m = np.arange(_COS_MODES)
+        wu = _STATE_WEIGHTS[0] * (1.0 + self.basis.lambdas) ** 1.5
+        k = m * math.pi / self.L
+        mass = np.where(m == 0, self.L, 0.5 * self.L)
+        wl = _STATE_WEIGHTS[1] * (mass + k ** 2 * 0.5 * self.L * (m > 0))
+        wg = _STATE_WEIGHTS[2] * mass
         return np.concatenate([wu, wu, wu, wu, wl, wg, wg])
 
     # --- residual and Jacobian
@@ -625,25 +629,18 @@ class _FrozenSystem:
                 res.extend([tf - a, tg - b])
                 roww.extend([np.ones(a.size), np.ones(b.size)])
             tr = self.span.traces(a, b, ell, dell, order=1)
-            gam = gh @ self.ph_g
+            gam = gh @ self.ph
             res.append(-(tr.u_y - dell * tr.u_x + gam * tr.u))
             roww.append(self.wq)
         return np.concatenate(res), np.concatenate(roww)
 
-    def penalty_parts(self, v):
-        """Linear penalty matrix rows, their weights, and current values."""
+    def penalty_values(self, v):
+        """Values at v of the penalized quantities, one per row of prow."""
         _, _, lh, g1h, g2h = self.unpack(v)
-        rows = np.zeros((self.x.size + 1, self.npar))
-        s = self.slices
-        rows[: self.x.size, s["g1"]] = self.ph_g.T
-        rows[: self.x.size, s["g2"]] = -self.ph_g.T
-        rows[-1, s["ell"]] = self.ph_l[:, 0]
-        vals = np.concatenate([
-            (g1h - g2h) @ self.ph_g,
-            [lh @ self.ph_l[:, 0] - self.penalty.ell0_endpoint],
+        return np.concatenate([
+            (g1h - g2h) @ self.ph,
+            [lh @ self.ph[:, 0] - self.penalty.ell0_endpoint],
         ])
-        pw = np.concatenate([self.wq, [1.0]])
-        return rows, pw, vals
 
     def jacobian(self, v0):
         """Jacobian of the aggregate residual, frozen at the packed state v0."""
@@ -661,7 +658,7 @@ class _FrozenSystem:
             (((a1, b1), g1h, s["u1"], s["g1"]), ((a2, b2), g2h, s["u2"], s["g2"]))
         ):
             r0 = blk * rows_per
-            gam = gh @ self.ph_g
+            gam = gh @ self.ph
             # data rows
             if self.cfg.scheme is None:
                 K[r0 : r0 + n, su.start : su.start + J] = ph.T
@@ -685,8 +682,8 @@ class _FrozenSystem:
             # ... in the curve and in the impedance
             tr = self.span.traces(a, b, ell, dell)
             q = _shape_term(tr, dell, gam)
-            K[rb : rb + n, s["ell"]] = (q[None, :] * self.ph_l - tr.u_x[None, :] * self.dph_l).T
-            K[rb : rb + n, sg] = (tr.u[None, :] * self.ph_g).T
+            K[rb : rb + n, s["ell"]] = (q[None, :] * self.ph - tr.u_x[None, :] * self.dph).T
+            K[rb : rb + n, sg] = (tr.u[None, :] * self.ph).T
         return K
 
 
@@ -720,10 +717,8 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
     cfg = FrozenNewtonConfig() if cfg is None else cfg
     sys = _FrozenSystem(data, xi0, penalty, cfg)
     delta = max(data[0].delta, data[1].delta)
-    v0 = sys.pack(xi0)
+    v0, K, prow, pw = sys.v0, sys.K, sys.prow, sys.pw
     v = v0.copy()
-    K = sys.jacobian(v0)
-    prow, pw, _ = sys.penalty_parts(v0)
 
     trace = JointTrace()
     wx = sys.xw
@@ -735,8 +730,8 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
     def log(n, alpha_n, resid):
         _, _, lh, g1h, g2h = sys.unpack(v)
         ell, _ = sys.curve_of(lh)
-        gam = 0.5 * (g1h + g2h) @ sys.ph_g
-        gap = _relerr(g1h @ sys.ph_g, g2h @ sys.ph_g, sys.wq)
+        gam = 0.5 * (g1h + g2h) @ sys.ph
+        gap = _relerr(g1h @ sys.ph, g2h @ sys.ph, sys.wq)
         trace.ns.append(n)
         trace.alphas.append(alpha_n)
         trace.residuals.append(resid)
@@ -756,7 +751,7 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
             n_star = n
             stop_tag = "discrepancy"
             break
-        _, _, pval = sys.penalty_parts(v)
+        pval = sys.penalty_values(v)
         M = (K.T * rw) @ K + (prow.T * pw) @ prow + alpha_n * np.diag(wx)
         rhs = (K.T * rw) @ r - (prow.T * pw) @ pval + alpha_n * wx * (v0 - v)
         try:
@@ -784,8 +779,8 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
     (a1, b1), (a2, b2), lh, g1h, g2h = sys.unpack(v)
     ell, _ = sys.curve_of(lh)
     lateral = sys.basis.bc
-    gam1 = g1h @ sys.ph_g
-    gam2 = g2h @ sys.ph_g
+    gam1 = g1h @ sys.ph
+    gam2 = g2h @ sys.ph
     floor = 1e-6 * max(1.0, float(np.max(np.abs(gam1))), float(np.max(np.abs(gam2))))
     if np.any(gam1 < floor) or np.any(gam2 < floor):
         trace.flags.append("impedance-clipped")
@@ -812,13 +807,10 @@ def stacked_singular_values(data, xi0, penalty, cfg=None):
     """
     cfg = FrozenNewtonConfig() if cfg is None else cfg
     sys = _FrozenSystem(data, xi0, penalty, cfg)
-    v0 = sys.pack(xi0)
-    K = sys.jacobian(v0)
-    _, rw = sys.residual(v0)
-    prow, pw, _ = sys.penalty_parts(v0)
+    _, rw = sys.residual(sys.v0)
     scaled = np.vstack([
-        np.sqrt(rw)[:, None] * K,
-        np.sqrt(pw)[:, None] * prow,
+        np.sqrt(rw)[:, None] * sys.K,
+        np.sqrt(sys.pw)[:, None] * sys.prow,
     ]) / np.sqrt(sys.xw)[None, :]
     sv = np.linalg.svd(scaled, compute_uv=False)
     return float(sv[-1]), float(sv[0])

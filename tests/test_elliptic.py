@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -283,6 +284,30 @@ def test_dissection_order_cuts_fill():
     op = assemble(Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1),
                   LateralBC("neumann"), InterfaceBC("N"))
     assert op.lu.nnz <= 0.75 * splu(op.A.tocsc()).nnz
+
+
+def _bump(u):
+    u = u.copy()
+    u[u.size // 2] += 1e-3 * np.max(np.abs(u))
+    return u
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_bump, "discrete residual too large"),
+     (lambda u: np.full_like(u, np.nan), "non-finite values")],
+    ids=["residual", "nan"],
+)
+def test_forward_solve_gates(corrupt, message):
+    N = 33
+    x = np.linspace(0.0, 1.0, N)
+    op = assemble(Curve(np.full(N, 0.3), 1.0, 0.4), LateralBC("neumann"), InterfaceBC("N"))
+    f = np.cos(np.pi * x)
+    op.solve(f)
+    lu = op.lu
+    op.lu = SimpleNamespace(solve=lambda b: corrupt(lu.solve(b)))
+    with pytest.raises(RuntimeError, match=message):
+        op.solve(f)
 
 
 def test_corner_compatibility_warning():

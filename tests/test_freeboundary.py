@@ -314,10 +314,7 @@ class TestValidation:
     def test_bad_config_values(self):
         for kw in (
             dict(max_iter=0),
-            dict(rho1=0.0),
-            dict(rho2=-1.0),
             dict(stop_tol=0.0),
-            dict(smooth_modes=0),
             dict(clamp=(0.0, 0.1)),
         ):
             with pytest.raises(ValueError):

@@ -121,6 +121,18 @@ def test_frozen_newton_golden(problem, name):
     assert np.all(np.isfinite(xi.ell.ell)) and np.all(xi.gam1 > 0.0)
 
 
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("other", [(LateralBC("robin", 2.0), J), (LATERAL, J - 1)],
+                         ids=["robin_sides", "fewer_modes"])
+def test_data_on_different_bases_rejected(problem, name, other):
+    lateral, modes = other
+    d1, d2 = problem["data"]
+    moved = CauchyData(d2.f, d2.g, d2.delta, build_basis(L, lateral, modes, N))
+    with pytest.raises(ValueError, match="share one basis"):
+        frozen_newton((d1, moved), problem["xi0"], problem["penalty"],
+                      FrozenNewtonConfig(scheme=SCHEMES[name]))
+
+
 def test_degenerate_excitations(problem):
     xi0 = problem["xi0"]
     w = wronskian(xi0.u1, xi0.u2, xi0.ell)
