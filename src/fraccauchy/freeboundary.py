@@ -117,14 +117,15 @@ class RecoveryTrace:
     iterates[0] is the starting curve and iterates[k] the curve after step k.
     residual_norms[k] is the weighted-L2 interface residual of zbar on
     iterates[k] and rel_errors[k] its relative error against the truth
-    (rel_errors is None when no truth curve was supplied).  step_residuals[k]
-    is the misfit of step k's smoothed update in the linearized interface
-    equation, before trust-region safeguarding.  flags holds "iter k: ..."
-    notes.  stop says why the sweep ended: "step_below_tol" (the relative
-    step fell below stop_tol), "pinned_to_corridor" (it did, but only
-    because the corridor clamp cut the last update) or "max_iter".
-    converged is true on "step_below_tol" with the final residual not above
-    the starting one.
+    (rel_errors is None when no truth curve was supplied; a truth is a
+    Curve, samples on the solver grid, a scalar or a callable of x).
+    step_residuals[k] is the misfit of step k's smoothed update in the
+    linearized interface equation, before trust-region safeguarding.  flags
+    holds "iter k: ..." notes.  stop says why the sweep ended:
+    "step_below_tol" (the relative step fell below stop_tol),
+    "pinned_to_corridor" (it did, but only because the corridor clamp cut
+    the last update) or "max_iter".  converged is true on "step_below_tol"
+    with the final residual not above the starting one.
     """
 
     iterates: list
@@ -208,17 +209,6 @@ def _corridor(cfg, curve0, zbar):
     return lo, hi
 
 
-def _truth_samples(truth, n):
-    if truth is None:
-        return None
-    if isinstance(truth, Curve):
-        truth = truth.ell
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != (n,):
-        raise ValueError("truth curve must be sampled on the solver grid")
-    return truth
-
-
 def _trust_clamp(ell, dl, lo, hi):
     """Halve dl until it is small against the current curve, then clamp.
     Returns the new curve and whether the clamp cut the update."""
@@ -248,7 +238,8 @@ def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
     w = _trapezoid_weights(n, curve0.h)
     fv = _samples_on_grid(f, curve0.x, "f")
     lo, hi = _corridor(cfg, curve0, zbar)
-    truth = _truth_samples(truth, n)
+    if truth is not None:
+        truth = _samples_on_grid(truth.ell if isinstance(truth, Curve) else truth, curve0.x, "truth")
     sample = _curve_sampler(zbar)
 
     def relerr(ell):

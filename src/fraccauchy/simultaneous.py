@@ -74,36 +74,8 @@ _COS_MODES = 8
 _STATE_WEIGHTS = (1.0, 1.0, 1.0)
 # `joint_newton_step`'s Tikhonov weight, relative to the normal matrix's norm
 _STEP_REG = 1e-6
-
-
-def _mode_derivatives(basis):
-    """Exact x-derivatives of the basis rows.
-
-    The stored modes are (re)normalized combinations of the closed-form
-    eigenfamily for their boundary condition; the combination is refitted
-    here and differentiated analytically, which stays accurate for high
-    modes where divided differences would not.
-    """
-    k = np.sqrt(basis.lambdas)
-    x = basis.grid
-    kind = basis.bc.kind
-    kx = np.outer(k, x)
-    if kind == "dirichlet":
-        raw = np.sin(kx)
-        draw = k[:, None] * np.cos(kx)
-    elif kind == "neumann":
-        raw = np.cos(kx)
-        draw = -k[:, None] * np.sin(kx)
-    else:
-        sig = basis.bc.robin_coeff
-        raw = np.cos(kx) + (sig / k)[:, None] * np.sin(kx)
-        draw = -k[:, None] * np.sin(kx) + sig * np.cos(kx)
-    w = basis.weights
-    gram = (raw * w) @ raw.T
-    mix = np.linalg.solve(gram, (raw * w) @ basis.modes.T).T
-    if float(np.max(np.abs(mix @ raw - basis.modes))) > 1e-8:
-        raise RuntimeError("basis rows do not span the closed-form eigenfamily")
-    return mix @ draw
+# depth levels of the mesh field a separable representation materializes as
+_FIELD_LEVELS = 81
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +354,8 @@ class _SpanBasis:
     (for k_i = 0: 1 ± y), or, under a fractional scheme, the growing profile
     replaced by the reciprocal Mittag-Leffler continuation kernel.  Every
     member satisfies the interior equation and the lateral condition
-    exactly, so only bottom and interface residuals remain.
+    exactly, so only data and interface residuals remain; x-derivatives come
+    from the basis's exact mode derivatives.
     """
 
     def __init__(self, basis, olell, scheme=None):
@@ -390,7 +363,6 @@ class _SpanBasis:
         self.olell = float(olell)
         self.k = np.sqrt(basis.lambdas)
         self.keff = np.where(self.k > 0.0, self.k, 1.0)
-        self.dmodes = _mode_derivatives(basis)
         self.scheme = scheme
         if float(np.max(self.k)) * self.olell > _EXP_RANGE:
             raise ValueError("mode growth exceeds the floating range; reduce the basis size")
@@ -401,94 +373,70 @@ class _SpanBasis:
 
     def _frac_plus(self, y, order):
         """Fractional growing profile 1 / E_{a,1}(-k y^a) on the (mode x
-        height) grid and, for ``order`` >= 1, its y-derivative."""
+        height) grid and its y-derivatives up to ``order``, as a list; the
+        second derivative, which only Jacobian shape terms need, by a central
+        difference."""
         alpha = self.scheme.alpha
         if order >= 1 and np.any(y <= 0.0):
             raise ValueError("fractional profile derivatives need y > 0")
         z = -np.outer(self.k, np.maximum(y, 0.0) ** alpha)
         e1 = ml_values(alpha, 1.0, z)
-        dpp = None
+        plus = [1.0 / e1]
         if order >= 1:
             ea = ml_values(alpha, alpha, z)
-            dpp = self.k[:, None] * y ** (alpha - 1.0) * ea / e1 ** 2
-        return 1.0 / e1, dpp
+            plus.append(self.k[:, None] * y ** (alpha - 1.0) * ea / e1 ** 2)
+        if order >= 2:
+            step = min(1e-4 * self.olell, 0.45 * float(np.min(y)))
+            up = self._frac_plus(y + step, 0)[0]
+            dn = self._frac_plus(y - step, 0)[0]
+            plus.append((up - 2.0 * plus[0] + dn) / step ** 2)
+        return plus
 
     def profiles(self, y, order=0):
-        """Profile values (and y-derivatives up to ``order``) at heights y.
+        """Growing and decaying profiles at heights y with their
+        y-derivatives up to ``order`` (at most 2).
 
-        Returns (pp, pm, dpp, dpm, d2pp, d2pm), entries beyond ``order``
-        None; shapes (J, y.size).
+        Returns (plus, minus), each the list [P, P', ...] of (J, y.size)
+        arrays.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        grow = np.exp(np.outer(self.k, y))
+        k = self.k[:, None]
+        grow = np.exp(k * y)
         pm = 1.0 / grow
-        dpm = d2pm = dpp = d2pp = None
-        zero = self.k == 0.0
+        minus = [(-k) ** n * pm for n in range(order + 1)]
         if self.scheme is None:
-            pp = grow.copy()
-            if order >= 1:
-                dpp = self.k[:, None] * grow
-                dpm = -self.k[:, None] * pm
-            if order >= 2:
-                d2pp = self.k[:, None] ** 2 * grow
-                d2pm = self.k[:, None] ** 2 * pm
+            plus = [k ** n * grow for n in range(order + 1)]
         else:
-            pp, dpp = self._frac_plus(y, order)
-            if order >= 1:
-                dpm = -self.k[:, None] * pm
-            if order >= 2:
-                # second derivative of the fractional profile by a central
-                # difference; only Jacobian shape terms need it
-                if float(np.min(y)) <= 0.0:
-                    raise ValueError("fractional profile curvature needs y > 0")
-                step = min(1e-4 * self.olell, 0.45 * float(np.min(y)))
-                up, _ = self._frac_plus(y + step, 0)
-                dn, _ = self._frac_plus(y - step, 0)
-                d2pp = (up - 2.0 * pp + dn) / step ** 2
-                d2pm = self.k[:, None] ** 2 * pm
+            plus = self._frac_plus(y, order)
+        zero = self.k == 0.0
         if zero.any():
-            pp[zero] = 1.0 + y
-            pm[zero] = 1.0 - y
-            if order >= 1:
-                dpp[zero] = 1.0
-                dpm[zero] = -1.0
-            if order >= 2:
-                d2pp[zero] = 0.0
-                d2pm[zero] = 0.0
-        return pp, pm, dpp, dpm, d2pp, d2pm
+            for p, m, (vp, vm) in zip(plus, minus, ((1.0 + y, 1.0 - y), (1.0, -1.0), (0.0, 0.0))):
+                p[zero] = vp
+                m[zero] = vm
+        return plus, minus
 
-    def traces(self, a, b, ell, dell, order=2):
+    def traces(self, a, b, ell, order=2):
         """Physical traces of the represented field along y = ell(x)."""
-        pp, pm, dpp, dpm, d2pp, d2pm = self.profiles(ell, order=order)
-        cy = a[:, None] * pp + b[:, None] * pm
-        cdy = a[:, None] * dpp + b[:, None] * dpm
-        ph = self.basis.modes
-        dph = self.dmodes
+        plus, minus = self.profiles(ell, order=order)
+        c = [a[:, None] * p + b[:, None] * m for p, m in zip(plus, minus)]
+        ph, dph = self.basis.modes, self.basis.dmodes
         uyy = uxy = None
         if order >= 2:
-            cd2y = a[:, None] * d2pp + b[:, None] * d2pm
-            uyy = (cd2y * ph).sum(axis=0)
-            uxy = (cdy * dph).sum(axis=0)
+            uyy = (c[2] * ph).sum(axis=0)
+            uxy = (c[1] * dph).sum(axis=0)
         return InterfaceTraces(
             x=self.basis.grid,
-            u=(cy * ph).sum(axis=0),
-            u_x=(cy * dph).sum(axis=0),
-            u_y=(cdy * ph).sum(axis=0),
+            u=(c[0] * ph).sum(axis=0),
+            u_x=(c[0] * dph).sum(axis=0),
+            u_y=(c[1] * ph).sum(axis=0),
             u_yy=uyy,
             u_xy=uxy,
         )
 
-    def bottom(self, a, b):
-        """Bottom value and flux traces (classical profiles only)."""
-        ph = self.basis.modes
-        return ((a + b)[:, None] * ph).sum(axis=0), (
-            (self.keff * (a - b))[:, None] * ph
-        ).sum(axis=0)
-
-    def field(self, a, b, lateral, levels=81):
+    def field(self, a, b, lateral):
         """Materialize the representation as a hold-all mesh field."""
-        y = np.linspace(0.0, self.olell, levels)
-        pp, pm, _, _, _, _ = self.profiles(y)
+        y = np.linspace(0.0, self.olell, _FIELD_LEVELS)
+        (pp,), (pm,) = self.profiles(y)
         vals = np.einsum("jm,jn->nm", a[:, None] * pp + b[:, None] * pm, self.basis.modes)
         curve = Curve(np.full(self.basis.N, self.olell), self.basis.L, self.olell)
         return MeshField(vals, curve, lateral, None, y / self.olell,
@@ -509,7 +457,7 @@ class _SpanBasis:
         for m, yy in enumerate(levels):
             tracev = sample(np.full(self.basis.N, yy))
             C[:, m] = analyze(tracev, self.basis).c
-        pp, pm = self.profiles(levels)[:2]
+        (pp,), (pm,) = self.profiles(levels)
         a = np.empty(self.J)
         b = np.empty(self.J)
         for j in range(self.J):
@@ -525,6 +473,12 @@ class _SpanBasis:
 class _FrozenSystem:
     """Discretized aggregate residual and its norms, frozen at the start.
 
+    Per field the residual stacks the data misfit t - D (a, b) over the
+    interface condition.  The linear data map ``D`` and the targets t are
+    built once: bottom value and flux rows [[Phi', Phi'], [k Phi', -k Phi']]
+    against (f, g) classically, and under a fractional scheme the identity
+    against the data's split coefficients.  ``rw`` are the residual's row
+    weights (trapezoid for rows on the grid, unit for coefficient rows).
     ``v0`` is the packed start state and ``K`` the Jacobian there; ``prow``
     and ``pw`` are the penalty's matrix rows and their weights, which no
     iterate changes.
@@ -540,14 +494,13 @@ class _FrozenSystem:
             raise ValueError("the two data sets must share one basis "
                              "(lateral condition, J, L and grid)")
         self.basis = b1
-        self.cfg = cfg
         self.penalty = penalty
         self.olell = xi0.ell.olell
         self.span = _SpanBasis(self.basis, self.olell, cfg.scheme)
         x = self.basis.grid
         self.x = x
         self.L = self.basis.L
-        self.wq = _trapezoid_weights(x.size, x[1] - x[0])
+        w = self.basis.weights
         self.ph, self.dph = _cos_tables(x, self.L, _COS_MODES)
         J, m = self.span.J, _COS_MODES
         self.npar = 4 * J + 3 * m
@@ -558,21 +511,24 @@ class _FrozenSystem:
             "g1": slice(4 * J + m, 4 * J + 2 * m),
             "g2": slice(4 * J + 2 * m, self.npar),
         }
+        keff = self.span.keff
         if cfg.scheme is None:
-            self.targets = [(d.f, d.g) for d in data]
+            phT, kphT = self.basis.modes.T, (keff[:, None] * self.basis.modes).T
+            self.D = np.block([[phT, phT], [kphT, -kphT]])
+            self.targets = [np.concatenate([d.f, d.g]) for d in data]
+            dw = np.concatenate([w, w])
         else:
-            self.targets = []
-            for d in data:
-                fh, gh = d.coeffs()
-                self.targets.append(
-                    (0.5 * (fh + gh / self.span.keff), 0.5 * (fh - gh / self.span.keff))
-                )
+            self.D = np.eye(2 * J)
+            self.targets = [np.concatenate([0.5 * (fh + gh / keff), 0.5 * (fh - gh / keff)])
+                            for fh, gh in (d.coeffs() for d in data)]
+            dw = np.ones(2 * J)
+        self.rw = np.concatenate([dw, w, dw, w])
         self.xw = self._state_weights()
         self.prow = np.zeros((x.size + 1, self.npar))
         self.prow[: x.size, s["g1"]] = self.ph.T
         self.prow[: x.size, s["g2"]] = -self.ph.T
         self.prow[-1, s["ell"]] = self.ph[:, 0]
-        self.pw = np.concatenate([self.wq, [1.0]])
+        self.pw = np.concatenate([w, [1.0]])
         self.v0 = self.pack(xi0)
         self.K = self.jacobian(self.v0)
 
@@ -581,21 +537,14 @@ class _FrozenSystem:
     def pack(self, xi0):
         a1, b1 = self.span.project(xi0.u1)
         a2, b2 = self.span.project(xi0.u2)
-        lh, g1, g2 = (_cos_coeffs(v, self.ph, self.wq) for v in (xi0.ell.ell, xi0.gam1, xi0.gam2))
+        w = self.basis.weights
+        lh, g1, g2 = (_cos_coeffs(v, self.ph, w) for v in (xi0.ell.ell, xi0.gam1, xi0.gam2))
         return np.concatenate([a1, b1, a2, b2, lh, g1, g2])
 
     def unpack(self, v):
-        J = self.span.J
-        s = self.slices
-        ab1 = v[s["u1"]]
-        ab2 = v[s["u2"]]
-        return (
-            (ab1[:J], ab1[J:]),
-            (ab2[:J], ab2[J:]),
-            v[s["ell"]],
-            v[s["g1"]],
-            v[s["g2"]],
-        )
+        J, s = self.span.J, self.slices
+        ab1, ab2 = v[s["u1"]], v[s["u2"]]
+        return (ab1[:J], ab1[J:]), (ab2[:J], ab2[J:]), v[s["ell"]], v[s["g1"]], v[s["g2"]]
 
     def curve_of(self, lh):
         ell = np.clip(lh @ self.ph, 1e-3 * self.olell, (1.0 - 1e-3) * self.olell)
@@ -613,26 +562,16 @@ class _FrozenSystem:
     # --- residual and Jacobian
 
     def residual(self, v):
-        """Aggregate residual (data misfit first, interface last) and the
-        row weights of the observation norm."""
+        """Aggregate residual, per field the data misfit t - D (a, b) and
+        then the interface condition; its row weights are ``rw``."""
         (a1, b1), (a2, b2), lh, g1h, g2h = self.unpack(v)
         ell, dell = self.curve_of(lh)
         res = []
-        roww = []
-        for (a, b), (tf, tg), gh in (((a1, b1), self.targets[0], g1h),
-                                     ((a2, b2), self.targets[1], g2h)):
-            if self.cfg.scheme is None:
-                bv, bf = self.span.bottom(a, b)
-                res.extend([tf - bv, tg - bf])
-                roww.extend([self.wq, self.wq])
-            else:
-                res.extend([tf - a, tg - b])
-                roww.extend([np.ones(a.size), np.ones(b.size)])
-            tr = self.span.traces(a, b, ell, dell, order=1)
+        for (a, b), t, gh in zip(((a1, b1), (a2, b2)), self.targets, (g1h, g2h)):
+            tr = self.span.traces(a, b, ell, order=1)
             gam = gh @ self.ph
-            res.append(-(tr.u_y - dell * tr.u_x + gam * tr.u))
-            roww.append(self.wq)
-        return np.concatenate(res), np.concatenate(roww)
+            res.extend([t - self.D @ np.concatenate([a, b]), -(tr.u_y - dell * tr.u_x + gam * tr.u)])
+        return np.concatenate(res)
 
     def penalty_values(self, v):
         """Values at v of the penalized quantities, one per row of prow."""
@@ -648,30 +587,18 @@ class _FrozenSystem:
         ell, dell = self.curve_of(lh)
         J = self.span.J
         n = self.x.size
-        pp, pm, dpp, dpm, _, _ = self.span.profiles(ell, order=1)
-        ph = self.basis.modes
-        dph = self.span.dmodes
-        rows_per = (2 * n if self.cfg.scheme is None else 2 * J) + n
-        K = np.zeros((2 * rows_per, self.npar))
+        (pp, dpp), (pm, dpm) = self.span.profiles(ell, order=1)
+        ph, dph = self.basis.modes, self.basis.dmodes
+        nd = self.D.shape[0]
+        K = np.zeros((2 * (nd + n), self.npar))
         s = self.slices
         for blk, ((a, b), gh, su, sg) in enumerate(
             (((a1, b1), g1h, s["u1"], s["g1"]), ((a2, b2), g2h, s["u2"], s["g2"]))
         ):
-            r0 = blk * rows_per
+            r0 = blk * (nd + n)
+            rb = r0 + nd
             gam = gh @ self.ph
-            # data rows
-            if self.cfg.scheme is None:
-                K[r0 : r0 + n, su.start : su.start + J] = ph.T
-                K[r0 : r0 + n, su.start + J : su.stop] = ph.T
-                K[r0 + n : r0 + 2 * n, su.start : su.start + J] = (self.span.keff[:, None] * ph).T
-                K[r0 + n : r0 + 2 * n, su.start + J : su.stop] = (
-                    -self.span.keff[:, None] * ph
-                ).T
-                rb = r0 + 2 * n
-            else:
-                K[r0 : r0 + J, su.start : su.start + J] = np.eye(J)
-                K[r0 + J : r0 + 2 * J, su.start + J : su.stop] = np.eye(J)
-                rb = r0 + 2 * J
+            K[r0:rb, su] = self.D
             # interface rows: directional derivative in the field ...
             K[rb : rb + n, su.start : su.start + J] = (
                 dpp * ph - dell[None, :] * pp * dph + gam[None, :] * pp * ph
@@ -680,7 +607,7 @@ class _FrozenSystem:
                 dpm * ph - dell[None, :] * pm * dph + gam[None, :] * pm * ph
             ).T
             # ... in the curve and in the impedance
-            tr = self.span.traces(a, b, ell, dell)
+            tr = self.span.traces(a, b, ell)
             q = _shape_term(tr, dell, gam)
             K[rb : rb + n, s["ell"]] = (q[None, :] * self.ph - tr.u_x[None, :] * self.dph).T
             K[rb : rb + n, sg] = (tr.u[None, :] * self.ph).T
@@ -717,11 +644,11 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
     cfg = FrozenNewtonConfig() if cfg is None else cfg
     sys = _FrozenSystem(data, xi0, penalty, cfg)
     delta = max(data[0].delta, data[1].delta)
-    v0, K, prow, pw = sys.v0, sys.K, sys.prow, sys.pw
+    v0, K, rw, prow, pw = sys.v0, sys.K, sys.rw, sys.prow, sys.pw
     v = v0.copy()
 
     trace = JointTrace()
-    wx = sys.xw
+    wx, w = sys.xw, sys.basis.weights
     truth_l = truth_g = None
     if truth is not None:
         truth_l = _samples_on_grid(truth[0], sys.x, "truth[0]")
@@ -731,15 +658,15 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
         _, _, lh, g1h, g2h = sys.unpack(v)
         ell, _ = sys.curve_of(lh)
         gam = 0.5 * (g1h + g2h) @ sys.ph
-        gap = _relerr(g1h @ sys.ph, g2h @ sys.ph, sys.wq)
+        gap = _relerr(g1h @ sys.ph, g2h @ sys.ph, w)
         trace.ns.append(n)
         trace.alphas.append(alpha_n)
         trace.residuals.append(resid)
-        trace.rel_ell.append(np.nan if truth_l is None else _relerr(ell, truth_l, sys.wq))
-        trace.rel_gam.append(np.nan if truth_g is None else _relerr(gam, truth_g, sys.wq))
+        trace.rel_ell.append(np.nan if truth_l is None else _relerr(ell, truth_l, w))
+        trace.rel_gam.append(np.nan if truth_g is None else _relerr(gam, truth_g, w))
         trace.gam_gap.append(gap)
 
-    r, rw = sys.residual(v)
+    r = sys.residual(v)
     res0 = math.sqrt(float(np.sum(rw * r ** 2)))
     log(0, cfg.alpha0, res0)
 
@@ -759,7 +686,7 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("normal system solve failed: %s" % (exc,))
         v = v + step
-        r, rw = sys.residual(v)
+        r = sys.residual(v)
         res_n = math.sqrt(float(np.sum(rw * r ** 2)))
         log(n + 1, cfg.alpha0 * cfg.theta ** (n + 1), res_n)
         if not math.isfinite(res_n) or res_n > _DIVERGENCE_FACTOR * res0:
@@ -807,9 +734,8 @@ def stacked_singular_values(data, xi0, penalty, cfg=None):
     """
     cfg = FrozenNewtonConfig() if cfg is None else cfg
     sys = _FrozenSystem(data, xi0, penalty, cfg)
-    _, rw = sys.residual(sys.v0)
     scaled = np.vstack([
-        np.sqrt(rw)[:, None] * sys.K,
+        np.sqrt(sys.rw)[:, None] * sys.K,
         np.sqrt(sys.pw)[:, None] * sys.prow,
     ]) / np.sqrt(sys.xw)[None, :]
     sv = np.linalg.svd(scaled, compute_uv=False)

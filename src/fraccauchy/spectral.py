@@ -5,7 +5,10 @@ and modal coefficients.
 Conventions: uniform grid x_i = i*h with h = L/(N-1); all inner products are
 trapezoid sums, and the stored modes are orthonormal with respect to that
 discrete inner product (for sine/cosine bases this coincides with the
-analytic normalization by exact trigonometric summation identities).
+analytic normalization by exact trigonometric summation identities).  Each
+basis also carries the exact x-derivatives of its modes on the grid: every
+mode is a fixed combination of the closed-form eigenfamily, so its
+derivative is the same combination of the family's derivatives.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ class EigenBasis:
     grid: np.ndarray  # (N,)
     modes: np.ndarray  # (J, N), trapezoid-orthonormal rows
     weights: np.ndarray  # (N,) trapezoid weights
+    dmodes: np.ndarray  # (J, N), exact x-derivatives of the modes' rows
 
     @property
     def N(self) -> int:
@@ -108,13 +112,17 @@ def _robin_wavenumbers(sigma: float, L: float, J: int) -> np.ndarray:
     return ks
 
 
-def _orthonormalize_rows(modes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _orthonormalize_rows(
+    modes: np.ndarray, dmodes: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormalize mode rows in the weighted inner product, low modes
-    first, so the leading modes are perturbed least."""
+    first, so the leading modes are perturbed least; the derivative rows
+    take the same (triangular) combination."""
     sq = np.sqrt(weights)
     q, r = np.linalg.qr((sq[:, None] * modes.T))
-    q = q * np.sign(np.diag(r))
-    return (q / sq[:, None]).T
+    sign = np.sign(np.diag(r))
+    q = q * sign
+    return (q / sq[:, None]).T, sign[:, None] * np.linalg.solve(r.T, dmodes)
 
 
 def build_basis(L: float, bc: LateralBC, J: int, N: int) -> EigenBasis:
@@ -137,24 +145,32 @@ def build_basis(L: float, bc: LateralBC, J: int, N: int) -> EigenBasis:
     if bc.kind == "dirichlet":
         j = np.arange(1, J + 1)
         lambdas = (j * math.pi / L) ** 2
-        modes = math.sqrt(2.0 / L) * np.sin(np.outer(j, x) * (math.pi / L))
+        jx = np.outer(j, x) * (math.pi / L)
+        modes = math.sqrt(2.0 / L) * np.sin(jx)
+        dmodes = math.sqrt(2.0 / L) * (j * math.pi / L)[:, None] * np.cos(jx)
     elif bc.kind == "neumann":
         j = np.arange(0, J)
         lambdas = (j * math.pi / L) ** 2
-        modes = math.sqrt(2.0 / L) * np.cos(np.outer(j, x) * (math.pi / L))
+        jx = np.outer(j, x) * (math.pi / L)
+        modes = math.sqrt(2.0 / L) * np.cos(jx)
         modes[0] = 1.0 / math.sqrt(L)
+        dmodes = -math.sqrt(2.0 / L) * (j * math.pi / L)[:, None] * np.sin(jx)
     else:
         sigma = bc.robin_coeff
         ks = _robin_wavenumbers(sigma, L, J)
         lambdas = ks ** 2
         # phi_j = cos(k x) + (sigma/k) sin(k x) satisfies both lateral
         # conditions exactly
-        modes = np.cos(np.outer(ks, x)) + (sigma / ks)[:, None] * np.sin(np.outer(ks, x))
+        kx = np.outer(ks, x)
+        modes = np.cos(kx) + (sigma / ks)[:, None] * np.sin(kx)
+        dmodes = -ks[:, None] * np.sin(kx) + sigma * np.cos(kx)
         norms = np.sqrt((modes * modes * w).sum(axis=1))
         modes /= norms[:, None]
-        modes = _orthonormalize_rows(modes, w)
+        dmodes /= norms[:, None]
+        modes, dmodes = _orthonormalize_rows(modes, dmodes, w)
 
-    return EigenBasis(L=L, bc=bc, J=J, lambdas=lambdas, grid=x, modes=modes, weights=w)
+    return EigenBasis(L=L, bc=bc, J=J, lambdas=lambdas, grid=x, modes=modes, weights=w,
+                      dmodes=dmodes)
 
 
 def analyze(samples: np.ndarray, basis: EigenBasis) -> SpectralCoeffs:

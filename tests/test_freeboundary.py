@@ -484,6 +484,21 @@ class TestSweepBranches:
         ]
         assert runs[0].rel_errors == runs[1].rel_errors
 
+    def test_truth_as_callable(self):
+        zbar = holdall_field("D", 0.1, 0.01)
+        runs = [
+            newton_dirichlet(
+                Curve(np.full(N, 0.05), L, 0.1),
+                zbar,
+                LATERAL,
+                excitation(X),
+                NewtonConfig(max_iter=2),
+                truth=truth,
+            )
+            for truth in (lambda x: truth_curve(x, 0.1), truth_curve(X, 0.1))
+        ]
+        assert runs[0].rel_errors == runs[1].rel_errors
+
 
 class TestSweepCost:
     """One coarse forward solve per executed step, one spline build of zbar
