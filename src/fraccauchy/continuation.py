@@ -116,7 +116,8 @@ class ContinuationScheme:
     ``kind`` is one of ``exact``, ``left_dc``, ``right_dc``, ``fac_lap`` and
     ``fac_lap_split``.  ``alpha`` is the fractional half-order (the
     propagator order is ``2 alpha``): ``left_dc``, ``right_dc`` and
-    ``fac_lap`` need it, and the other kinds refuse it.  ``bands`` holds
+    ``fac_lap`` need it, and the other kinds refuse it; it lies in (0, 1],
+    and in [0.5, 1] for the two ``_dc`` kinds.  ``bands`` holds
     ``(end_index, alpha)`` pairs and is taken only by ``fac_lap_split``,
     which picks its bands by `split_frequency_continue` when none are given.
     The record is checked when it is built, so a scheme that exists can run.
@@ -135,6 +136,8 @@ class ContinuationScheme:
             raise ValueError("scheme %r takes no half-order alpha" % (self.kind,))
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise ValueError("fractional half-order must lie in (0, 1]")
+        if self.kind in ("left_dc", "right_dc") and self.alpha < 0.5:
+            raise ValueError("scheme %r needs alpha in [0.5, 1]" % (self.kind,))
         if self.bands is not None:
             if self.kind != "fac_lap_split":
                 raise ValueError("only the fac_lap_split scheme takes bands")

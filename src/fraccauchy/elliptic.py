@@ -33,6 +33,10 @@ top edge one of u = 0, a vanishing co-normal derivative, or the impedance
 condition.  The impedance coefficient enters only as the combined quantity
 sqrt(1 + ell'^2) * gamma, matching the weak form in which the arc-length
 factor and the raw impedance never appear separately.
+
+Both inverse solvers read fields along curves here: `interface_traces`
+(value and derivatives) and `curve_conormal` trace a covering (hold-all)
+field through the column splines of `_curve_sampler`.
 """
 
 import functools
@@ -58,6 +62,7 @@ __all__ = [
     "interface_traces",
     "solve_cauchy_holdall",
     "eval_on_curve",
+    "curve_conormal",
     "save_grid",
     "load_grid",
 ]
@@ -467,10 +472,23 @@ def bottom_flux(field):
     return due / field.curve.ell
 
 
-def interface_traces(field):
-    """Value and chain-rule-corrected physical derivatives along the top edge
-    of the mesh (the curve y = ell(x) for a forward solve); second
-    derivatives use one-sided four-point stencils."""
+def interface_traces(field, curve=None):
+    """Value and physical first and second derivatives of the field along a
+    curve.  With no curve, or the field's own, that is the mesh's top edge,
+    traced by one-sided depth stencils (four-point for second derivatives)
+    and the chain rule.  Any other curve must stay inside the mesh, as every
+    admissible curve does for a hold-all field: u, u_y and u_yy come from one
+    `_curve_sampler`, u_x and u_xy from differences of u and u_y along the
+    curve minus ell' times their y-derivative."""
+    top = field.curve
+    if curve is not None and not (
+            top.N == curve.N and np.allclose(top.ell, curve.ell, rtol=1e-12, atol=1e-14)):
+        if np.any(curve.ell > top.ell * (1.0 + 1e-12)):
+            raise ValueError("curve leaves the field's mesh; trace it on a covering field")
+        sample, h, dl = _curve_sampler(field), curve.h, curve.dell()
+        u, uy, uyy = (sample(curve.ell, dy) for dy in range(3))
+        return InterfaceTraces(x=curve.x, u=u, u_x=np.gradient(u, h, edge_order=2) - dl * uy,
+                               u_y=uy, u_yy=uyy, u_xy=np.gradient(uy, h, edge_order=2) - dl * uyy)
     U = field.values
     if U.shape[1] < 4:
         raise ValueError("interface traces need at least 4 depth levels")
@@ -562,6 +580,26 @@ def _curve_sampler(field):
         return vals / base ** dy
 
     return sample
+
+
+def curve_conormal(zbar, ell):
+    """Trace of zbar and its conormal derivative along y = ell(x).
+
+    Returns (on_curve, conormal) where conormal = (1 + ell'^2) d_y zbar
+    - ell' * d/dx [zbar(x, ell(x))]; this equals the (unnormalized) normal
+    derivative zbar_y - ell' zbar_x on the curve.
+    """
+    return _conormal(_curve_sampler(zbar), zbar.curve.h, ell)
+
+
+def _conormal(sample, h, ell):
+    """`curve_conormal` through a `_curve_sampler` of zbar (x-spacing h)."""
+    ell = np.asarray(ell, dtype=float)
+    zl = sample(ell)
+    zy = sample(ell, dy=1)
+    dl = np.gradient(ell, h, edge_order=2)
+    dzl = np.gradient(zl, h, edge_order=2)
+    return zl, (1.0 + dl * dl) * zy - dl * dzl
 
 
 def eval_on_curve(field, ell, dy=0):

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .elliptic import (Curve, InterfaceBC, _curve_sampler, _samples_on_grid, assemble,
+from .elliptic import (Curve, InterfaceBC, _conormal, _curve_sampler, _samples_on_grid, assemble,
                        bottom_flux, combined_impedance, interface_traces, solve_forward)
-from .spectral import _trapezoid_weights
+from .spectral import _cos_coeffs, _cos_tables, _trapezoid_weights
 
 __all__ = [
     "NewtonConfig",
@@ -55,7 +55,6 @@ __all__ = [
     "newton_neumann",
     "newton_impedance",
     "linearized_flux",
-    "curve_conormal",
     "project_cosine",
 ]
 
@@ -141,57 +140,12 @@ def _wnorm(v, w):
     return float(np.sqrt(np.sum(w * v * v)))
 
 
-def _cos_tables(x, L, modes):
-    """Rows k < modes of cos(k pi x / L) and their exact derivatives."""
-    k = np.arange(int(modes)) * np.pi / L
-    ph = np.cos(np.outer(k, x))
-    dph = -k[:, None] * np.sin(np.outer(k, x))
-    return ph, dph
-
-
-def _cos_coeffs(values, ph, w):
-    """Least-squares coefficients of grid samples on the cosine rows ph under
-    the trapezoid weights w."""
-    return (ph * (w * values)).sum(axis=1) / (ph * ph * w).sum(axis=1)
-
-
 def project_cosine(values, L, modes):
     """Project grid samples on [0, L] onto span{cos(k pi x / L), k < modes}."""
     values = np.asarray(values, dtype=float)
     x = np.linspace(0.0, L, values.size)
     ph, _ = _cos_tables(x, L, modes)
     return _cos_coeffs(values, ph, _trapezoid_weights(x.size, x[1] - x[0])) @ ph
-
-
-def _gradient_matrix(n, h):
-    """Dense d/dx matrix: centered interior, one-sided second-order ends."""
-    G = np.zeros((n, n))
-    idx = np.arange(1, n - 1)
-    G[idx, idx - 1] = -0.5 / h
-    G[idx, idx + 1] = 0.5 / h
-    G[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    G[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    return G
-
-
-def curve_conormal(zbar, ell):
-    """Trace of zbar and its conormal derivative along y = ell(x).
-
-    Returns (on_curve, conormal) where conormal = (1 + ell'^2) d_y zbar
-    - ell' * d/dx [zbar(x, ell(x))]; this equals the (unnormalized) normal
-    derivative zbar_y - ell' zbar_x on the curve.
-    """
-    return _conormal(_curve_sampler(zbar), zbar.curve.h, ell)
-
-
-def _conormal(sample, h, ell):
-    """`curve_conormal` through a `_curve_sampler` of zbar (x-spacing h)."""
-    ell = np.asarray(ell, dtype=float)
-    zl = sample(ell)
-    zy = sample(ell, dy=1)
-    dl = np.gradient(ell, h, edge_order=2)
-    dzl = np.gradient(zl, h, edge_order=2)
-    return zl, (1.0 + dl * dl) * zy - dl * dzl
 
 
 def _corridor(cfg, curve0, zbar):
@@ -315,7 +269,7 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     updates to zero (the starting endpoints are trusted).
     """
     w = _trapezoid_weights(curve0.N, curve0.h)
-    G = _gradient_matrix(curve0.N, curve0.h)
+    G = np.gradient(np.eye(curve0.N), curve0.h, axis=0, edge_order=2)  # dense d/dx
     reg = G.T @ (w[:, None] * G)
     warned = False
 

@@ -23,10 +23,13 @@ trace Wronskian u1_x u2 - u2_x u1 does not vanish.  This module provides
   * ``wronskian`` / ``range_invariance_residual`` / ``stacked_singular_values``
     -- diagnostics for the solvability assumptions behind the iteration.
 
-Fields are represented separably: u = sum_i (a_i P+_i(y) + b_i P-_i(y))
-phi_i(x) over the lateral eigenbasis, with growing/decaying profile pairs.
-Such fields satisfy the interior equation and the lateral condition exactly,
-so the Newton residual reduces to the bottom-data misfit and the interface
+Mesh fields are traced along curves by `elliptic` (``interface_traces``,
+``curve_conormal``), and the curve and impedance unknowns are expanded in
+the low cosine tables of `spectral`.  The aggregate iteration represents its
+fields separably: u = sum_i (a_i P+_i(y) + b_i P-_i(y)) phi_i(x) over the
+lateral eigenbasis, with growing/decaying profile pairs.  Such fields
+satisfy the interior equation and the lateral condition exactly, so the
+Newton residual reduces to the bottom-data misfit and the interface
 condition.  The factored fractional scheme (``fac_lap``) may replace the
 growing profile by the reciprocal Mittag-Leffler kernel, evaluated in one
 batched call per order over the whole (mode x height) grid.
@@ -44,11 +47,11 @@ from .elliptic import (
     MeshField,
     _curve_sampler,
     _samples_on_grid,
+    curve_conormal,
     interface_traces,
 )
-from .freeboundary import _cos_coeffs, _cos_tables, curve_conormal
 from .specfun import ml_values
-from .spectral import _trapezoid_weights, analyze
+from .spectral import _cos_coeffs, _cos_tables, _trapezoid_weights, analyze
 
 __all__ = [
     "JointState",
@@ -165,7 +168,8 @@ class JointTrace:
     regularization weight used for the step leaving that iterate (the last
     entry is the weight the next step would have used).  Relative errors are
     NaN when no truth was supplied.  ``gam_gap`` tracks how far apart the
-    two impedance copies have drifted.
+    two impedance copies have drifted.  ``flags`` may hold "diverged" and
+    "impedance-clipped"; its last entry is always the "stop=..." reason.
     """
 
     ns: list = field(default_factory=list)
@@ -178,30 +182,7 @@ class JointTrace:
 
 
 # ----------------------------------------------------------------------
-# curve traces
-
-
-def _traces_on(fld, curve):
-    """First- and second-order physical traces of a field along a curve.
-
-    Fields fitted to the very curve are traced with the one-sided mesh
-    stencils; covering fields (hold-all continuations) are interpolated with
-    the column splines and differentiated along the curve by the chain rule.
-    """
-    if fld.curve.N == curve.N and np.allclose(fld.curve.ell, curve.ell, rtol=1e-12, atol=1e-14):
-        return interface_traces(fld)
-    ell = curve.ell
-    if np.any(ell > fld.curve.ell * (1.0 + 1e-12)):
-        raise ValueError("curve leaves the field's mesh; trace it on a covering field")
-    sample = _curve_sampler(fld)
-    u = sample(ell)
-    uy = sample(ell, dy=1)
-    uyy = sample(ell, dy=2)
-    h = curve.h
-    dl = curve.dell()
-    ux = np.gradient(u, h, edge_order=2) - dl * uy
-    uxy = np.gradient(uy, h, edge_order=2) - dl * uyy
-    return InterfaceTraces(x=curve.x, u=u, u_x=ux, u_y=uy, u_yy=uyy, u_xy=uxy)
+# trace diagnostics
 
 
 def wronskian(u1, u2, curve):
@@ -211,8 +192,8 @@ def wronskian(u1, u2, curve):
     this does not vanish; the recovery drivers check min |W| before trusting
     a joint step.
     """
-    t1 = _traces_on(u1, curve)
-    t2 = _traces_on(u2, curve)
+    t1 = interface_traces(u1, curve)
+    t2 = interface_traces(u2, curve)
     return t1.u_x * t2.u - t2.u_x * t1.u
 
 
@@ -238,13 +219,6 @@ def _shape_term(tr, dl, gam):
     return tr.u_yy - dl * tr.u_xy + gam * tr.u_y
 
 
-def _interface_rhs(state, zbar, gam):
-    """Interface residual B zbar = conormal + gam * trace of a continued
-    field along the current curve."""
-    zl, dn = curve_conormal(zbar, state.ell.ell)
-    return dn + gam * zl
-
-
 def joint_newton_step(state, zbar1, zbar2):
     """One linearized step for the pair (curve, impedance).
 
@@ -262,8 +236,8 @@ def joint_newton_step(state, zbar1, zbar2):
     x = state.ell.x
     L = state.ell.L
     dl_c = state.ell.dell()
-    tr1 = _traces_on(state.u1, state.ell)
-    tr2 = _traces_on(state.u2, state.ell)
+    tr1 = interface_traces(state.u1, state.ell)
+    tr2 = interface_traces(state.u2, state.ell)
 
     w = tr1.u_x * tr2.u - tr2.u_x * tr1.u
     scale = float(np.max(np.abs(tr1.u_x * tr2.u)) + np.max(np.abs(tr2.u_x * tr1.u)))
@@ -284,7 +258,9 @@ def joint_newton_step(state, zbar1, zbar2):
         cols_l = -q[None, :] * ph + tr.u_x[None, :] * dph
         cols_g = -tr.u[None, :] * ph
         blocks.append(wq[None, :] * np.vstack([cols_l, cols_g]))
-        rhs.append(wq * _interface_rhs(state, zbar, gam))
+        # interface residual B zbar of the continued field on the curve
+        zl, dn = curve_conormal(zbar, state.ell.ell)
+        rhs.append(wq * (dn + gam * zl))
     A = np.vstack([b.T for b in blocks])
     b = np.concatenate(rhs)
 
@@ -327,12 +303,12 @@ def range_invariance_residual(xi, xi0):
         (xi.u2, xi.gam2, xi0.u2, xi0.gam2),
     )
     for u, gam, u0, gam0 in pairs:
-        t0 = _traces_on(u0, xi0.ell)
+        t0 = interface_traces(u0, xi0.ell)
         den = t0.u
         if np.any(np.abs(den) < _DEN_FLOOR * max(1.0, float(np.max(np.abs(den))))):
             raise ValueError("reference trace passes through zero; transporter undefined")
-        tn = _traces_on(u, xi.ell)
-        tb = _traces_on(u, xi0.ell)
+        tn = interface_traces(u, xi.ell)
+        tb = interface_traces(u, xi0.ell)
         q0 = _shape_term(t0, dl0_c, gam0)
         bracket = (tn.u_y - dl_c * tn.u_x + gam * tn.u) - (
             tb.u_y - dl0_c * tb.u_x + gam0 * tb.u
@@ -696,13 +672,6 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
             stop_tag = "diverged"
             break
 
-    alpha_ns = cfg.alpha0 * cfg.theta ** n_star
-    alpha_prev = cfg.alpha0 * cfg.theta ** max(n_star - 1, 0)
-    trace.flags.append(
-        "stop=%s alpha_nstar=%.3e delta^2/alpha_prev=%.3e"
-        % (stop_tag, alpha_ns, (delta ** 2 / alpha_prev) if alpha_prev > 0 else math.inf)
-    )
-
     (a1, b1), (a2, b2), lh, g1h, g2h = sys.unpack(v)
     ell, _ = sys.curve_of(lh)
     lateral = sys.basis.bc
@@ -713,6 +682,12 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
         trace.flags.append("impedance-clipped")
         gam1 = np.maximum(gam1, floor)
         gam2 = np.maximum(gam2, floor)
+    alpha_ns = cfg.alpha0 * cfg.theta ** n_star
+    alpha_prev = cfg.alpha0 * cfg.theta ** max(n_star - 1, 0)
+    trace.flags.append(
+        "stop=%s alpha_nstar=%.3e delta^2/alpha_prev=%.3e"
+        % (stop_tag, alpha_ns, (delta ** 2 / alpha_prev) if alpha_prev > 0 else math.inf)
+    )
     xi = JointState(
         u1=sys.span.field(a1, b1, lateral),
         u2=sys.span.field(a2, b2, lateral),

@@ -1,6 +1,7 @@
 """Eigenbasis of -d^2/dx^2 on (0, L) with Dirichlet, Neumann, or impedance
 (Robin) lateral conditions, plus quadrature transforms between grid samples
-and modal coefficients.
+and modal coefficients, and the low cosine tables in which the inverse
+solvers expand curves and impedances.
 
 Conventions: uniform grid x_i = i*h with h = L/(N-1); all inner products are
 trapezoid sums, and the stored modes are orthonormal with respect to that
@@ -78,6 +79,20 @@ def _trapezoid_weights(N: int, h: float) -> np.ndarray:
     w = np.full(N, h)
     w[0] = w[-1] = 0.5 * h
     return w
+
+
+def _cos_tables(x, L, modes):
+    """Rows k < modes of cos(k pi x / L) and their exact derivatives."""
+    k = np.arange(int(modes)) * np.pi / L
+    ph = np.cos(np.outer(k, x))
+    dph = -k[:, None] * np.sin(np.outer(k, x))
+    return ph, dph
+
+
+def _cos_coeffs(values, ph, w):
+    """Least-squares coefficients of grid samples on the cosine rows ph under
+    the trapezoid weights w."""
+    return (ph * (w * values)).sum(axis=1) / (ph * ph * w).sum(axis=1)
 
 
 def _robin_char(k: float, sigma: float, L: float) -> float:

@@ -471,6 +471,14 @@ def test_scheme_record_validation():
     for kind in ("exact", "fac_lap_split"):
         with pytest.raises(ValueError, match="takes no half-order"):
             ContinuationScheme(kind, alpha=0.9)
+    # the Mittag-Leffler propagators run only for orders 2*alpha in [1, 2]
+    basis = build_basis(1.0, LateralBC("neumann"), 4, 17)
+    data = CauchyData(np.cos(np.pi * basis.grid), np.zeros(17), 0.0, basis)
+    for kind in ("left_dc", "right_dc"):
+        with pytest.raises(ValueError, match=r"alpha in \[0.5, 1\]"):
+            ContinuationScheme(kind, alpha=0.3)
+        cont, _ = ContinuationScheme(kind, alpha=0.5).continue_data(data, [0.1, 0.2])
+        assert np.all(np.isfinite(cont.values))
     for kind, alpha in (("exact", None), ("left_dc", 0.9), ("right_dc", 0.9), ("fac_lap", 0.9)):
         with pytest.raises(ValueError, match="takes bands"):
             ContinuationScheme(kind, alpha=alpha, bands=((4, 0.9), (8, 0.5)))

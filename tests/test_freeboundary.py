@@ -9,13 +9,14 @@ from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
     bottom_flux,
+    combined_impedance,
+    curve_conormal,
     interface_traces,
     solve_cauchy_holdall,
     solve_forward,
 )
 from fraccauchy.freeboundary import (
     NewtonConfig,
-    curve_conormal,
     linearized_flux,
     newton_dirichlet,
     newton_impedance,
@@ -201,6 +202,18 @@ class TestLinearization:
         lin = linearized_flux(curve, LATERAL, interface_for(kind), excitation(X), dl)
         assert np.all(np.isfinite(lin))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("gamma", [GAMMA, GAMMA * (1.0 + 0.5 * np.sin(np.pi * X))],
+                             ids=["scalar", "profile"])
+    def test_combined_impedance_same_flux(self, gamma):
+        # the combined coefficient sqrt(1+ell'^2)*gamma describes the same
+        # interface as the raw gamma it was folded from
+        curve = Curve(truth_curve(X, 0.1), L, self.HOLD)
+        dl = 0.1 * np.cos(np.pi * X)
+        raw = linearized_flux(curve, LATERAL, interface_for("I", gamma), excitation(X), dl)
+        comb = linearized_flux(curve, LATERAL, InterfaceBC("I", combined_impedance(gamma, curve)),
+                               excitation(X), dl)
+        assert np.max(np.abs(comb - raw)) <= 1e-12 * np.max(np.abs(raw))
 
 
 class TestNonuniquenessDetector:

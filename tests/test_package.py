@@ -57,6 +57,10 @@ def test_import_layers():
     # the finite-difference solver stands alone; the continuation schemes
     # reach it only as objects its callers pass in
     assert graph["elliptic"] == set()
+    # the two inverse solvers share their curve traces through elliptic and
+    # their cosine tables through spectral, not through each other
+    assert "simultaneous" not in graph["freeboundary"]
+    assert "freeboundary" not in graph["simultaneous"]
     # peel off modules whose imports are all placed: a cycle leaves a rest
     placed = set()
     while len(placed) < len(graph):

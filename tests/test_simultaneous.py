@@ -15,7 +15,7 @@ from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
     bottom_flux,
-    eval_on_curve,
+    interface_traces,
     solve_cauchy_holdall,
     solve_forward,
 )
@@ -25,7 +25,6 @@ from fraccauchy.simultaneous import (
     PenaltyOp,
     _FrozenSystem,
     _SpanBasis,
-    _traces_on,
     frozen_newton,
     joint_newton_step,
     range_invariance_residual,
@@ -111,7 +110,7 @@ def _separable_trace_errors(bc, scheme, n):
     a, b = 1.0 / (1.0 + j), (-0.5) ** j
     ell = truth_curve(basis.grid)
     got = span.traces(a, b, ell)
-    ref = _traces_on(span.field(a, b, bc), Curve(ell, L, OLELL))
+    ref = interface_traces(span.field(a, b, bc), Curve(ell, L, OLELL))
     return {k: np.max(np.abs(getattr(got, k) - getattr(ref, k))) / np.max(np.abs(getattr(got, k)))
             for k in ("u", "u_x", "u_y", "u_yy", "u_xy")}
 
@@ -232,10 +231,25 @@ def test_stacked_singular_values(problem, name):
     assert 0.0 < s_min < s_max
 
 
+def test_divergence_stops_with_reason_last(problem):
+    # negated fluxes drive the iteration away from any consistent state: it
+    # aborts, clips the impedance copies, and still ends its flags with the
+    # stop reason
+    data = tuple(CauchyData(d.f, -d.g, d.delta, d.basis) for d in problem["data"])
+    with pytest.warns(UserWarning, match="diverged"):
+        xi, n_star, trace = frozen_newton(data, problem["xi0"], problem["penalty"])
+    assert n_star == 6
+    assert "diverged" in trace.flags and "impedance-clipped" in trace.flags
+    assert trace.flags[-1].startswith("stop=diverged")
+    for gam in (xi.gam1, xi.gam2):
+        assert np.min(gam) >= 1e-6 * max(1.0, float(np.max(gam)))
+
+
 def test_one_spline_per_traced_field(problem, monkeypatch):
     # a covering field is traced through one sampler for all three
     # derivative orders, and projected through one for all twelve levels,
     # with the values of a fresh spline per evaluation
+    import fraccauchy.elliptic as el
     import fraccauchy.simultaneous as sim
 
     levels = np.linspace(0.0, OLELL, 41)
@@ -249,9 +263,10 @@ def test_one_spline_per_traced_field(problem, monkeypatch):
 
     sampler = sim._curve_sampler
     monkeypatch.setattr(sim, "_curve_sampler", counted)
-    tr = _traces_on(z1, curve)
+    monkeypatch.setattr(el, "_curve_sampler", counted)
+    tr = interface_traces(z1, curve)
     assert built == [z1]
     for got, dy in ((tr.u, 0), (tr.u_y, 1), (tr.u_yy, 2)):
-        np.testing.assert_array_equal(got, eval_on_curve(z1, curve.ell, dy=dy), strict=True)
+        np.testing.assert_array_equal(got, sampler(z1)(curve.ell, dy=dy), strict=True)
     _SpanBasis(build_basis(L, LATERAL, J, N), OLELL).project(z1)
     assert built == [z1, z1]
