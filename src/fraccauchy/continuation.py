@@ -20,8 +20,8 @@ Mittag-Leffler kernel is evaluated in one batched call over the whole
 is the 0-d case of the same code.
 
 ``split_frequency_continue`` assigns a per-band order by a discrepancy rule,
-and ``landweber_smooth`` implements the spectral pre-smoothing iteration used
-before continuing the unstable component.
+and ``landweber_smooth`` implements a spectral pre-smoothing iteration that
+callers may apply before continuing the unstable component.
 
 `ContinuationScheme` is the one place that knows the schemes by name: it
 checks the parameters of its kind when built and runs itself through
@@ -82,6 +82,8 @@ class CauchyData:
         n = self.basis.N
         if self.f.shape != (n,) or self.g.shape != (n,):
             raise ValueError("traces must be sampled on the basis grid")
+        if not (np.all(np.isfinite(self.f)) and np.all(np.isfinite(self.g))):
+            raise ValueError("traces must be finite")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("relative noise level must lie in [0, 1)")
 
@@ -91,7 +93,7 @@ class CauchyData:
 
 @dataclass
 class Slice:
-    """Continued traces at the heights ``y`` (a scalar or a 1-D grid).
+    """Continued traces at the heights ``y`` (scalar or 1-D) a scheme took.
 
     ``values`` has shape ``(N,) + y.shape``: column k is the trace at
     ``y[k]``.  ``zeroed_modes`` has shape ``y.shape`` and counts, per height,
@@ -99,7 +101,6 @@ class Slice:
     double-precision exponential range.
     """
 
-    y: np.ndarray
     values: np.ndarray
     overflow: bool
     zeroed_modes: np.ndarray
@@ -176,10 +177,10 @@ def _check_height(y):
     return y
 
 
-def _slice(data, y, a, zeroed, overflow=False):
+def _slice(data, a, zeroed, overflow=False):
     """Slice from modal coefficients ``a`` of shape ``y.shape + (J,)``;
     ``zeroed`` counts the guarded modes per height."""
-    return Slice(y, np.tensordot(data.basis.modes, a, axes=(0, -1)), overflow, zeroed)
+    return Slice(np.tensordot(data.basis.modes, a, axes=(0, -1)), overflow, zeroed)
 
 
 def continue_exact(data, y):
@@ -196,7 +197,7 @@ def continue_exact(data, y):
             fc + gc * yy,
         )
     overflow = bool(np.any(s[-1] * y > 700.0))
-    return _slice(data, y, a, np.zeros(y.shape, dtype=int), overflow)
+    return _slice(data, a, np.zeros(y.shape, dtype=int), overflow)
 
 
 def _check_order2(alpha2):
@@ -221,7 +222,7 @@ def continue_left_dc(data, alpha2, y):
         zk = z[keep]
         a[keep] = (fc[keep] * ml_values(alpha2, 1.0, zk)
                    + gc[keep] * yy[keep] * ml_values(alpha2, 2.0, zk))
-    return _slice(data, y, a, np.count_nonzero(~keep, axis=-1))
+    return _slice(data, a, np.count_nonzero(~keep, axis=-1))
 
 
 def _xi_switch(alpha2):
@@ -299,7 +300,7 @@ def continue_right_dc(data, alpha2, y):
             alpha2, xi[large], fc[large], gc[large], yy[large]
         )
     a, zeroed = _guarded_ratio(num, den, np.hypot(fc, gc))
-    return _slice(data, y, a, zeroed)
+    return _slice(data, a, zeroed)
 
 
 def _split_coeffs(fc, gc, lam):
@@ -368,7 +369,7 @@ def continue_banded(data, bands, y):
     a = np.where(s > 0.0, up * amp + um * np.exp(-s * yy), fc + gc * yy)
     big = np.abs(amp) > AMP_LIMIT
     a[big] = 0.0
-    return _slice(data, y, a, np.count_nonzero(big, axis=-1))
+    return _slice(data, a, np.count_nonzero(big, axis=-1))
 
 
 def split_frequency_continue(data, y_grid):

@@ -121,6 +121,10 @@ class Curve:
     def d2ell(self):
         return _second_diff(self.ell, self.h)
 
+    def same_grid(self, other):
+        """Whether ``other`` has this x-grid: the same N, L to 1e-12 relative."""
+        return self.N == other.N and abs(other.L - self.L) <= 1e-12 * self.L
+
 
 @dataclass(frozen=True)
 class InterfaceBC:
@@ -168,8 +172,6 @@ class MeshField:
 
     values: np.ndarray
     curve: Curve
-    lateral: object
-    interface: object
     eta: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -187,7 +189,6 @@ class MeshField:
 class InterfaceTraces:
     """Physical value and derivatives of a field along the upper curve."""
 
-    x: np.ndarray
     u: np.ndarray
     u_x: np.ndarray
     u_y: np.ndarray
@@ -231,7 +232,6 @@ class ForwardOperator:
 
     curve: Curve
     lateral: object
-    interface: object
     eta: np.ndarray
     A: object
     lu: object
@@ -285,7 +285,7 @@ class ForwardOperator:
         scale = float(np.max(np.abs(self.A) @ np.abs(u))) + float(np.max(np.abs(rhs)))
         if resid > 1e-8 * max(1.0, scale):
             raise RuntimeError("discrete residual too large: %.3g" % resid)
-        return MeshField(u.reshape(N, M), curve, self.lateral, self.interface, eta)
+        return MeshField(u.reshape(N, M), curve, eta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -444,7 +444,7 @@ def assemble(curve, lateral, interface, M=None):
         lu = splu(scaled[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
     except RuntimeError as exc:
         raise RuntimeError("sparse factorisation failed: %s" % (exc,))
-    return ForwardOperator(curve, lateral, interface, eta, A, lu, perm, rowscale)
+    return ForwardOperator(curve, lateral, eta, A, lu, perm, rowscale)
 
 
 def solve_forward(curve, lateral, interface, f, M=None):
@@ -476,18 +476,17 @@ def interface_traces(field, curve=None):
     """Value and physical first and second derivatives of the field along a
     curve.  With no curve, or the field's own, that is the mesh's top edge,
     traced by one-sided depth stencils (four-point for second derivatives)
-    and the chain rule.  Any other curve must stay inside the mesh, as every
-    admissible curve does for a hold-all field: u, u_y and u_yy come from one
-    `_curve_sampler`, u_x and u_xy from differences of u and u_y along the
-    curve minus ell' times their y-derivative."""
+    and the chain rule.  Any other curve must pass `_check_on_mesh`, as
+    every admissible curve does for a hold-all field: u, u_y and u_yy come
+    from one `_curve_sampler`, u_x and u_xy from differences of u and u_y
+    along the curve minus ell' times their y-derivative."""
     top = field.curve
     if curve is not None and not (
-            top.N == curve.N and np.allclose(top.ell, curve.ell, rtol=1e-12, atol=1e-14)):
-        if np.any(curve.ell > top.ell * (1.0 + 1e-12)):
-            raise ValueError("curve leaves the field's mesh; trace it on a covering field")
+            top.same_grid(curve) and np.allclose(top.ell, curve.ell, rtol=1e-12, atol=1e-14)):
+        _check_on_mesh(field, curve)
         sample, h, dl = _curve_sampler(field), curve.h, curve.dell()
         u, uy, uyy = (sample(curve.ell, dy) for dy in range(3))
-        return InterfaceTraces(x=curve.x, u=u, u_x=np.gradient(u, h, edge_order=2) - dl * uy,
+        return InterfaceTraces(u=u, u_x=np.gradient(u, h, edge_order=2) - dl * uy,
                                u_y=uy, u_yy=uyy, u_xy=np.gradient(uy, h, edge_order=2) - dl * uyy)
     U = field.values
     if U.shape[1] < 4:
@@ -502,7 +501,6 @@ def interface_traces(field, curve=None):
     uxe = np.gradient(ue, hx, edge_order=2)
     s = dl / ell
     return InterfaceTraces(
-        x=field.curve.x,
         u=U[:, -1].copy(),
         u_x=ux - s * ue,
         u_y=ue / ell,
@@ -519,9 +517,9 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
     function checks the grid and wraps the result in a `MeshField`.  By
     uniqueness of harmonic continuation the resulting field agrees (up to
     the scheme's regularisation error) with the Newton-step field on any
-    admissible subdomain, so downstream code may trace it along trial curves
-    with `eval_on_curve`.  ``meta`` holds the ``scheme`` kind, the
-    ``zeroed_modes`` the scheme's guards zeroed at each level, the ``bands``
+    admissible subdomain, so callers may trace it along trial curves with
+    `interface_traces` and `curve_conormal`.  ``meta`` holds the ``scheme``
+    kind, the ``zeroed_modes`` its guards zeroed at each level, the ``bands``
     of a scheme that has them, and ``overflow``: whether a level leaves the
     double-precision exponential range, which only the exact formula can.
     """
@@ -541,7 +539,16 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
 
     olell = float(y[-1]) if y[-1] > 0.0 else 1.0
     curve = Curve(np.full(data.basis.N, olell), data.basis.L, olell)
-    return MeshField(cont.values, curve, data.basis.bc, None, y / olell, meta=meta)
+    return MeshField(cont.values, curve, y / olell, meta=meta)
+
+
+def _check_on_mesh(field, curve):
+    """Raise unless ``curve`` shares the x-grid of ``field`` and stays under
+    its top, above which the column splines would extrapolate."""
+    if not field.curve.same_grid(curve):
+        raise ValueError("curve does not share the field's x-grid")
+    if np.any(curve.ell > field.curve.ell * (1.0 + 1e-12)):
+        raise ValueError("curve leaves the field's mesh; trace it on a covering field")
 
 
 def _curve_sampler(field):
@@ -582,14 +589,15 @@ def _curve_sampler(field):
     return sample
 
 
-def curve_conormal(zbar, ell):
-    """Trace of zbar and its conormal derivative along y = ell(x).
+def curve_conormal(zbar, curve):
+    """Trace of zbar and its conormal derivative along the `Curve` y = ell(x).
 
     Returns (on_curve, conormal) where conormal = (1 + ell'^2) d_y zbar
     - ell' * d/dx [zbar(x, ell(x))]; this equals the (unnormalized) normal
-    derivative zbar_y - ell' zbar_x on the curve.
-    """
-    return _conormal(_curve_sampler(zbar), zbar.curve.h, ell)
+    derivative zbar_y - ell' zbar_x on the curve.  Raises unless the curve
+    passes `_check_on_mesh`."""
+    _check_on_mesh(zbar, curve)
+    return _conormal(_curve_sampler(zbar), zbar.curve.h, curve.ell)
 
 
 def _conormal(sample, h, ell):

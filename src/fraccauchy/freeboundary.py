@@ -156,7 +156,7 @@ def _corridor(cfg, curve0, zbar):
     lo, hi = (0.01 * olell, olell) if cfg.clamp is None else map(float, cfg.clamp)
     if hi > olell * (1 + 1e-12):
         raise ValueError("clamp upper bound exceeds the hold-all height")
-    if top.N != curve0.N or abs(top.L - curve0.L) > 1e-12 * curve0.L:
+    if not curve0.same_grid(top):
         raise ValueError("hold-all field must be sampled on the curve's x-grid")
     if float(np.min(top.ell)) * (1 + 1e-12) < hi:
         raise ValueError("hold-all field stops below the corridor's upper bound")

@@ -73,8 +73,6 @@ _EXP_RANGE = 300.0
 _DIVERGENCE_FACTOR = 10.0
 # cosine modes of each curve and impedance unknown (one table serves both)
 _COS_MODES = 8
-# state-norm block weights: field coefficients, curve, impedance
-_STATE_WEIGHTS = (1.0, 1.0, 1.0)
 # `joint_newton_step`'s Tikhonov weight, relative to the normal matrix's norm
 _STEP_REG = 1e-6
 # depth levels of the mesh field a separable representation materializes as
@@ -111,7 +109,7 @@ class JointState:
         if np.any(self.ell.ell >= self.ell.olell):
             raise ValueError("curve must stay strictly below the hold-all height")
         for name, u in (("u1", self.u1), ("u2", self.u2)):
-            if u.curve.N != self.ell.N or abs(u.curve.L - self.ell.L) > 1e-12 * self.ell.L:
+            if not self.ell.same_grid(u.curve):
                 raise ValueError("%s does not share the curve's x-grid" % name)
 
 
@@ -137,8 +135,8 @@ class FrozenNewtonConfig:
     ``max_iter``.  ``scheme`` optionally replaces the growing field profile
     and the bottom-data coupling by their fractional-continuation
     counterparts.  Fixed: the curve and impedance unknowns keep 8 cosine
-    modes (_COS_MODES), and the state norm's blocks unit weights
-    (_STATE_WEIGHTS).
+    modes (_COS_MODES), and the state norm's block weights are those of
+    `_FrozenSystem._state_weights`.
     """
 
     alpha0: float = 1e-2
@@ -259,7 +257,7 @@ def joint_newton_step(state, zbar1, zbar2):
         cols_g = -tr.u[None, :] * ph
         blocks.append(wq[None, :] * np.vstack([cols_l, cols_g]))
         # interface residual B zbar of the continued field on the curve
-        zl, dn = curve_conormal(zbar, state.ell.ell)
+        zl, dn = curve_conormal(zbar, state.ell)
         rhs.append(wq * (dn + gam * zl))
     A = np.vstack([b.T for b in blocks])
     b = np.concatenate(rhs)
@@ -288,7 +286,7 @@ def range_invariance_residual(xi, xi0):
     The fields of ``xi`` must cover both curves (hold-all meshes in
     practice) and the reference traces must stay away from zero.
     """
-    if xi.ell.N != xi0.ell.N or abs(xi.ell.L - xi0.ell.L) > 1e-12 * xi0.ell.L:
+    if not xi0.ell.same_grid(xi.ell):
         raise ValueError("states live on different grids")
     x = xi0.ell.x
     w = _trapezoid_weights(x.size, x[1] - x[0])
@@ -401,7 +399,6 @@ class _SpanBasis:
             uyy = (c[2] * ph).sum(axis=0)
             uxy = (c[1] * dph).sum(axis=0)
         return InterfaceTraces(
-            x=self.basis.grid,
             u=(c[0] * ph).sum(axis=0),
             u_x=(c[0] * dph).sum(axis=0),
             u_y=(c[1] * ph).sum(axis=0),
@@ -409,14 +406,13 @@ class _SpanBasis:
             u_xy=uxy,
         )
 
-    def field(self, a, b, lateral):
+    def field(self, a, b):
         """Materialize the representation as a hold-all mesh field."""
         y = np.linspace(0.0, self.olell, _FIELD_LEVELS)
         (pp,), (pm,) = self.profiles(y)
         vals = np.einsum("jm,jn->nm", a[:, None] * pp + b[:, None] * pm, self.basis.modes)
         curve = Curve(np.full(self.basis.N, self.olell), self.basis.L, self.olell)
-        return MeshField(vals, curve, lateral, None, y / self.olell,
-                         meta={"rep": "separable", "modes": self.J})
+        return MeshField(vals, curve, y / self.olell)
 
     def project(self, fld):
         """Span coefficients (a, b) fitted to a mesh field over flat levels.
@@ -528,12 +524,11 @@ class _FrozenSystem:
 
     def _state_weights(self):
         m = np.arange(_COS_MODES)
-        wu = _STATE_WEIGHTS[0] * (1.0 + self.basis.lambdas) ** 1.5
+        wu = (1.0 + self.basis.lambdas) ** 1.5
         k = m * math.pi / self.L
         mass = np.where(m == 0, self.L, 0.5 * self.L)
-        wl = _STATE_WEIGHTS[1] * (mass + k ** 2 * 0.5 * self.L * (m > 0))
-        wg = _STATE_WEIGHTS[2] * mass
-        return np.concatenate([wu, wu, wu, wu, wl, wg, wg])
+        wl = mass + k ** 2 * 0.5 * self.L * (m > 0)
+        return np.concatenate([wu, wu, wu, wu, wl, mass, mass])
 
     # --- residual and Jacobian
 
@@ -674,7 +669,6 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
 
     (a1, b1), (a2, b2), lh, g1h, g2h = sys.unpack(v)
     ell, _ = sys.curve_of(lh)
-    lateral = sys.basis.bc
     gam1 = g1h @ sys.ph
     gam2 = g2h @ sys.ph
     floor = 1e-6 * max(1.0, float(np.max(np.abs(gam1))), float(np.max(np.abs(gam2))))
@@ -689,8 +683,8 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
         % (stop_tag, alpha_ns, (delta ** 2 / alpha_prev) if alpha_prev > 0 else math.inf)
     )
     xi = JointState(
-        u1=sys.span.field(a1, b1, lateral),
-        u2=sys.span.field(a2, b2, lateral),
+        u1=sys.span.field(a1, b1),
+        u2=sys.span.field(a2, b2),
         ell=Curve(ell, sys.L, sys.olell),
         gam1=gam1,
         gam2=gam2,

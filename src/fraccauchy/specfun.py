@@ -43,7 +43,6 @@ __all__ = [
     "ml_reciprocal_bound",
 ]
 
-_SERIES_RADIUS = 5.0
 _SERIES_KMAX = 800
 # alternating series whose largest term exceeds this are rerouted to the
 # integral representation (cancellation would eat too many digits)

@@ -507,6 +507,14 @@ def test_data_validation():
         CauchyData(np.zeros(31), np.zeros(32), 0.0, basis)
     with pytest.raises(ValueError):
         CauchyData(np.zeros(32), np.zeros(32), 1.0, basis)
+    # one NaN in g would turn every scheme's field into NaNs or zeroed modes
+    bad = np.zeros(32)
+    bad[5] = np.nan
+    with pytest.raises(ValueError, match="traces must be finite"):
+        CauchyData(np.zeros(32), bad, 0.0, basis)
+    bad[5] = np.inf
+    with pytest.raises(ValueError, match="traces must be finite"):
+        CauchyData(bad, np.zeros(32), 0.0, basis)
     data = CauchyData(np.zeros(32), np.zeros(32), 0.0, basis)
     with pytest.raises(ValueError):
         continue_exact(data, -0.5)

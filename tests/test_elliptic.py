@@ -23,6 +23,7 @@ from fraccauchy.elliptic import (
     assemble,
     bottom_flux,
     combined_impedance,
+    curve_conormal,
     eval_on_curve,
     interface_traces,
     load_grid,
@@ -548,6 +549,40 @@ class TestEvalOnCurve:
         got = eval_on_curve(fld, 0.9 * ell)
         exact = np.cos(K * x + PH) * np.exp(Q * 0.9 * ell)
         assert np.max(np.abs(got - exact)) < 5e-4
+
+
+class TestTraceRefusals:
+    """A covering field is traced only along curves on its own x-grid and
+    under its top (17-point exact hold-all fields of height 0.2)."""
+
+    N = 17
+    TOP = 0.2
+
+    def _field(self, L):
+        basis = build_basis(L, LateralBC("neumann"), 4, self.N)
+        data = CauchyData(np.cos(np.pi * basis.grid / L), np.zeros(self.N), 0.0, basis)
+        levels = np.linspace(0.0, self.TOP, 17)
+        return solve_cauchy_holdall(data, basis.bc, ContinuationScheme("exact"), levels)
+
+    def _curve(self, scale=1.0, n=N):
+        x = np.linspace(0.0, 1.0, n)
+        return Curve(scale * (0.1 + 0.02 * np.cos(np.pi * x)), 1.0, 0.3)
+
+    @pytest.mark.parametrize("trace", [interface_traces, curve_conormal],
+                             ids=["interface_traces", "curve_conormal"])
+    @pytest.mark.parametrize("L, n", [(2.0, N), (1.0, 33)], ids=["length", "size"])
+    def test_curve_on_another_grid(self, trace, L, n):
+        # on L = 2 the field's samples sit at other x than the curve's, and
+        # with another N their count differs
+        with pytest.raises(ValueError, match="x-grid"):
+            trace(self._field(L), self._curve(n=n))
+
+    @pytest.mark.parametrize("trace", [interface_traces, curve_conormal],
+                             ids=["interface_traces", "curve_conormal"])
+    def test_curve_above_the_top(self, trace):
+        # the curve reaches 1.47 times the field's top of 0.2
+        with pytest.raises(ValueError, match="leaves the field's mesh"):
+            trace(self._field(1.0), self._curve(scale=2.45))
 
 
 def test_grid_dump_roundtrip(tmp_path):

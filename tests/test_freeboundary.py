@@ -244,7 +244,7 @@ def test_conormal_trace_matches_closed_form():
     )
     ell = 0.2 + 0.05 * np.sin(2 * np.pi * X)
     dl = 0.1 * np.pi * np.cos(2 * np.pi * X)
-    zl, dnu = curve_conormal(zbar, ell)
+    zl, dnu = curve_conormal(zbar, Curve(ell, L, zbar.curve.olell))
     np.testing.assert_allclose(zl, np.cos(np.pi * X) * np.cosh(np.pi * ell), atol=1e-6)
     exact = np.pi * np.cos(np.pi * X) * np.sinh(np.pi * ell) + dl * np.pi * np.sin(
         np.pi * X
@@ -456,6 +456,36 @@ class TestSweepBranches:
             NewtonConfig(max_iter=2),
         )
         assert tr.flags[0] == "iter 0: integrating factor overflowed, update halved"
+
+    def _neumann_with_failing_solves(self, monkeypatch, failures):
+        # the Neumann step's dense solve raises LinAlgError on its first
+        # ``failures`` calls; each retry raises the smoothing weight tenfold
+        solve, calls = np.linalg.solve, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) <= failures:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        lt = truth_curve(X, 0.1)
+        return newton_neumann(Curve(np.full(N, 0.09), L, 0.1), holdall_field("N", 0.1, 0.0),
+                              LATERAL, excitation(X), NewtonConfig(max_iter=1),
+                              endpoint_values=(lt[0], lt[-1]))
+
+    def test_neumann_retry_raises_smoothing_weight(self, monkeypatch):
+        tr = self._neumann_with_failing_solves(monkeypatch, 2)
+        assert tr.flags == [
+            "iter 0: near-singular least-squares system, smoothing weight raised to 1/%s" % w
+            for w in ("100", "10")
+        ]
+        assert len(tr.iterates) == 2 and tr.stop == "max_iter"
+        assert np.all(np.isfinite(tr.iterates[-1].ell))
+
+    def test_neumann_retries_exhausted(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="near-singular after 3 retries"):
+            self._neumann_with_failing_solves(monkeypatch, math.inf)
 
     DIVERGENT_STOP = {0.05: "pinned_to_corridor", 0.09: "max_iter"}
 

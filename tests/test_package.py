@@ -67,3 +67,41 @@ def test_import_layers():
         ready = {n for n, deps in graph.items() if n not in placed and deps <= placed}
         assert ready, "import cycle among %s" % sorted(set(graph) - placed)
         placed |= ready
+
+
+def _module_tree(name):
+    return ast.parse((pathlib.Path(fraccauchy.__path__[0]) / (name + ".py")).read_text())
+
+
+def _private_definitions(tree):
+    """Single-underscore names that a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    """Names a module reads, imports by name or reaches as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_private_names_are_used():
+    # a private module-level name that nothing in the package reads is dead
+    trees = {name: _module_tree(name) for name in MODULES}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    unused = sorted("%s.%s" % (name, n) for name, tree in trees.items()
+                    for n in _private_definitions(tree) - used)
+    assert not unused

@@ -69,23 +69,29 @@ EXCITATIONS = (
 )
 
 
-@pytest.fixture(scope="module")
-def problem():
-    basis = build_basis(L, LATERAL, J, N)
-    xf = np.linspace(0.0, L, 2 * N - 1)
+def build_problem(n, modes):
+    """The setting on n grid points with a basis of the given size."""
+    basis = build_basis(L, LATERAL, modes, n)
+    x = basis.grid
+    xf = np.linspace(0.0, L, 2 * n - 1)
     truth_fine = Curve(truth_curve(xf), L, OLELL)
     data = []
     for f in EXCITATIONS:
         fld = solve_forward(truth_fine, LATERAL, InterfaceBC("I", gamma=truth_gamma(xf)), f(xf))
-        data.append(CauchyData(f(X), bottom_flux(fld)[::2], DELTA, basis))
-    curve0 = Curve(np.full(N, START_ELL), L, OLELL)
+        data.append(CauchyData(f(x), bottom_flux(fld)[::2], DELTA, basis))
+    curve0 = Curve(np.full(n, START_ELL), L, OLELL)
     start = InterfaceBC("I", gamma=START_GAM)
-    u1, u2 = (solve_forward(curve0, LATERAL, start, f(X)) for f in EXCITATIONS)
+    u1, u2 = (solve_forward(curve0, LATERAL, start, f(x)) for f in EXCITATIONS)
     return {
         "data": tuple(data),
         "xi0": JointState(u1, u2, curve0, START_GAM, START_GAM),
         "penalty": PenaltyOp(float(truth_curve(0.0))),
     }
+
+
+@pytest.fixture(scope="module")
+def problem():
+    return build_problem(N, J)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -110,7 +116,7 @@ def _separable_trace_errors(bc, scheme, n):
     a, b = 1.0 / (1.0 + j), (-0.5) ** j
     ell = truth_curve(basis.grid)
     got = span.traces(a, b, ell)
-    ref = interface_traces(span.field(a, b, bc), Curve(ell, L, OLELL))
+    ref = interface_traces(span.field(a, b), Curve(ell, L, OLELL))
     return {k: np.max(np.abs(getattr(got, k) - getattr(ref, k))) / np.max(np.abs(getattr(got, k)))
             for k in ("u", "u_x", "u_y", "u_yy", "u_xy")}
 
@@ -151,6 +157,21 @@ def test_frozen_newton_golden(problem, name):
     assert np.all(np.isfinite(xi.ell.ell)) and np.all(xi.gam1 > 0.0)
 
 
+@pytest.mark.parametrize("modes", [
+    4,
+    pytest.param(8, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: at J >= 8 the first classical step takes the "
+        "curve error from 0.0705 to 0.115, and the recovery ends at 0.0828")),
+])
+def test_classical_curve_error_falls_at_n33(modes):
+    # the joint recovery must end below its start's curve error (0.0705)
+    # whatever the basis size; at N=33 it ends at 0.0169 for J=4
+    p = build_problem(33, modes)
+    _, _, trace = frozen_newton(p["data"], p["xi0"], p["penalty"],
+                                truth=(truth_curve, truth_gamma))
+    assert trace.rel_ell[-1] < trace.rel_ell[0]
+
+
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 @pytest.mark.parametrize("other", [(LateralBC("robin", 2.0), J), (LATERAL, J - 1)],
                          ids=["robin_sides", "fewer_modes"])
@@ -178,6 +199,17 @@ def test_degenerate_excitations(problem):
     zbar = np.zeros(N)
     with pytest.raises(ValueError, match="degenerate"):
         joint_newton_step(same, zbar, zbar)
+
+
+def test_joint_step_refuses_fields_on_another_grid(problem):
+    # an exact hold-all field on L = 2 has the curve's N but not its x-grid
+    d1, d2 = problem["data"]
+    basis = build_basis(2.0 * L, LATERAL, J, N)
+    levels = np.linspace(0.0, OLELL, 41)
+    z1, z2 = (solve_cauchy_holdall(CauchyData(d.f, d.g, d.delta, basis), LATERAL,
+                                   ContinuationScheme("exact"), levels) for d in (d1, d2))
+    with pytest.raises(ValueError, match="x-grid"):
+        joint_newton_step(problem["xi0"], z1, z2)
 
 
 def test_joint_step_reduces_both_errors(problem):
