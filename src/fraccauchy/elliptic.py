@@ -15,9 +15,18 @@ enters only through coefficient arrays, so outer Newton loops can move it
 without remeshing.
 
 The factor is of the row-equilibrated matrix (each row divided by its
-largest entry) in a geometric nested-dissection order of the grid (A.
-George, SIAM J. Numer. Anal. 10 (1973) 345-363), with threshold partial
-pivoting.  The scaling is what lets the order survive the pivoting:
+largest entry), by one of two methods chosen from the number M of depth
+levels.  In row-major node order the matrix is a band matrix with
+kl = ku = 2M, since the one-sided lateral rows reach two columns inward.
+Shallow meshes, such as the Newton sweeps' 129 x 17, get LAPACK's band LU
+with partial pivoting.  Deeper ones get SuperLU in a geometric
+nested-dissection order of the grid (A. George, SIAM J. Numer. Anal. 10
+(1973) 345-363), with threshold partial pivoting.  Band LU costs about
+N M kl (kl + ku) = 8 N M^3 operations, nested dissection on a long strip
+about N M^2, so the crossover lies at a fixed M, whatever N (measured: see
+`assemble`).
+
+For SuperLU the scaling is what lets the order survive the pivoting:
 unscaled, the unit Dirichlet rows sit far below the 1/(ell h)^2
 coefficients of their columns, any nonzero threshold pivots away from the
 order, and the fill exceeds that of SuperLU's default ordering.  Scaled,
@@ -46,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
@@ -228,7 +238,9 @@ class ForwardOperator:
     """The discrete mixed problem below one curve, factorised by `assemble`.
 
     ``A`` is the unscaled matrix; ``lu`` factors it with each row scaled by
-    ``rowscale`` and rows and columns permuted by ``perm``."""
+    ``rowscale`` and rows and columns permuted by ``perm``: a `_BandLU` in
+    the identity order on shallow meshes, SuperLU in `_dissection` order on
+    deep ones.  `solve` needs nothing of ``lu`` but its ``solve``."""
 
     curve: Curve
     lateral: object
@@ -315,6 +327,28 @@ def _dissection(N, M):
     return perm
 
 
+# most depth levels factored by band LU; deeper meshes go to SuperLU (see
+# `assemble` for the measured crossover)
+_BAND_LEVELS = 48
+
+
+class _BandLU:
+    """LAPACK band LU (``dgbtrf``, partial pivoting) of a CSR matrix with
+    ``kl`` sub- and as many super-diagonals; ``solve`` back-solves."""
+
+    def __init__(self, A, kl):
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        ab = np.zeros((3 * kl + 1, A.shape[0]), order="F")
+        ab[2 * kl + rows - A.indices, A.indices] = A.data
+        self.kl = kl
+        self.lu, self.piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError("sparse factorisation failed: band LU info %d" % info)
+
+    def solve(self, b):
+        return dgbtrs(self.lu, self.kl, self.kl, b, self.piv)[0]
+
+
 def assemble(curve, lateral, interface, M=None):
     """Build and factorise the discrete mixed problem below the curve.
 
@@ -324,11 +358,19 @@ def assemble(curve, lateral, interface, M=None):
     mapped cells roughly square, 129 x 65 at the standard resolution).
 
     The operator keeps the unscaled matrix ``A`` for the residual gate and
-    factors P D A P^T in its natural order: D scales each row by
-    ``rowscale`` = 1/max|row|, P is the symmetric permutation ``perm`` of
-    `_dissection`, and a pivot is taken off the diagonal only when it falls
-    below a tenth of its column.  Without D that threshold rejects the unit
-    diagonal of every Dirichlet row and the fill roughly doubles.
+    factors P D A P^T, where D scales each row by ``rowscale`` =
+    1/max|row|.  Up to _BAND_LEVELS = 48 depth levels P is the identity and
+    `_BandLU` factors the band (kl = ku = 2M) with LAPACK's ``dgbtrf``.
+    Deeper meshes go to SuperLU in its natural order: P is the symmetric
+    permutation ``perm`` of `_dissection`, and a pivot is taken off the
+    diagonal only when it falls below a tenth of its column.  Without D
+    that threshold rejects the unit diagonal of every Dirichlet row and the
+    fill roughly doubles.
+
+    The crossover was measured on one BLAS thread as assembly, factorisation
+    and one back-solve, N x M from 17 x 9 to 257 x 65.  Band LU was faster
+    at every N for M <= 41 (1.1-2.2x), the two tied at M = 49 (0.99-1.06x),
+    and SuperLU was faster from M = 57 (band 0.78-0.91x).
     """
     N = curve.N
     if N < 5:
@@ -439,11 +481,15 @@ def assemble(curve, lateral, interface, M=None):
     rowscale = 1.0 / np.maximum.reduceat(np.abs(A.data), A.indptr[:-1])
     scaled = A.copy()
     scaled.data *= np.repeat(rowscale, np.diff(A.indptr))
-    perm = _dissection(N, M)
-    try:
-        lu = splu(scaled[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
-    except RuntimeError as exc:
-        raise RuntimeError("sparse factorisation failed: %s" % (exc,))
+    if M <= _BAND_LEVELS:
+        perm = np.arange(N * M)
+        lu = _BandLU(scaled, 2 * M)
+    else:
+        perm = _dissection(N, M)
+        try:
+            lu = splu(scaled[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
+        except RuntimeError as exc:
+            raise RuntimeError("sparse factorisation failed: %s" % (exc,))
     return ForwardOperator(curve, lateral, eta, A, lu, perm, rowscale)
 
 

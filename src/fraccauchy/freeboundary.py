@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import solveh_banded
 
 from .elliptic import (Curve, InterfaceBC, _conormal, _curve_sampler, _samples_on_grid, assemble,
                        bottom_flux, combined_impedance, interface_traces, solve_forward)
@@ -258,6 +259,39 @@ def _warn_degenerate(u_field, u_x_curve, flag):
     return False
 
 
+def _gradient_rows(n, h):
+    """The rows of np.gradient(., h, edge_order=2) on n samples as (cols,
+    vals), each of shape (n, 3): row i weighs samples cols[i] by vals[i]."""
+    cols = np.clip(np.arange(n), 1, n - 2)[:, None] + np.arange(-1, 2)
+    vals = np.tile([-1.0, 0.0, 1.0], (n, 1))
+    vals[0] = [-3.0, 4.0, -1.0]
+    vals[-1] = [1.0, -4.0, 3.0]
+    return cols, vals / (2.0 * h)
+
+
+def _gram_bands(cols, vals, w):
+    """Upper bands of R^T diag(w) R for the rows (cols, vals) of
+    `_gradient_rows`, in the layout of `solveh_banded`: entry (b - d, b) of
+    the pentadiagonal product sits at [2 - d, b]."""
+    n = cols.shape[0]
+    ab = np.zeros(3 * n)
+    for p in range(3):
+        for q in range(p, 3):
+            ab += np.bincount((2 - q + p) * n + cols[:, q], w * vals[:, p] * vals[:, q],
+                              minlength=3 * n)
+    return ab.reshape(3, n)
+
+
+def _band_matvec(ab, x):
+    """K @ x for the symmetric pentadiagonal K whose upper bands are ``ab``."""
+    y = ab[2] * x
+    y[:-1] += ab[1, 1:] * x[1:]
+    y[1:] += ab[1, 1:] * x[:-1]
+    y[:-2] += ab[0, 2:] * x[2:]
+    y[2:] += ab[0, 2:] * x[:-2]
+    return y
+
+
 def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
                    endpoint_values=None):
     """Recover the curve under a homogeneous Neumann interface condition.
@@ -266,39 +300,44 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     interface equation plus (1/_RHO1) |delta'|^2 and an endpoint penalty _RHO2.
     When endpoint_values = (v0, vL) is given, the penalty pulls the curve
     endpoints toward these known heights; otherwise it pins the endpoint
-    updates to zero (the starting endpoints are trusted).
+    updates to zero (the starting endpoints are trusted).  The normal
+    equations are pentadiagonal, and positive definite: the endpoint penalty
+    removes the constants, the only null space of d/dx.  They are built as
+    bands and solved by banded Cholesky, which treats a failure like a
+    singular matrix.
     """
     w = _trapezoid_weights(curve0.N, curve0.h)
-    G = np.gradient(np.eye(curve0.N), curve0.h, axis=0, edge_order=2)  # dense d/dx
-    reg = G.T @ (w[:, None] * G)
+    cols, grad = _gradient_rows(curve0.N, curve0.h)
+    reg = _gram_bands(cols, grad, w)
     warned = False
 
     def step(curve, u, tr, dnu, flag):
         nonlocal warned
         warned = warned or _warn_degenerate(u, tr.u_x, flag)
-        M = G * tr.u_x[None, :]
-        base = M.T @ (w[:, None] * M)
-        rhs0 = M.T @ (w * dnu)
+        rows = grad * tr.u_x[cols]  # d/dx [u_x delta], the linearized operator
+        base = _gram_bands(cols, rows, w)
+        rhs0 = np.bincount(cols.ravel(), (rows * (w * dnu)[:, None]).ravel(),
+                           minlength=curve.N)
         rho1 = _RHO1
         for _ in range(4):
             K = base + (1.0 / rho1) * reg
-            K[0, 0] += _RHO2
-            K[-1, -1] += _RHO2
+            K[2, 0] += _RHO2
+            K[2, -1] += _RHO2
             rhs = rhs0.copy()
             if endpoint_values is not None:
                 rhs[0] += _RHO2 * (endpoint_values[0] - curve.ell[0])
                 rhs[-1] += _RHO2 * (endpoint_values[1] - curve.ell[-1])
             try:
-                cand = np.linalg.solve(K, rhs)
+                cand = solveh_banded(K, rhs, check_finite=False)
             except np.linalg.LinAlgError:
                 cand = None
             if cand is not None and np.all(np.isfinite(cand)):
                 # normwise backward error of the solve
-                back = np.linalg.norm(K @ cand - rhs) / (
-                    np.linalg.norm(K, ord="fro") * np.linalg.norm(cand)
-                    + np.linalg.norm(rhs) + np.finfo(float).tiny)
+                fro = np.sqrt(np.sum(K[2] ** 2) + 2.0 * np.sum(K[:2] ** 2))
+                back = np.linalg.norm(_band_matvec(K, cand) - rhs) / (
+                    fro * np.linalg.norm(cand) + np.linalg.norm(rhs) + np.finfo(float).tiny)
                 if back < 1e-8:
-                    return cand, lambda d: M @ d
+                    return cand, lambda d: np.gradient(tr.u_x * d, curve.h, edge_order=2)
             rho1 /= 10.0
             flag("near-singular least-squares system, smoothing weight raised "
                  "to 1/%.3g" % rho1)

@@ -18,6 +18,7 @@ from fraccauchy.continuation import (
 from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
+    _BandLU,
     _curve_sampler,
     _dissection,
     assemble,
@@ -287,6 +288,52 @@ def test_dissection_order_cuts_fill():
     assert op.lu.nnz <= 0.75 * splu(op.A.tocsc()).nnz
 
 
+_SWEEP_INTERFACES = {
+    "D": InterfaceBC("D"),
+    "N": InterfaceBC("N"),
+    "I": InterfaceBC("I", 0.8, combined=False),
+}
+
+
+@pytest.mark.parametrize("itf", sorted(_SWEEP_INTERFACES))
+@pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
+def test_band_factor_matches_superlu(lat_kind, itf, monkeypatch):
+    # the Newton sweeps' 129 x 17 mesh is band-factored and never reaches
+    # SuperLU; its field is the SuperLU path's solve of the same matrix
+    import fraccauchy.elliptic as el
+
+    def refused(*args, **kwargs):
+        raise AssertionError("splu called on a band-factored mesh")
+
+    N, M = 129, 17
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1)
+    args = (curve, LateralBC(lat_kind, 2.0), _SWEEP_INTERFACES[itf], M)
+    with monkeypatch.context() as m:
+        m.setattr(el, "splu", refused)
+        op = assemble(*args)
+    with monkeypatch.context() as m:
+        m.setattr(el, "_BAND_LEVELS", 0)
+        ref = assemble(*args)
+    assert isinstance(op.lu, _BandLU) and not isinstance(ref.lu, _BandLU)
+    assert (op.A != ref.A).nnz == 0
+    f = np.sin(np.pi * x) if lat_kind == "dirichlet" else 1.0 + 0.3 * np.cos(np.pi * x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Robin corners
+        u, r = op.solve(f).values, ref.solve(f).values
+    assert np.max(np.abs(u - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_square_mesh_keeps_dissection():
+    N = 129
+    x = np.linspace(0.0, 1.0, N)
+    op = assemble(Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1),
+                  LateralBC("neumann"), InterfaceBC("N"))
+    assert op.eta.size == 65
+    assert op.perm is _dissection(N, 65)
+    assert not isinstance(op.lu, _BandLU)
+
+
 def _bump(u):
     u = u.copy()
     u[u.size // 2] += 1e-3 * np.max(np.abs(u))
@@ -299,10 +346,12 @@ def _bump(u):
      (lambda u: np.full_like(u, np.nan), "non-finite values")],
     ids=["residual", "nan"],
 )
-def test_forward_solve_gates(corrupt, message):
-    N = 33
+@pytest.mark.parametrize("N, M, banded", [(33, 17, True), (129, 65, False)],
+                         ids=["band", "superlu"])
+def test_forward_solve_gates(corrupt, message, N, M, banded):
     x = np.linspace(0.0, 1.0, N)
-    op = assemble(Curve(np.full(N, 0.3), 1.0, 0.4), LateralBC("neumann"), InterfaceBC("N"))
+    op = assemble(Curve(np.full(N, 0.3), 1.0, 0.4), LateralBC("neumann"), InterfaceBC("N"), M=M)
+    assert isinstance(op.lu, _BandLU) is banded
     f = np.cos(np.pi * x)
     op.solve(f)
     lu = op.lu

@@ -17,6 +17,9 @@ from fraccauchy.elliptic import (
 )
 from fraccauchy.freeboundary import (
     NewtonConfig,
+    _band_matvec,
+    _gradient_rows,
+    _gram_bands,
     linearized_flux,
     newton_dirichlet,
     newton_impedance,
@@ -403,9 +406,9 @@ class TestNewtonGolden:
             6,
             True,
             ["iter 0: linearization coefficient below floor at 2 points, update damped there"],
-            0.0051262612474436775,
-            0.001891545502629012,
-            0.0018920928049500707,
+            0.005126261246932263,
+            0.0018915455018883472,
+            0.0018920928035650849,
         ),
     }
 
@@ -458,17 +461,19 @@ class TestSweepBranches:
         assert tr.flags[0] == "iter 0: integrating factor overflowed, update halved"
 
     def _neumann_with_failing_solves(self, monkeypatch, failures):
-        # the Neumann step's dense solve raises LinAlgError on its first
+        # the Neumann step's banded solve raises LinAlgError on its first
         # ``failures`` calls; each retry raises the smoothing weight tenfold
-        solve, calls = np.linalg.solve, []
+        import fraccauchy.freeboundary as fb
 
-        def failing(*args):
+        solve, calls = fb.solveh_banded, []
+
+        def failing(*args, **kwargs):
             calls.append(None)
             if len(calls) <= failures:
-                raise np.linalg.LinAlgError("singular matrix")
-            return solve(*args)
+                raise np.linalg.LinAlgError("not positive definite")
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", failing)
+        monkeypatch.setattr(fb, "solveh_banded", failing)
         lt = truth_curve(X, 0.1)
         return newton_neumann(Curve(np.full(N, 0.09), L, 0.1), holdall_field("N", 0.1, 0.0),
                               LATERAL, excitation(X), NewtonConfig(max_iter=1),
@@ -486,6 +491,23 @@ class TestSweepBranches:
     def test_neumann_retries_exhausted(self, monkeypatch):
         with pytest.raises(RuntimeError, match="near-singular after 3 retries"):
             self._neumann_with_failing_solves(monkeypatch, math.inf)
+
+    def test_neumann_bands_match_dense_normal_equations(self):
+        # the Neumann step's banded normal matrix and product against the
+        # dense d/dx that np.gradient applies; only the summation order differs
+        n, h = 17, 1.0 / 16
+        rng = np.random.default_rng(2)
+        ux, w, x = rng.standard_normal(n), rng.uniform(0.5, 1.0, n), rng.standard_normal(n)
+        M = np.gradient(np.eye(n), h, axis=0, edge_order=2) * ux
+        K = M.T @ (w[:, None] * M)
+        cols, grad = _gradient_rows(n, h)
+        ab = _gram_bands(cols, grad * ux[cols], w)
+        banded = np.diag(ab[2]) + sum(np.diag(ab[2 - d, d:], d) + np.diag(ab[2 - d, d:], -d)
+                                      for d in (1, 2))
+        tol = 1e-14 * np.max(np.abs(K))
+        np.testing.assert_allclose(banded, K, rtol=0, atol=tol)
+        np.testing.assert_allclose(_band_matvec(ab, x), K @ x, rtol=0,
+                                   atol=tol * np.sum(np.abs(x)))
 
     DIVERGENT_STOP = {0.05: "pinned_to_corridor", 0.09: "max_iter"}
 
