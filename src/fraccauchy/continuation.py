@@ -15,9 +15,16 @@ y-derivative by a fractional one of order ``2 alpha < 2``:
 
 Every scheme takes the height ``y`` as a scalar or a 1-D grid and continues
 all heights in one call: the modal coefficients are computed once, each
-Mittag-Leffler kernel is evaluated in one batched call over the whole
-(height x mode) grid, and one synthesis returns the traces.  A scalar height
-is the 0-d case of the same code.
+Mittag-Leffler kernel is looked up over the whole (height x mode) grid, and
+one synthesis returns the traces.  A scalar height is the 0-d case of the
+same code.
+
+The kernels depend on the eigenvalues, the heights and the order, never on
+the Cauchy data, so `_kernel` keeps them in tables, one per geometry, filled
+entry by entry as calls ask for them: a first call evaluates the points the
+scheme needs in one batched call per kernel, and a later call on the same
+geometry evaluates only the entries no call has asked for yet.  The tables
+together hold at most _KERNEL_TABLE_BYTES; the least recently used go first.
 
 ``split_frequency_continue`` assigns a per-band order by a discrepancy rule,
 and ``landweber_smooth`` implements a spectral pre-smoothing iteration that
@@ -30,7 +37,9 @@ module's globals, so callers pass a scheme on without branching on its kind.
 """
 
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +59,6 @@ __all__ = [
     "split_data",
     "split_frequency_continue",
     "landweber_smooth",
-    "with_noise",
 ]
 
 # mode-wise amplification cap: coefficients blown up beyond this are zeroed
@@ -65,6 +73,12 @@ _NOISE_SAFETY = 1.5
 # stopping constant of the Landweber pre-smoothing
 _LANDWEBER_C = 1.0
 
+# kernel tables by geometry, least recently used first (see _kernel), the
+# cap on their bytes, values and filled masks together, and the lock that
+# makes each lookup and fill one step for concurrent callers
+_KERNEL_TABLES = OrderedDict()
+_KERNEL_TABLE_BYTES = 8 << 20
+_KERNEL_LOCK = threading.Lock()
 
 
 @dataclass
@@ -177,6 +191,53 @@ def _check_height(y):
     return y
 
 
+def _kernel(kind, alpha, beta, c, t, want):
+    """Values of a data-independent kernel at z = c_j t_k on the entries
+    ``want`` (a mask of shape ``t.shape + c.shape``), in the order ``z[want]``.
+
+    ``kind`` is ``"ml"`` for E_{alpha,beta}(z) by ``ml_values``, or
+    ``"tail"`` for the algebraic tail of E_{alpha,beta} at
+    (z^(1/alpha))^alpha, the argument `_right_dc_ratio_large` takes.  The
+    table of (kind, alpha, beta, c, t) keeps every value evaluated so far;
+    the entries asked for that it lacks are evaluated in one call, through
+    this module's globals, and the table is then the most recently used.
+    A new table evicts the least recently used ones while all of them would
+    hold more than _KERNEL_TABLE_BYTES; one larger than that is not kept.
+    Tables are read-only and the values are returned as a copy.
+    """
+    t = np.ravel(t)
+    want = np.reshape(want, (t.size, c.size))
+    key = (kind, alpha, beta, c.tobytes(), t.tobytes())
+    with _KERNEL_LOCK:
+        entry = _KERNEL_TABLES.get(key)
+        if entry is None:
+            entry = np.zeros(want.shape), np.zeros(want.shape, dtype=bool)
+            entry[0].flags.writeable = False
+            size = entry[0].nbytes + entry[1].nbytes
+            if size <= _KERNEL_TABLE_BYTES:
+                used = size + sum(v.nbytes + f.nbytes for v, f in _KERNEL_TABLES.values())
+                while used > _KERNEL_TABLE_BYTES:
+                    v, f = _KERNEL_TABLES.popitem(last=False)[1]
+                    used -= v.nbytes + f.nbytes
+                _KERNEL_TABLES[key] = entry
+        else:
+            _KERNEL_TABLES.move_to_end(key)
+        table, filled = entry
+        miss = want & ~filled
+        if np.any(miss):
+            k, j = np.nonzero(miss)
+            z = c[j] * t[k]
+            if kind == "ml":
+                vals = ml_values(alpha, beta, z)
+            else:
+                vals = _algebraic_tail(alpha, beta, (z ** (1.0 / alpha)) ** alpha)[0]
+            table.flags.writeable = True
+            table[miss] = vals
+            table.flags.writeable = False
+            filled |= miss
+        return table[want]
+
+
 def _slice(data, a, zeroed, overflow=False):
     """Slice from modal coefficients ``a`` of shape ``y.shape + (J,)``;
     ``zeroed`` counts the guarded modes per height."""
@@ -214,14 +275,14 @@ def continue_left_dc(data, alpha2, y):
     zeroes modes beyond AMP_LIMIT."""
     alpha2 = _check_order2(alpha2)
     y = _check_height(y)
-    fc, gc, lam, yy = np.broadcast_arrays(*data.coeffs(), data.basis.lambdas, y[..., None])
-    z = lam * np.float_power(yy, alpha2)
+    lam = data.basis.lambdas
+    t = np.float_power(y, alpha2)
+    fc, gc, yy = np.broadcast_arrays(*data.coeffs(), y[..., None])
     keep = lam ** (1.0 / alpha2) * yy <= _LOG_AMP_LIMIT
-    a = np.zeros(z.shape)
+    a = np.zeros(keep.shape)
     if np.any(keep):
-        zk = z[keep]
-        a[keep] = (fc[keep] * ml_values(alpha2, 1.0, zk)
-                   + gc[keep] * yy[keep] * ml_values(alpha2, 2.0, zk))
+        a[keep] = (fc[keep] * _kernel("ml", alpha2, 1.0, lam, t, keep)
+                   + gc[keep] * yy[keep] * _kernel("ml", alpha2, 2.0, lam, t, keep))
     return _slice(data, a, np.count_nonzero(~keep, axis=-1))
 
 
@@ -240,17 +301,21 @@ def _xi_switch(alpha2):
     return min(14.25 + 5.0 * (alpha2 - 1.0), 17.5)
 
 
-def _right_dc_ratio_large(alpha2, xi, fc, gc, y):
+def _right_dc_ratio_large(alpha2, xi, fc, gc, y, tails=None):
     """Modal coefficients of right_dc for large xi, from the cancelled form.
 
     On the positive axis the Mittag-Leffler asymptotics carry a single
     exponential, and the exp(2 xi) parts of E1^2 - z E3 E2 cancel exactly;
     float64 evaluation of the difference is catastrophic there, so the
-    cancelled expression (algebraic tails only) is used instead.
+    cancelled expression (algebraic tails only) is used instead.  ``tails``
+    are the algebraic tails at x = xi^alpha2 for beta = 1, alpha2 and 2,
+    evaluated here when not given.
     """
     c = 1.0 / alpha2
     x = xi ** alpha2
-    a1, a2, a3 = (_algebraic_tail(alpha2, beta, x)[0] for beta in (1.0, alpha2, 2.0))
+    if tails is None:
+        tails = [_algebraic_tail(alpha2, beta, x)[0] for beta in (1.0, alpha2, 2.0)]
+    a1, a2, a3 = tails
     small = np.where(xi < 700.0, np.exp(-xi), 0.0)
     num = c * (fc + gc * y / xi) + small * (fc * a1 + gc * y * a3)
     den = c * (2.0 * a1 - xi * a3 - xi ** (alpha2 - 1.0) * a2) + small * (
@@ -281,23 +346,23 @@ def continue_right_dc(data, alpha2, y):
     if alpha2 == 2.0:
         # denominator is cosh^2 - sinh^2 = 1 identically
         return continue_exact(data, y)
-    fc, gc, lam, yy = np.broadcast_arrays(*data.coeffs(), data.basis.lambdas, y[..., None])
-    z = lam * np.float_power(yy, alpha2)
+    lam = data.basis.lambdas
+    t = np.float_power(y, alpha2)
+    fc, gc, yy = np.broadcast_arrays(*data.coeffs(), y[..., None])
+    z = lam * t[..., None]
     num = np.zeros(z.shape)
     den = np.ones(z.shape)
     xi = z ** (1.0 / alpha2)
     direct = xi <= _xi_switch(alpha2)
     if np.any(direct):
-        zd = z[direct]
-        e1 = ml_values(alpha2, 1.0, zd)
-        e2 = ml_values(alpha2, 2.0, zd)
-        e3 = ml_values(alpha2, alpha2, zd)
+        e1, e2, e3 = (_kernel("ml", alpha2, beta, lam, t, direct) for beta in (1.0, 2.0, alpha2))
         num[direct] = fc[direct] * e1 + gc[direct] * yy[direct] * e2
-        den[direct] = e1 * e1 - zd * e3 * e2
+        den[direct] = e1 * e1 - z[direct] * e3 * e2
     large = ~direct
     if np.any(large):
+        tails = [_kernel("tail", alpha2, beta, lam, t, large) for beta in (1.0, alpha2, 2.0)]
         num[large], den[large] = _right_dc_ratio_large(
-            alpha2, xi[large], fc[large], gc[large], yy[large]
+            alpha2, xi[large], fc[large], gc[large], yy[large], tails
         )
     a, zeroed = _guarded_ratio(num, den, np.hypot(fc, gc))
     return _slice(data, a, zeroed)
@@ -342,7 +407,13 @@ def continue_banded(data, bands, y):
 
     ``bands`` is a sequence of ``(end_index, alpha)`` pairs with strictly
     increasing end indices covering all modes (the last end equals basis.J).
-    Each band makes one Mittag-Leffler call over all heights.
+    Each band reads its kernels 1/E_{alpha,1}(-sqrt(lambda_j) y_k^alpha) from
+    the table keyed on (alpha, the eigenvalues, the heights y^alpha), which
+    every call on that geometry shares, whatever its data or band split.  A
+    cold call evaluates each band's positive-eigenvalue modes at every
+    height in one Mittag-Leffler call, as without the table; a warm one only
+    the entries no earlier band of that order covered.  The tables of all
+    geometries hold at most _KERNEL_TABLE_BYTES together.
     """
     y = _check_height(y)
     J = data.basis.J
@@ -360,10 +431,10 @@ def continue_banded(data, bands, y):
     amp = np.ones(y.shape + (J,))
     start = 0
     for end, alpha_b in bands:
-        sb = s[start:end]
-        pos = sb > 0.0
-        z = -(sb[pos] * np.float_power(yy, alpha_b))
-        amp[..., start:end][..., pos] = 1.0 / ml_values(alpha_b, 1.0, z)
+        band = np.zeros(J, dtype=bool)
+        band[start:end] = s[start:end] > 0.0
+        band = np.broadcast_to(band, amp.shape)
+        amp[band] = 1.0 / _kernel("ml", alpha_b, 1.0, -s, np.float_power(y, alpha_b), band)
         start = end
     # zero eigenvalue: both kernels equal 1, recover the linear-in-y limit
     a = np.where(s > 0.0, up * amp + um * np.exp(-s * yy), fc + gc * yy)
@@ -386,6 +457,12 @@ def split_frequency_continue(data, y_grid):
     fractional damping at depth.  Runs of equal order merge into bands, and
     one `continue_banded` call continues the whole grid.  Returns the
     continued `Slice` and the list of bands ``(end_index, alpha)``.
+
+    The kernel rows at ``ystar`` come from one table per order, keyed on
+    (alpha, the eigenvalues, ystar^alpha) and capped with the band tables at
+    _KERNEL_TABLE_BYTES: a cold call evaluates the positive-eigenvalue modes
+    once per order of ALPHA_GRID, as without the tables, and a later call
+    with the same basis and deepest level evaluates none.
     """
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     lam = data.basis.lambdas
@@ -401,7 +478,7 @@ def split_frequency_continue(data, y_grid):
     growth = np.ones((len(ALPHA_GRID), J))
     defects = np.zeros((len(ALPHA_GRID), J))
     for i, a in enumerate(ALPHA_GRID):
-        e = ml_values(a, 1.0, -(s[pos] * ystar ** a))
+        e = _kernel("ml", a, 1.0, -s, ystar ** a, pos)
         growth[i, pos] = 1.0 / e
         defects[i, pos] = np.abs(1.0 - np.exp(-s[pos] * ystar) / e)
     d = np.abs(up)
@@ -445,23 +522,3 @@ def landweber_smooth(u0_noisy, sigma_t, mu, l, delta, norm_at_l):
     with np.errstate(divide="ignore"):
         v = -np.expm1(i_star * np.log1p(-step)) * u0_noisy.c
     return SpectralCoeffs(u0_noisy.basis, v)
-
-
-def with_noise(data, delta, rng, perturb_f=False):
-    """Additive Gaussian grid noise on g (optionally also f), rescaled so the
-    relative L2 perturbation equals delta exactly."""
-    delta = float(delta)
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("relative noise level must lie in [0, 1)")
-    w = data.basis.weights
-
-    def perturb(v):
-        nsq = float(np.sum(w * v ** 2))
-        if nsq == 0.0:
-            raise ValueError("cannot scale relative noise on an all-zero trace")
-        e = rng.standard_normal(v.size)
-        return v + e * (delta * math.sqrt(nsq / float(np.sum(w * e ** 2))))
-
-    g = perturb(data.g) if delta > 0.0 else data.g.copy()
-    f = perturb(data.f) if (perturb_f and delta > 0.0) else data.f.copy()
-    return CauchyData(f, g, delta, data.basis)

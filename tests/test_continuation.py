@@ -2,6 +2,8 @@
 stabilisations, frequency-band selection, and Landweber pre-smoothing."""
 
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -21,13 +23,13 @@ from fraccauchy.continuation import (
     landweber_smooth,
     split_data,
     split_frequency_continue,
-    with_noise,
     _guarded_ratio,
     _right_dc_ratio_large,
 )
 from fraccauchy.elliptic import solve_cauchy_holdall
 from fraccauchy.specfun import ml_reciprocal_bound, ml_values
 from fraccauchy.spectral import LateralBC, SpectralCoeffs, analyze, build_basis, synthesize
+from helpers import with_noise
 
 # golden case: 8 Dirichlet modes on (0,1), order 2*alpha = 1.9, depth y = 1/3.
 # Coefficients below were fixed once (seeded draw, decaying envelope); the
@@ -314,6 +316,14 @@ def test_grid_matches_scalar_levels(name):
         assert grid.zeroed_modes[k] == one.zeroed_modes
 
 
+@pytest.fixture
+def kernel_tables(monkeypatch):
+    """An empty kernel memo for this test, restored afterwards."""
+    tables = type(continuation._KERNEL_TABLES)()
+    monkeypatch.setattr(continuation, "_KERNEL_TABLES", tables)
+    return tables
+
+
 @pytest.mark.parametrize(
     "scheme, bound",
     [(ContinuationScheme("exact"), 0),
@@ -324,7 +334,7 @@ def test_grid_matches_scalar_levels(name):
      (ContinuationScheme("fac_lap_split"), None)],
     ids=["exact", "left_dc", "right_dc", "fac_lap", "bands", "split"],
 )
-def test_holdall_call_count_independent_of_levels(monkeypatch, scheme, bound):
+def test_holdall_call_count_independent_of_levels(monkeypatch, kernel_tables, scheme, bound):
     rng = np.random.default_rng(8)
     basis = build_basis(math.pi, LateralBC("dirichlet"), 12, 128)
     c = rng.standard_normal(12) * np.exp(-np.arange(12))
@@ -339,12 +349,208 @@ def test_holdall_call_count_independent_of_levels(monkeypatch, scheme, bound):
     monkeypatch.setattr(continuation, "ml_values", counted)
     counts = []
     for levels in (9, 81):
+        # each count is of a cold call: the memo would hide repeated kernels
+        kernel_tables.clear()
         calls.clear()
         fld = solve_cauchy_holdall(data, basis.bc, scheme, np.linspace(0.0, 1.0, levels))
         counts.append(len(calls))
     if bound is None:
         bound = len(ALPHA_GRID) + len(fld.meta["bands"])
     assert counts[0] == counts[1] <= bound
+
+
+# Memo of the kernels: two data sets on one geometry, Dirichlet modes on
+# (0, pi) so that the grid below reaches both right_dc forms and left_dc's guard
+MEMO_Y = np.linspace(0.0, 3.0, 13)
+
+
+def _memo_data(seed, scale=1.0, kind="dirichlet"):
+    rng = np.random.default_rng(seed)
+    basis = build_basis(math.pi, LateralBC(kind), 12, 128)
+    c = rng.standard_normal(12) * np.exp(-0.5 * np.arange(12))
+    d = rng.standard_normal(12) * np.exp(-0.5 * np.arange(12))
+    return CauchyData(synthesize(SpectralCoeffs(basis, scale * c)),
+                      synthesize(SpectralCoeffs(basis, scale * d)), 0.02, basis)
+
+
+def _split(data, y):
+    cont, bands = split_frequency_continue(data, y)
+    cont.bands = bands
+    return cont
+
+
+MEMO_SCHEMES = {
+    "split": _split,
+    "bands": lambda data, y: continue_banded(data, [(3, 1.0), (7, 0.8), (12, 0.5)], y),
+    "fac_lap": lambda data, y: continue_fac_lap(data, 0.7, y),
+    "right_dc": lambda data, y: continue_right_dc(data, 1.3, y),
+    "left_dc": lambda data, y: continue_left_dc(data, 1.5, y),
+}
+
+
+def _same_slice(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.zeroed_modes, b.zeroed_modes)
+    assert getattr(a, "bands", None) == getattr(b, "bands", None)
+
+
+def test_memo_grid_reaches_every_branch():
+    lam = _memo_data(1).basis.lambdas
+    alpha2 = 1.3
+    xi = lam ** (1.0 / alpha2) * MEMO_Y[:, None]
+    assert np.any(xi <= continuation._xi_switch(alpha2))
+    assert np.any(xi > continuation._xi_switch(alpha2))
+    assert np.sum(continue_left_dc(_memo_data(1), 1.5, MEMO_Y).zeroed_modes) > 0
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SCHEMES))
+def test_memo_cold_and_warm_calls_agree(kernel_tables, name):
+    cont = MEMO_SCHEMES[name]
+    d1, d2 = _memo_data(1), _memo_data(2)
+    cold1 = cont(d1, MEMO_Y)
+    warm2 = cont(d2, MEMO_Y)
+    kernel_tables.clear()
+    cold2 = cont(d2, MEMO_Y)
+    warm1 = cont(d1, MEMO_Y)
+    _same_slice(cold1, warm1)
+    _same_slice(cold2, warm2)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SCHEMES))
+def test_memo_warm_call_evaluates_nothing(monkeypatch, kernel_tables, name):
+    cont = MEMO_SCHEMES[name]
+    # twice the data: new values, but the split rule picks the same bands
+    d1, d2 = _memo_data(1), _memo_data(1, scale=2.0)
+    cont(d1, MEMO_Y)
+
+    def refuse(*args):
+        raise AssertionError("a kernel was evaluated on a known geometry")
+
+    monkeypatch.setattr(continuation, "ml_values", refuse)
+    monkeypatch.setattr(continuation, "_algebraic_tail", refuse)
+    cont(d2, MEMO_Y)
+
+
+def test_memo_misses_on_new_geometry(monkeypatch, kernel_tables):
+    calls = []
+
+    def counted(alpha, beta, z):
+        calls.append(np.size(z))
+        return ml_values(alpha, beta, z)
+
+    monkeypatch.setattr(continuation, "ml_values", counted)
+    data = _memo_data(1)
+    continue_fac_lap(data, 0.7, MEMO_Y)
+    # the same geometry hits; another basis, other heights or another order miss
+    for other, alpha, y, expect in ((data, 0.7, MEMO_Y, 0),
+                                    (_memo_data(1, kind="neumann"), 0.7, MEMO_Y, 1),
+                                    (data, 0.7, MEMO_Y + 0.01, 1),
+                                    (data, 0.75, MEMO_Y, 1)):
+        calls.clear()
+        continue_fac_lap(other, alpha, y)
+        assert len(calls) == expect
+
+
+def _cold_points(lam):
+    """(Mittag-Leffler, algebraic-tail) points each scheme evaluates over
+    MEMO_Y with no memo: its whole kernel grid, less the modes a zero
+    eigenvalue or a guard excludes."""
+    pos = int(np.sum(lam > 0.0))
+    levels = MEMO_Y.size
+    xi = lam ** (1.0 / 1.3) * MEMO_Y[:, None]
+    direct = int(np.sum(xi <= continuation._xi_switch(1.3)))
+    keep = int(np.sum(lam ** (1.0 / 1.5) * MEMO_Y[:, None] <= math.log(continuation.AMP_LIMIT)))
+    return {
+        "split": ((len(ALPHA_GRID) + levels) * pos, 0),
+        "bands": (levels * pos, 0),
+        "fac_lap": (levels * pos, 0),
+        "right_dc": (3 * direct, 3 * (xi.size - direct)),
+        "left_dc": (2 * keep, 0),
+    }
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", sorted(MEMO_SCHEMES))
+def test_memo_cold_call_evaluates_parent_points(monkeypatch, kernel_tables, name, kind):
+    points = {"ml": 0, "tail": 0}
+    tail = continuation._algebraic_tail
+
+    def counted_ml(alpha, beta, z):
+        points["ml"] += np.size(z)
+        return ml_values(alpha, beta, z)
+
+    def counted_tail(alpha, beta, z):
+        points["tail"] += np.size(z)
+        return tail(alpha, beta, z)
+
+    monkeypatch.setattr(continuation, "ml_values", counted_ml)
+    monkeypatch.setattr(continuation, "_algebraic_tail", counted_tail)
+    data = _memo_data(3, kind=kind)
+    MEMO_SCHEMES[name](data, MEMO_Y)
+    assert (points["ml"], points["tail"]) == _cold_points(data.basis.lambdas)[name]
+
+
+def test_memo_outputs_do_not_alias_tables(kernel_tables):
+    data = _memo_data(1)
+    ref = continue_fac_lap(data, 0.7, MEMO_Y).values.copy()
+    out = continue_fac_lap(data, 0.7, MEMO_Y)
+    out.values[:] = 0.0
+    assert np.array_equal(continue_fac_lap(data, 0.7, MEMO_Y).values, ref)
+    c = -np.sqrt(data.basis.lambdas)
+    want = np.ones((MEMO_Y.size, c.size), dtype=bool)
+    vals = continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want)
+    vals[:] = 0.0
+    assert np.all(continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want) > 0.0)
+    for table, filled in kernel_tables.values():
+        assert not table.flags.writeable
+
+
+def test_memo_shared_by_threads(monkeypatch, kernel_tables):
+    # more threads than cores, a short switch interval and a cap of about
+    # two tables, so lookups, fills and evictions interleave
+    monkeypatch.setattr(continuation, "_KERNEL_TABLE_BYTES", 5_000)
+    data = _memo_data(1)
+    heights = [MEMO_Y + 0.01 * k for k in range(6)]
+    ref = [continue_fac_lap(data, 0.7, y).values for y in heights]
+    kernel_tables.clear()
+    errors = []
+
+    def work(offset):
+        try:
+            for r in range(12):
+                k = (offset + r) % len(heights)
+                if not np.array_equal(continue_fac_lap(data, 0.7, heights[k]).values, ref[k]):
+                    errors.append("height set %d differs" % k)
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(repr(exc))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+
+
+def test_memo_memory_stays_under_cap(monkeypatch, kernel_tables):
+    cap = 20_000
+    monkeypatch.setattr(continuation, "_KERNEL_TABLE_BYTES", cap)
+    data = _memo_data(1)
+    for k in range(40):
+        y = MEMO_Y + 0.01 * k
+        continue_fac_lap(data, 0.7, y)
+        used = sum(v.nbytes + f.nbytes for v, f in kernel_tables.values())
+        assert 0 < used <= cap
+    # the most recent geometry is kept, and a table above the cap is not
+    assert next(reversed(kernel_tables))[4] == np.float_power(y, 0.7).tobytes()
+    continue_fac_lap(data, 0.7, np.linspace(0.0, 3.0, 400))
+    assert all(v.shape[0] == MEMO_Y.size for v, _ in kernel_tables.values())
 
 
 def test_landweber_geometric_recursion():

@@ -13,7 +13,6 @@ from fraccauchy.continuation import (
     continue_banded,
     continue_fac_lap,
     continue_left_dc,
-    with_noise,
 )
 from fraccauchy.elliptic import (
     Curve,
@@ -33,6 +32,7 @@ from fraccauchy.elliptic import (
     solve_forward,
 )
 from fraccauchy.spectral import LateralBC, build_basis
+from helpers import with_noise
 
 
 def separable_exact(x, y, L, h):

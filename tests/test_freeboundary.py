@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fraccauchy.continuation import CauchyData, ContinuationScheme, with_noise
+from fraccauchy.continuation import CauchyData, ContinuationScheme
 from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
@@ -27,6 +27,7 @@ from fraccauchy.freeboundary import (
     project_cosine,
 )
 from fraccauchy.spectral import LateralBC, build_basis
+from helpers import with_noise
 
 L = 1.0
 GAMMA = 0.1
