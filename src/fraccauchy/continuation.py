@@ -132,15 +132,14 @@ class ContinuationScheme:
     ``fac_lap_split``.  ``alpha`` is the fractional half-order (the
     propagator order is ``2 alpha``): ``left_dc``, ``right_dc`` and
     ``fac_lap`` need it, and the other kinds refuse it; it lies in (0, 1],
-    and in [0.5, 1] for the two ``_dc`` kinds.  ``bands`` holds
-    ``(end_index, alpha)`` pairs and is taken only by ``fac_lap_split``,
-    which picks its bands by `split_frequency_continue` when none are given.
-    The record is checked when it is built, so a scheme that exists can run.
+    and in [0.5, 1] for the two ``_dc`` kinds.  ``fac_lap_split`` picks its
+    bands by `split_frequency_continue`; fixed bands run through
+    `continue_banded`.  The record is checked when it is built, so a scheme
+    that exists can run.
     """
 
     kind: str
     alpha: float = None
-    bands: tuple = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -153,14 +152,6 @@ class ContinuationScheme:
             raise ValueError("fractional half-order must lie in (0, 1]")
         if self.kind in ("left_dc", "right_dc") and self.alpha < 0.5:
             raise ValueError("scheme %r needs alpha in [0.5, 1]" % (self.kind,))
-        if self.bands is not None:
-            if self.kind != "fac_lap_split":
-                raise ValueError("only the fac_lap_split scheme takes bands")
-            ends = [k for k, _ in self.bands]
-            if any(b >= a for a, b in zip(ends[1:], ends)):
-                raise ValueError("band breakpoints must be strictly increasing")
-            if any(not 0.0 < a <= 1.0 for _, a in self.bands):
-                raise ValueError("band orders must lie in (0, 1]")
 
     def continue_data(self, data, y):
         """Continue ``data`` to the heights ``y`` by this scheme.
@@ -171,9 +162,7 @@ class ContinuationScheme:
         if self.kind == "exact":
             return continue_exact(data, y), None
         if self.kind == "fac_lap_split":
-            if self.bands is None:
-                return split_frequency_continue(data, y)
-            return continue_banded(data, self.bands, y), list(self.bands)
+            return split_frequency_continue(data, y)
         if self.kind == "fac_lap":
             return continue_fac_lap(data, self.alpha, y), None
         dc = continue_left_dc if self.kind == "left_dc" else continue_right_dc
@@ -301,20 +290,17 @@ def _xi_switch(alpha2):
     return min(14.25 + 5.0 * (alpha2 - 1.0), 17.5)
 
 
-def _right_dc_ratio_large(alpha2, xi, fc, gc, y, tails=None):
+def _right_dc_ratio_large(alpha2, xi, fc, gc, y, tails):
     """Modal coefficients of right_dc for large xi, from the cancelled form.
 
     On the positive axis the Mittag-Leffler asymptotics carry a single
     exponential, and the exp(2 xi) parts of E1^2 - z E3 E2 cancel exactly;
     float64 evaluation of the difference is catastrophic there, so the
     cancelled expression (algebraic tails only) is used instead.  ``tails``
-    are the algebraic tails at x = xi^alpha2 for beta = 1, alpha2 and 2,
-    evaluated here when not given.
+    are the algebraic tails at x = xi^alpha2 for beta = 1, alpha2 and 2.
     """
     c = 1.0 / alpha2
     x = xi ** alpha2
-    if tails is None:
-        tails = [_algebraic_tail(alpha2, beta, x)[0] for beta in (1.0, alpha2, 2.0)]
     a1, a2, a3 = tails
     small = np.where(xi < 700.0, np.exp(-xi), 0.0)
     num = c * (fc + gc * y / xi) + small * (fc * a1 + gc * y * a3)

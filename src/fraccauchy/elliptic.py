@@ -71,10 +71,7 @@ __all__ = [
     "bottom_flux",
     "interface_traces",
     "solve_cauchy_holdall",
-    "eval_on_curve",
     "curve_conormal",
-    "save_grid",
-    "load_grid",
 ]
 
 _INTERFACE_KINDS = ("N", "D", "I")
@@ -654,35 +651,3 @@ def _conormal(sample, h, ell):
     dl = np.gradient(ell, h, edge_order=2)
     dzl = np.gradient(zl, h, edge_order=2)
     return zl, (1.0 + dl * dl) * zy - dl * dzl
-
-
-def eval_on_curve(field, ell, dy=0):
-    """Interpolate the field (or its ``dy``-th y-derivative) along the curve
-    y = ell(x) with a cubic spline through each x-column's depth levels, as
-    `_curve_sampler` does; a caller tracing one field along several curves,
-    or several derivatives, builds the sampler once instead."""
-    return _curve_sampler(field)(ell, dy)
-
-
-def save_grid(field, path):
-    """Row-major CSV dump of the node values with a mesh-metadata header."""
-    c = field.curve
-    header = "N=%d M=%d L=%.17g olell=%.17g" % (c.N, field.eta.size, c.L, c.olell)
-    np.savetxt(path, field.values, delimiter=",", header=header)
-
-
-def load_grid(path):
-    """Read back a grid dump; returns (values, header dict)."""
-    with open(path) as fh:
-        first = fh.readline()
-    if not first.startswith("#"):
-        raise ValueError("missing grid-dump header")
-    meta = {}
-    for tok in first[1:].split():
-        if "=" in tok:
-            key, val = tok.split("=", 1)
-            meta[key] = int(val) if key in ("N", "M") else float(val)
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
-    if values.shape != (meta.get("N"), meta.get("M")):
-        raise ValueError("grid dump shape disagrees with its header")
-    return values, meta

@@ -35,7 +35,7 @@ Only the interface residual of zbar and the linearization differ per kind:
 
 Every update is projected onto a few low cosine modes (mild ill-posedness of
 the curve problem), halved until it is small against the current curve height
-(keeps ell > 0), and clamped into a configured corridor.
+(keeps ell > 0), and clamped into the corridor (0.01 olell, olell).
 """
 
 import warnings
@@ -89,25 +89,20 @@ _SMOOTH_MODES = 8
 class NewtonConfig:
     """Knobs shared by the three curve solvers.
 
-    clamp is the admissible corridor (ell_min, ell_max) for the iterates; when
-    None it defaults to (0.01 * olell, olell) of the starting curve.  Fixed:
-    updates keep 8 cosine modes (_SMOOTH_MODES), and the Neumann step uses
-    rho1 = 1e3 (_RHO1) and rho2 = 1e6 (_RHO2).
+    Fixed: the iterates stay in the corridor (0.01 * olell, olell) of the
+    starting curve (`_corridor`), updates keep 8 cosine modes
+    (_SMOOTH_MODES), and the Neumann step uses rho1 = 1e3 (_RHO1) and
+    rho2 = 1e6 (_RHO2).
     """
 
     max_iter: int = 10
     stop_tol: float = 1e-4
-    clamp: tuple = None
 
     def __post_init__(self):
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        if self.clamp is not None:
-            lo, hi = self.clamp
-            if not (0.0 < lo < hi):
-                raise ValueError("clamp must satisfy 0 < ell_min < ell_max")
 
 
 @dataclass
@@ -149,14 +144,12 @@ def project_cosine(values, L, modes):
     return _cos_coeffs(values, ph, _trapezoid_weights(x.size, x[1] - x[0])) @ ph
 
 
-def _corridor(cfg, curve0, zbar):
-    """Iterate bounds (lo, hi), checked against the hold-all height and the
+def _corridor(curve0, zbar):
+    """Iterate bounds (lo, hi) = (0.01 * olell, olell), checked against the
     frozen field: zbar's traces take their x-spacing from its own grid, and
     above its top level its spline in height extrapolates."""
     olell, top = curve0.olell, zbar.curve
-    lo, hi = (0.01 * olell, olell) if cfg.clamp is None else map(float, cfg.clamp)
-    if hi > olell * (1 + 1e-12):
-        raise ValueError("clamp upper bound exceeds the hold-all height")
+    lo, hi = 0.01 * olell, olell
     if not curve0.same_grid(top):
         raise ValueError("hold-all field must be sampled on the curve's x-grid")
     if float(np.min(top.ell)) * (1 + 1e-12) < hi:
@@ -192,7 +185,7 @@ def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
     n, L, olell = curve0.N, curve0.L, curve0.olell
     w = _trapezoid_weights(n, curve0.h)
     fv = _samples_on_grid(f, curve0.x, "f")
-    lo, hi = _corridor(cfg, curve0, zbar)
+    lo, hi = _corridor(curve0, zbar)
     if truth is not None:
         truth = _samples_on_grid(truth.ell if isinstance(truth, Curve) else truth, curve0.x, "truth")
     sample = _curve_sampler(zbar)

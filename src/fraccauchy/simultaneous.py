@@ -38,6 +38,7 @@ batched call per order over the whole (mode x height) grid.
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -129,31 +130,23 @@ class PenaltyOp:
 class FrozenNewtonConfig:
     """Knobs of the aggregate Newton iteration.
 
-    ``alpha0`` and ``theta`` define the geometric regularization schedule
-    alpha_n = alpha0 * theta^n; the iteration stops at the first n >= 1 with
-    alpha_n <= (tau * delta)^2 (delta = relative data noise) or at
-    ``max_iter``.  ``scheme`` optionally replaces the growing field profile
-    and the bottom-data coupling by their fractional-continuation
-    counterparts.  Fixed: the curve and impedance unknowns keep 8 cosine
-    modes (_COS_MODES), and the state norm's block weights are those of
+    ``scheme`` optionally replaces the growing field profile and the
+    bottom-data coupling by their fractional-continuation counterparts.
+    Fixed: the geometric regularization schedule alpha_n = alpha0 * theta^n
+    (class constants, readable on every instance) stops at the first n >= 1
+    with alpha_n <= (tau * delta)^2 (delta = relative data noise) or at
+    ``max_iter``; the curve and impedance unknowns keep 8 cosine modes
+    (_COS_MODES), and the state norm's block weights are those of
     `_FrozenSystem._state_weights`.
     """
 
-    alpha0: float = 1e-2
-    theta: float = 0.6
-    tau: float = 1.5
-    max_iter: int = 25
+    alpha0: ClassVar[float] = 1e-2
+    theta: ClassVar[float] = 0.6
+    tau: ClassVar[float] = 1.5
+    max_iter: ClassVar[int] = 25
     scheme: object = None
 
     def __post_init__(self):
-        if not (self.alpha0 > 0.0 and math.isfinite(self.alpha0)):
-            raise ValueError("alpha0 must be positive")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if not self.tau > 1.0:
-            raise ValueError("tau must exceed 1")
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be at least 1")
         if self.scheme is not None and self.scheme.kind != "fac_lap":
             raise ValueError("only the factored fractional scheme can replace the data-side operator")
 

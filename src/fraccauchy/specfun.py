@@ -39,7 +39,6 @@ __all__ = [
     "MLResult",
     "ml",
     "ml_values",
-    "ml_kernel",
     "ml_reciprocal_bound",
 ]
 
@@ -476,26 +475,6 @@ def ml(alpha: float, beta: float, z: float) -> MLResult:
     """Evaluate E_{alpha,beta}(z) for real z, 0 < alpha <= 2, beta > 0."""
     vals, ests, branch = _ml_array(alpha, beta, np.asarray([z], dtype=float))
     return MLResult(float(vals[0]), float(ests[0]), _BRANCH_NAMES[int(branch[0])])
-
-
-def ml_kernel(alpha: float, beta: float, lam: float, t: float) -> float:
-    """Evaluation kernel t^{beta-1} E_{alpha,beta}(-lam t^alpha), t >= 0.
-
-    At t = 0 the kernel has the removable value 1 for beta = 1 and 0 for
-    beta > 1; beta < 1 diverges there and is rejected.
-    """
-    _check_params(alpha, beta)
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        if beta == 1.0:
-            return 1.0
-        if beta > 1.0:
-            return 0.0
-        raise ValueError("kernel diverges at t = 0 for beta < 1")
-    return t ** (beta - 1.0) * ml(alpha, beta, -lam * t ** alpha).value
 
 
 def ml_reciprocal_bound(alpha: float, lam: float, y: float) -> float:

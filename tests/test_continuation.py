@@ -27,7 +27,7 @@ from fraccauchy.continuation import (
     _right_dc_ratio_large,
 )
 from fraccauchy.elliptic import solve_cauchy_holdall
-from fraccauchy.specfun import ml_reciprocal_bound, ml_values
+from fraccauchy.specfun import _algebraic_tail, ml_reciprocal_bound, ml_values
 from fraccauchy.spectral import LateralBC, SpectralCoeffs, analyze, build_basis, synthesize
 from helpers import with_noise
 
@@ -130,6 +130,12 @@ def test_right_dc_golden():
     assert np.allclose(a, GOLD_RIGHT, rtol=1e-9)
 
 
+def _cancelled_tails(alpha2, xi):
+    """The algebraic tails `_right_dc_ratio_large` takes, at x = xi^alpha2."""
+    x = xi ** alpha2
+    return [_algebraic_tail(alpha2, beta, x)[0] for beta in (1.0, alpha2, 2.0)]
+
+
 def test_right_dc_paths_agree_at_switch():
     # the direct Mittag-Leffler evaluation and the cancelled large-argument
     # form must agree where the implementation switches between them
@@ -139,7 +145,7 @@ def test_right_dc_paths_agree_at_switch():
     e2 = float(ml_values(alpha2, 2.0, np.array([z]))[0])
     e3 = float(ml_values(alpha2, alpha2, np.array([z]))[0])
     direct = (0.7 * e1 - 0.4 * y * e2) / (e1 * e1 - z * e3 * e2)
-    num, den = _right_dc_ratio_large(alpha2, xi, 0.7, -0.4, y)
+    num, den = _right_dc_ratio_large(alpha2, xi, 0.7, -0.4, y, _cancelled_tails(alpha2, xi))
     assert abs(num / den - direct) < 2e-3 * abs(direct)
 
 
@@ -176,7 +182,8 @@ def test_right_dc_switch_tracks_better_form(alpha2):
     z = lam * np.float_power(y, alpha2)
     e1, e2, e3 = (ml_values(alpha2, b, z) for b in (1.0, 2.0, alpha2))
     direct = (e1 + y * e2) / (e1 * e1 - z * e3 * e2)
-    num, den = _right_dc_ratio_large(alpha2, z ** (1.0 / alpha2), ones, ones, y)
+    xi_z = z ** (1.0 / alpha2)
+    num, den = _right_dc_ratio_large(alpha2, xi_z, ones, ones, y, _cancelled_tails(alpha2, xi_z))
     ref = np.array([_right_dc_coefficient_mp(alpha2, zz, y) for zz in z])
     err = np.abs(got / ref - 1.0)
     best = np.minimum(np.abs(direct / ref - 1.0), np.abs(num / den / ref - 1.0))
@@ -324,17 +331,22 @@ def kernel_tables(monkeypatch):
     return tables
 
 
+def _fixed_bands(data, y):
+    bands = [(3, 0.9), (12, 0.6)]
+    return continue_banded(data, bands, y), bands
+
+
 @pytest.mark.parametrize(
-    "scheme, bound",
-    [(ContinuationScheme("exact"), 0),
-     (ContinuationScheme("left_dc", alpha=0.8), 2),
-     (ContinuationScheme("right_dc", alpha=0.8), 3),
-     (ContinuationScheme("fac_lap", alpha=0.8), 1),
-     (ContinuationScheme("fac_lap_split", bands=((3, 0.9), (12, 0.6))), 2),
-     (ContinuationScheme("fac_lap_split"), None)],
+    "run, bound",
+    [(ContinuationScheme("exact").continue_data, 0),
+     (ContinuationScheme("left_dc", alpha=0.8).continue_data, 2),
+     (ContinuationScheme("right_dc", alpha=0.8).continue_data, 3),
+     (ContinuationScheme("fac_lap", alpha=0.8).continue_data, 1),
+     (_fixed_bands, 2),
+     (ContinuationScheme("fac_lap_split").continue_data, None)],
     ids=["exact", "left_dc", "right_dc", "fac_lap", "bands", "split"],
 )
-def test_holdall_call_count_independent_of_levels(monkeypatch, kernel_tables, scheme, bound):
+def test_holdall_call_count_independent_of_levels(monkeypatch, kernel_tables, run, bound):
     rng = np.random.default_rng(8)
     basis = build_basis(math.pi, LateralBC("dirichlet"), 12, 128)
     c = rng.standard_normal(12) * np.exp(-np.arange(12))
@@ -352,10 +364,10 @@ def test_holdall_call_count_independent_of_levels(monkeypatch, kernel_tables, sc
         # each count is of a cold call: the memo would hide repeated kernels
         kernel_tables.clear()
         calls.clear()
-        fld = solve_cauchy_holdall(data, basis.bc, scheme, np.linspace(0.0, 1.0, levels))
+        _, bands = run(data, np.linspace(0.0, 1.0, levels))
         counts.append(len(calls))
     if bound is None:
-        bound = len(ALPHA_GRID) + len(fld.meta["bands"])
+        bound = len(ALPHA_GRID) + len(bands)
     assert counts[0] == counts[1] <= bound
 
 
@@ -661,15 +673,10 @@ def test_with_noise_scaling_is_exact_and_seeded():
 
 def test_scheme_record_validation():
     ContinuationScheme("fac_lap", alpha=0.5)
-    ContinuationScheme("fac_lap_split", bands=((4, 0.9), (8, 0.5)))
     with pytest.raises(ValueError):
         ContinuationScheme("bogus")
     with pytest.raises(ValueError):
         ContinuationScheme("fac_lap", alpha=1.5)
-    with pytest.raises(ValueError):
-        ContinuationScheme("fac_lap_split", bands=((6, 0.9), (3, 0.5)))
-    with pytest.raises(ValueError):
-        ContinuationScheme("fac_lap_split", bands=((4, 1.5),))
     # each kind takes exactly the fields it runs on
     for kind in ("left_dc", "right_dc", "fac_lap"):
         with pytest.raises(ValueError, match="needs the half-order"):
@@ -685,12 +692,9 @@ def test_scheme_record_validation():
             ContinuationScheme(kind, alpha=0.3)
         cont, _ = ContinuationScheme(kind, alpha=0.5).continue_data(data, [0.1, 0.2])
         assert np.all(np.isfinite(cont.values))
-    for kind, alpha in (("exact", None), ("left_dc", 0.9), ("right_dc", 0.9), ("fac_lap", 0.9)):
-        with pytest.raises(ValueError, match="takes bands"):
-            ContinuationScheme(kind, alpha=alpha, bands=((4, 0.9), (8, 0.5)))
 
     # the split rule continues its low modes at the exact order 1.0; the
-    # bands it reports must be accepted back and reproduce its field
+    # bands it reports reproduce its field through continue_banded
     rng = np.random.default_rng(8)
     basis = build_basis(math.pi, LateralBC("dirichlet"), 12, 128)
     c = rng.standard_normal(12) * np.exp(-np.arange(12))
@@ -700,10 +704,7 @@ def test_scheme_record_validation():
     picked = solve_cauchy_holdall(data, basis.bc, ContinuationScheme("fac_lap_split"), y)
     bands = tuple(picked.meta["bands"])
     assert bands[0][1] == 1.0 and len(bands) > 1
-    replay = solve_cauchy_holdall(
-        data, basis.bc, ContinuationScheme("fac_lap_split", bands=bands), y
-    )
-    assert replay.meta["bands"] == picked.meta["bands"]
+    replay = continue_banded(data, bands, y)
     assert np.array_equal(replay.values, picked.values)
 
 

@@ -24,10 +24,7 @@ from fraccauchy.elliptic import (
     bottom_flux,
     combined_impedance,
     curve_conormal,
-    eval_on_curve,
     interface_traces,
-    load_grid,
-    save_grid,
     solve_cauchy_holdall,
     solve_forward,
 )
@@ -459,15 +456,6 @@ class TestHoldall:
         assert bands[0][1] >= 0.95
         assert all(a <= 0.9 for _, a in bands[1:])
 
-    def test_preset_bands_dispatch(self):
-        basis, x, data = self._data(0.01, np.random.default_rng(5))
-        y = np.linspace(0.0, self.OLH, 5)
-        bands = ((4, 0.7), (8, 0.95))
-        fld = solve_cauchy_holdall(
-            data, basis.bc, ContinuationScheme("fac_lap_split", bands=bands), y
-        )
-        np.testing.assert_array_equal(fld.values, continue_banded(data, bands, y).values)
-
     def test_scheme_requires_alpha(self):
         basis, x, data = self._data()
         with pytest.raises(ValueError):
@@ -501,9 +489,16 @@ def test_continue_banded_single_band_equals_fac_lap():
     np.testing.assert_allclose(a.values, b.values, atol=1e-13)
     with pytest.raises(ValueError):
         continue_banded(data, [(4, 0.8)], 0.3)  # does not cover all modes
+    with pytest.raises(ValueError):
+        continue_banded(data, [(4, 0.9), (3, 0.5), (6, 0.5)], 0.3)  # ends decrease
+    with pytest.raises(ValueError):
+        continue_banded(data, [(6, 1.5)], 0.3)  # order outside (0, 1]
 
 
 class TestEvalOnCurve:
+    """Fields evaluated along curves by the column splines of
+    `_curve_sampler`."""
+
     def _field(self):
         basis = build_basis(1.0, LateralBC("dirichlet"), J=8, N=129)
         x = basis.grid
@@ -516,13 +511,13 @@ class TestEvalOnCurve:
     def test_constant_level(self):
         x, fld = self._field()
         lev = np.full(129, 0.237)
-        got = eval_on_curve(fld, lev)
+        got = _curve_sampler(fld)(lev)
         assert np.max(np.abs(got - separable_exact(x, 0.237, 1.0, 0.4))) < 1e-8
 
     def test_derivative_level(self):
         x, fld = self._field()
         lev = np.full(129, 0.237)
-        got = eval_on_curve(fld, lev, dy=1)
+        got = _curve_sampler(fld)(lev, dy=1)
         exact = -np.pi * np.sin(np.pi * x) * math.cosh(np.pi * (0.4 - 0.237)) / math.sinh(
             0.4 * np.pi
         )
@@ -531,7 +526,7 @@ class TestEvalOnCurve:
     def test_varying_level(self):
         x, fld = self._field()
         lev = 0.2 + 0.1 * np.sin(np.pi * x)
-        got = eval_on_curve(fld, lev)
+        got = _curve_sampler(fld)(lev)
         assert np.max(np.abs(got - separable_exact(x, lev, 1.0, 0.4))) < 1e-6
 
     @pytest.mark.parametrize("dy", [0, 1, 2])
@@ -551,12 +546,12 @@ class TestEvalOnCurve:
                 CubicSpline(fld.eta * base[i], fld.values[i])(ell[i], nu=dy)
                 for i in range(base.size)
             ])
-            got = eval_on_curve(fld, ell, dy=dy)
+            got = _curve_sampler(fld)(ell, dy=dy)
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
-    def test_sampler_bitwise_equal_to_eval_on_curve(self):
+    def test_reused_sampler_equals_fresh_sampler(self):
         # one sampler serves several curves and derivative orders, asked in
-        # any order, with exactly the values of a fresh spline per call
+        # any order, with exactly the values of a fresh sampler per call
         _, holdall = self._field()
         x = holdall.x
         N = 33
@@ -568,7 +563,7 @@ class TestEvalOnCurve:
             sample = _curve_sampler(fld)
             for dy in (2, 0, 1):
                 for ell in ells:
-                    np.testing.assert_array_equal(sample(ell, dy), eval_on_curve(fld, ell, dy=dy),
+                    np.testing.assert_array_equal(sample(ell, dy), _curve_sampler(fld)(ell, dy),
                                                   strict=True)
             with pytest.raises(ValueError):
                 sample(ells[0][:-1])
@@ -595,7 +590,7 @@ class TestEvalOnCurve:
                 -K * math.sin(K + PH) * np.exp(Q * np.linspace(0, 1, 33) * ell[-1]),
             ),
         )
-        got = eval_on_curve(fld, 0.9 * ell)
+        got = _curve_sampler(fld)(0.9 * ell)
         exact = np.cos(K * x + PH) * np.exp(Q * 0.9 * ell)
         assert np.max(np.abs(got - exact)) < 5e-4
 
@@ -632,13 +627,3 @@ class TestTraceRefusals:
         # the curve reaches 1.47 times the field's top of 0.2
         with pytest.raises(ValueError, match="leaves the field's mesh"):
             trace(self._field(1.0), self._curve(scale=2.45))
-
-
-def test_grid_dump_roundtrip(tmp_path):
-    x, curve, fld = solve_separable(33)
-    path = tmp_path / "field.csv"
-    save_grid(fld, path)
-    values, meta = load_grid(path)
-    np.testing.assert_allclose(values, fld.values, rtol=1e-12)
-    assert meta["N"] == 33 and meta["M"] == 17
-    assert meta["L"] == 1.0 and meta["olell"] == 0.6

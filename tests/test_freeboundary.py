@@ -332,21 +332,9 @@ class TestValidation:
         for kw in (
             dict(max_iter=0),
             dict(stop_tol=0.0),
-            dict(clamp=(0.0, 0.1)),
         ):
             with pytest.raises(ValueError):
                 NewtonConfig(**kw)
-
-    def test_clamp_above_holdall(self):
-        zbar = holdall_field("D", 0.1, 0.0)
-        with pytest.raises(ValueError):
-            newton_dirichlet(
-                Curve(np.full(N, 0.05), L, 0.1),
-                zbar,
-                LATERAL,
-                excitation(X),
-                NewtonConfig(clamp=(0.01, 0.2)),
-            )
 
     def test_truth_on_wrong_grid(self):
         zbar = holdall_field("D", 0.1, 0.0)
@@ -526,12 +514,17 @@ class TestSweepBranches:
         assert tr.stop == self.DIVERGENT_STOP[start]
         assert tr.converged is False
 
-    def test_explicit_clamp_holds_every_iterate(self):
-        lo, hi = 0.075, 0.085
-        tr = run_newton("D", 0.1, 0.01, 0.08, cfg=NewtonConfig(max_iter=3, clamp=(lo, hi)))
+    def test_corridor_holds_every_iterate(self):
+        # the divergent gamma = 10 sweep from 0.05 runs into both bounds of
+        # the corridor (0.01 olell, olell)
+        olell = 0.1
+        lo, hi = 0.01 * olell, olell
+        zbar = holdall_field("I", olell, 0.0, gamma=10.0)
+        tr = newton_impedance(
+            Curve(np.full(N, 0.05), L, olell), 10.0, zbar, LATERAL, excitation(X), NewtonConfig()
+        )
         ells = np.array([it.ell for it in tr.iterates])
         assert ells.min() >= lo and ells.max() <= hi
-        # the corridor binds: the truth spans 0.07 to 0.09
         assert np.any(ells == lo) and np.any(ells == hi)
 
     def test_truth_as_curve(self):

@@ -18,7 +18,6 @@ from fraccauchy.specfun import (
     _ml_array,
     _series,
     ml,
-    ml_kernel,
     ml_reciprocal_bound,
     ml_values,
 )
@@ -407,29 +406,6 @@ def test_positive_overflow_signalled():
     # E_{1/2,1}(30) ~ exp(900) exceeds the double range
     with pytest.raises(OverflowError):
         ml(0.5, 1.0, 30.0)
-
-
-def test_kernel_matches_exponential():
-    for t in np.linspace(0.05, 3.0, 20):
-        assert ml_kernel(1.0, 1.0, 2.0, t) == pytest.approx(math.exp(-2.0 * t), abs=1e-12)
-
-
-def test_kernel_values():
-    # t^{beta-1} E_{alpha,beta}(-lam t^alpha) at a few frozen points
-    assert ml_kernel(2.0, 2.0, 4.0, 1.0) == pytest.approx(math.sin(2.0) / 2.0, abs=1e-12)
-    ref = 0.5 ** (-0.1) * 0.511127015629086223
-    assert ml_kernel(0.9, 0.9, 1.0, 0.5) == pytest.approx(ref, abs=1e-11)
-
-
-def test_kernel_time_zero_limits():
-    assert ml_kernel(0.9, 1.0, 3.0, 0.0) == 1.0
-    assert ml_kernel(0.9, 1.7, 3.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        ml_kernel(0.9, 0.9, 3.0, 0.0)
-    with pytest.raises(ValueError):
-        ml_kernel(0.9, 1.0, 3.0, -0.5)
-    with pytest.raises(ValueError):
-        ml_kernel(0.9, 1.0, -1.0, 0.5)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 1.0])

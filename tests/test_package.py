@@ -1,9 +1,10 @@
 """The package's declared surface matches its tree: public names resolve,
-the files named in pyproject.toml exist and the modules import one another
-in layers."""
+every public function is named by a test, the files named in pyproject.toml
+exist and the modules import one another in layers."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -105,3 +106,16 @@ def test_private_names_are_used():
     unused = sorted("%s.%s" % (name, n) for name, tree in trees.items()
                     for n in _private_definitions(tree) - used)
     assert not unused
+
+
+def test_public_functions_are_tested():
+    # every public function is reached by name from some test file
+    tests = pathlib.Path(__file__).resolve().parent
+    named = set().union(*(_references(ast.parse(path.read_text()))
+                          for path in tests.glob("*.py")))
+    untested = []
+    for name in MODULES:
+        module = importlib.import_module("fraccauchy." + name)
+        untested += ["%s.%s" % (name, n) for n in module.__all__
+                     if inspect.isfunction(getattr(module, n)) and n not in named]
+    assert not untested
