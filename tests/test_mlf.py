@@ -78,6 +78,23 @@ def test_sinc_identity():
     assert np.max(np.abs(vals - np.sin(x) / x)) <= 1e-9
 
 
+def _kernel(alpha, beta, lam, t):
+    # evaluation kernel t^{beta-1} E_{alpha,beta}(-lam t^alpha), t > 0
+    return t ** (beta - 1.0) * ml(alpha, beta, -lam * t ** alpha).value
+
+
+def test_kernel_matches_exponential():
+    for t in np.linspace(0.05, 3.0, 20):
+        assert _kernel(1.0, 1.0, 2.0, t) == pytest.approx(math.exp(-2.0 * t), abs=1e-12)
+
+
+def test_kernel_values():
+    # t^{beta-1} E_{alpha,beta}(-lam t^alpha) at a few frozen points
+    assert _kernel(2.0, 2.0, 4.0, 1.0) == pytest.approx(math.sin(2.0) / 2.0, abs=1e-12)
+    ref = 0.5 ** (-0.1) * 0.511127015629086223
+    assert _kernel(0.9, 0.9, 1.0, 0.5) == pytest.approx(ref, abs=1e-11)
+
+
 def test_values_keep_array_shape():
     # a (mode x height) grid whose negative arguments reach every branch,
     # the integral one included (-7.78 and -9.32 at alpha = 0.9)
