@@ -598,6 +598,8 @@ def _curve_sampler(field):
     """Column splines of ``field`` in height, built once: returns
     ``sample(ell, dy=0)``, the field (or its ``dy``-th y-derivative) along
     the curve y = ell(x), for any number of curves on the field's x-grid.
+    ``ell`` may stack curves along leading axes (shape (..., N)); each
+    element is evaluated as it would be alone.
 
     One cubic spline in eta serves every column: column i holds the levels
     eta * base_i, with base_i the mesh's top height there, so it is
@@ -614,7 +616,7 @@ def _curve_sampler(field):
 
     def sample(ell, dy=0):
         ell = np.asarray(ell, dtype=float)
-        if ell.shape != base.shape:
+        if ell.shape[-1:] != base.shape:
             raise ValueError("curve samples must live on the field's x-grid")
         if dy not in pieces:
             pieces[dy] = spline.derivative(dy)

@@ -333,6 +333,8 @@ class _SpanBasis:
         self.scheme = scheme
         if float(np.max(self.k)) * self.olell > _EXP_RANGE:
             raise ValueError("mode growth exceeds the floating range; reduce the basis size")
+        # (heights key, order, plus, minus) of the last `profiles` evaluation
+        self._last = None
 
     @property
     def J(self):
@@ -342,31 +344,45 @@ class _SpanBasis:
         """Fractional growing profile 1 / E_{a,1}(-k y^a) on the (mode x
         height) grid and its y-derivatives up to ``order``, as a list; the
         second derivative, which only Jacobian shape terms need, by a central
-        difference."""
+        difference whose heights y +- step share one E_{a,1} call with y."""
         alpha = self.scheme.alpha
         if order >= 1 and np.any(y <= 0.0):
             raise ValueError("fractional profile derivatives need y > 0")
-        z = -np.outer(self.k, np.maximum(y, 0.0) ** alpha)
-        e1 = ml_values(alpha, 1.0, z)
-        plus = [1.0 / e1]
-        if order >= 1:
-            ea = ml_values(alpha, alpha, z)
-            plus.append(self.k[:, None] * y ** (alpha - 1.0) * ea / e1 ** 2)
+        ys = y[None, :]
         if order >= 2:
             step = min(1e-4 * self.olell, 0.45 * float(np.min(y)))
-            up = self._frac_plus(y + step, 0)[0]
-            dn = self._frac_plus(y - step, 0)[0]
-            plus.append((up - 2.0 * plus[0] + dn) / step ** 2)
+            ys = np.stack([y, y + step, y - step])
+        z = -self.k[:, None] * np.maximum(ys, 0.0)[:, None, :] ** alpha
+        e1 = ml_values(alpha, 1.0, z)
+        plus = [1.0 / e1[0]]
+        if order >= 1:
+            ea = ml_values(alpha, alpha, z[0])
+            plus.append(self.k[:, None] * y ** (alpha - 1.0) * ea / e1[0] ** 2)
+        if order >= 2:
+            plus.append((1.0 / e1[1] - 2.0 * plus[0] + 1.0 / e1[2]) / step ** 2)
         return plus
 
     def profiles(self, y, order=0):
         """Growing and decaying profiles at heights y with their
-        y-derivatives up to ``order`` (at most 2).
+        y-derivatives up to ``order`` (0, 1 or 2).
 
         Returns (plus, minus), each the list [P, P', ...] of (J, y.size)
-        arrays.
+        arrays.  The profiles of the last heights asked for are kept, keyed
+        on the heights' exact values and the order evaluated: asking again
+        at the same heights for the same or a lower order evaluates nothing
+        and returns the kept arrays, which are therefore read-only.
         """
+        if order not in (0, 1, 2):
+            raise ValueError("profile order must be 0, 1 or 2, got %r" % (order,))
         y = np.atleast_1d(np.asarray(y, dtype=float))
+        key = (y.shape, y.tobytes())
+        if self._last is None or self._last[0] != key or self._last[1] < order:
+            self._last = (key, order) + self._evaluate(y, order)
+        _, _, plus, minus = self._last
+        return plus[: order + 1], minus[: order + 1]
+
+    def _evaluate(self, y, order):
+        """`profiles` without the cache, as read-only arrays."""
         k = self.k[:, None]
         grow = np.exp(k * y)
         pm = 1.0 / grow
@@ -380,6 +396,8 @@ class _SpanBasis:
             for p, m, (vp, vm) in zip(plus, minus, ((1.0 + y, 1.0 - y), (1.0, -1.0), (0.0, 0.0))):
                 p[zero] = vp
                 m[zero] = vm
+        for arr in plus + minus:
+            arr.flags.writeable = False
         return plus, minus
 
     def traces(self, a, b, ell, order=2):
@@ -418,9 +436,8 @@ class _SpanBasis:
         """
         levels = np.linspace(0.0, float(np.min(fld.curve.ell)), 12)
         C = np.empty((self.J, levels.size))
-        sample = _curve_sampler(fld)
-        for m, yy in enumerate(levels):
-            tracev = sample(np.full(self.basis.N, yy))
+        traces = _curve_sampler(fld)(np.repeat(levels[:, None], self.basis.N, axis=1))
+        for m, tracev in enumerate(traces):
             C[:, m] = analyze(tracev, self.basis).c
         (pp,), (pm,) = self.profiles(levels)
         a = np.empty(self.J)
@@ -551,7 +568,9 @@ class _FrozenSystem:
         ell, dell = self.curve_of(lh)
         J = self.span.J
         n = self.x.size
-        (pp, dpp), (pm, dpm) = self.span.profiles(ell, order=1)
+        # order 2, which the shape terms' traces below read again
+        plus, minus = self.span.profiles(ell, order=2)
+        (pp, dpp), (pm, dpm) = plus[:2], minus[:2]
         ph, dph = self.basis.modes, self.basis.dmodes
         nd = self.D.shape[0]
         K = np.zeros((2 * (nd + n), self.npar))

@@ -55,8 +55,14 @@ _BRANCH_NAMES = ("series", "asymptotic", "integral", "none")
 # series and algebraic tail: terms summed per (terms x points) chunk, and the
 # fraction of its partial sum below which the tail's envelope retires a point
 # (half an ulp is at least 2^-54 of a float64; the factor 2 covers rounding
-# in the computed terms and in the envelope)
-_SERIES_CHUNK = 12
+# in the computed terms and in the envelope).  The partial sums do not depend
+# on the chunk size.  Fewer, longer chunks lower the floor of small calls
+# (one BLAS thread, best of 90: 24 points at alpha = 0.5 took 0.33 ms at 32
+# terms against 0.51 ms at 12, and the joint recovery's 68-point calls at
+# alpha = 0.9 0.15 against 0.18 ms), while calls of thousands of points,
+# most of which leave the active set early in a longer chunk, take 7-10 ms
+# against 5-8 ms; only cold set-ups make such calls
+_SERIES_CHUNK = 32
 _TAIL_CHUNK = 16
 _TAIL_CUT = 2.0 ** -55
 

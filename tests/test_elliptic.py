@@ -568,6 +568,23 @@ class TestEvalOnCurve:
             with pytest.raises(ValueError):
                 sample(ells[0][:-1])
 
+    @pytest.mark.parametrize("dy", [0, 1, 2])
+    def test_stacked_curves_equal_per_curve_calls(self, dy):
+        # heights of shape (L, N) give the L rows of per-curve calls, bit
+        # for bit; the last axis must still be the field's x-grid
+        _, holdall = self._field()
+        x = holdall.x
+        heights = np.vstack([np.full(x.size, 0.0), 0.2 + 0.1 * np.sin(np.pi * x),
+                             np.full(x.size, 0.237), np.full(x.size, 0.4 * 1.01)])
+        sample = _curve_sampler(holdall)
+        got = sample(heights, dy)
+        assert got.shape == heights.shape
+        for row, ell in zip(got, heights):
+            np.testing.assert_array_equal(row, _curve_sampler(holdall)(ell, dy), strict=True)
+        for bad in (heights[:, :-1], heights.T, np.float64(0.2)):
+            with pytest.raises(ValueError):
+                sample(bad, dy)
+
     def test_curved_base_mesh(self):
         # per-column spline path: evaluate a forward solve below its own curve
         errs = _mms_errors(65, "neumann", "I")  # smoke reuse, ensures import shape

@@ -252,6 +252,33 @@ def test_series_unfinished_at_kmax_bitwise():
         assert got[1][[0, 4]].min() > 1.0
 
 
+def test_series_independent_of_chunk_size(monkeypatch):
+    # the partial sums run sequentially along the term axis, so the chunk
+    # size changes no bit; the points stop anywhere from the first terms to
+    # past a hundred, that is in different chunks of every size below
+    z = np.concatenate([np.linspace(-6.0, 6.0, 97), [1e-3, -1e-3]])
+    cases = [(0.5, 1.0), (0.5, 0.5), (0.6, 1.7), (0.9, 1.0), (0.9, 0.9), (1.3, 2.0), (1.8, 1.0)]
+    stops = {_series_stop(alpha, beta, float(v)) for alpha, beta in cases for v in z}
+    assert None not in stops and min(stops) < 12 and max(stops) > 100
+    refs = {case: _series(*case, z) for case in cases}
+    for chunk in (1, 12, 32, 64):
+        monkeypatch.setattr(specfun, "_SERIES_CHUNK", chunk)
+        for case in cases:
+            _assert_same(_series(*case, z), refs[case])
+
+
+def _series_stop(alpha, beta, z):
+    """Index of the term at which the series of the single point z stops."""
+    s, t = rgamma(beta), 1.0
+    for k in range(1, _SERIES_KMAX):
+        t *= z
+        c = t * rgamma(alpha * k + beta)
+        s += c
+        if abs(c) <= 1e-18 * (1.0 + abs(s)) and k * alpha + beta > 2.0:
+            return k
+    return None
+
+
 @pytest.mark.parametrize("alpha", PIN_ALPHAS)
 def test_algebraic_tail_bitwise_equal_to_term_loop(alpha):
     # |z| from below 1 to where kend sits at its 199-term clip, both signs

@@ -302,3 +302,67 @@ def test_one_spline_per_traced_field(problem, monkeypatch):
         np.testing.assert_array_equal(got, sampler(z1)(curve.ell, dy=dy), strict=True)
     _SpanBasis(build_basis(L, LATERAL, J, N), OLELL).project(z1)
     assert built == [z1, z1]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_profile_order_outside_range_refused(name):
+    span = _SpanBasis(build_basis(L, LATERAL, J, N), OLELL, SCHEMES[name])
+    for order in (-1, 3):
+        with pytest.raises(ValueError):
+            span.profiles(truth_curve(X), order)
+
+
+def test_ml_values_calls_per_frozen_newton(problem, monkeypatch):
+    # per fractional run: 2 calls (E_{a,1} and E_{a,a}) per residual away
+    # from the start, whose order-1 profiles are the first two of the
+    # Jacobian's order-2 ones; 2 for the Jacobian, the central difference
+    # sharing the E_{a,1} call; 1 per projected set of heights, and 1 for
+    # both final fields
+    import fraccauchy.simultaneous as sim
+
+    ml_values, residual = sim.ml_values, _FrozenSystem.residual
+    calls = []
+    residuals = []
+
+    def counted_ml(alpha, beta, z):
+        calls.append(beta)
+        return ml_values(alpha, beta, z)
+
+    def counted_residual(self, v):
+        residuals.append(len(calls))
+        return residual(self, v)
+
+    monkeypatch.setattr(sim, "ml_values", counted_ml)
+    monkeypatch.setattr(_FrozenSystem, "residual", counted_residual)
+    xi0 = problem["xi0"]
+    cfg = FrozenNewtonConfig(scheme=SCHEMES["fac_lap"])
+    _, n_star, _ = frozen_newton(problem["data"], xi0, problem["penalty"], cfg)
+    height_sets = len({float(np.min(u.curve.ell)) for u in (xi0.u1, xi0.u2)})
+    assert len(residuals) == n_star + 1
+    assert residuals[0] == height_sets + 2
+    assert len(calls) == 2 * n_star + 2 + height_sets + 1
+    assert all(isinstance(beta, float) for beta in calls)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_warm_profiles_equal_fresh_and_read_only(name, monkeypatch):
+    import fraccauchy.simultaneous as sim
+
+    basis = build_basis(L, LATERAL, J, N)
+    ell = truth_curve(X)
+    span = _SpanBasis(basis, OLELL, SCHEMES[name])
+    span.profiles(ell, 2)
+    calls = []
+    ml_values = sim.ml_values
+    monkeypatch.setattr(sim, "ml_values", lambda *args: calls.append(args) or ml_values(*args))
+    for order in (2, 0, 1):
+        before = len(calls)
+        warm = span.profiles(ell, order)
+        assert len(calls) == before
+        fresh = _SpanBasis(basis, OLELL, SCHEMES[name]).profiles(ell.copy(), order)
+        for got, ref in zip(warm, fresh):
+            assert len(got) == len(ref) == order + 1
+            for g, r in zip(got, ref):
+                np.testing.assert_array_equal(g, r, strict=True)
+                with pytest.raises(ValueError):
+                    g[0, 0] = 1.0
