@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgbtrf
 from scipy.sparse.linalg import splu
 
 from fraccauchy.continuation import (
@@ -319,6 +320,60 @@ def test_band_factor_matches_superlu(lat_kind, itf, monkeypatch):
         warnings.simplefilter("ignore")  # the Robin corners
         u, r = op.solve(f).values, ref.solve(f).values
     assert np.max(np.abs(u - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+_PATTERN_INTERFACES = {
+    "D": InterfaceBC("D"),
+    "N": InterfaceBC("N"),
+    "I_raw": InterfaceBC("I", 0.8, combined=False),
+    "I_combined": InterfaceBC("I", 0.8),
+}
+_PATTERN_CURVES = {
+    "flat": lambda x: np.full(x.size, 0.08),
+    "curved": lambda x: 0.08 + 0.01 * np.cos(2 * np.pi * x),
+}
+
+
+@pytest.mark.parametrize("N,M", [(129, 17), (17, 9)])
+@pytest.mark.parametrize("shape", sorted(_PATTERN_CURVES))
+@pytest.mark.parametrize("itf", sorted(_PATTERN_INTERFACES))
+@pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
+def test_band_array_is_the_scaled_matrix(lat_kind, itf, shape, N, M):
+    # the band factor is dgbtrf's of the row-scaled A scattered into LAPACK
+    # band storage (explicit zeros of A may be dropped: values, not the
+    # signs of zeros, are compared)
+    x = np.linspace(0.0, 1.0, N)
+    op = assemble(Curve(_PATTERN_CURVES[shape](x), 1.0, 0.1), LateralBC(lat_kind, 2.0),
+                  _PATTERN_INTERFACES[itf], M)
+    assert isinstance(op.lu, _BandLU)
+    A = op.A.tocsr()
+    A.data = A.data * np.repeat(op.rowscale, np.diff(A.indptr))
+    kl = 2 * M
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    ab = np.zeros((3 * kl + 1, A.shape[0]), order="F")
+    ab[2 * kl + rows - A.indices, A.indices] = A.data
+    lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
+    assert info == 0
+    np.testing.assert_array_equal(op.lu.lu, lu)
+    np.testing.assert_array_equal(op.lu.piv, piv)
+
+
+@pytest.mark.parametrize("shape", sorted(_PATTERN_CURVES))
+@pytest.mark.parametrize("itf", sorted(_PATTERN_INTERFACES))
+@pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
+def test_superlu_mesh_keeps_stencil_pattern(lat_kind, itf, shape):
+    # every stencil entry is stored once, the flat curve's zero cross terms
+    # included: nine per interior node, one per bottom node, one (Dirichlet)
+    # or five per top and lateral row
+    N, M = 33, 49
+    x = np.linspace(0.0, 1.0, N)
+    op = assemble(Curve(_PATTERN_CURVES[shape](x), 1.0, 0.1), LateralBC(lat_kind, 2.0),
+                  _PATTERN_INTERFACES[itf], M)
+    assert not isinstance(op.lu, _BandLU)
+    assert op.A.format == "csr" and op.A.has_canonical_format
+    top = 1 if itf == "D" else 5
+    side = 1 if lat_kind == "dirichlet" else 5
+    assert op.A.nnz == 9 * (N - 2) * (M - 2) + N + top * (N - 2) + side * 2 * (M - 1)
 
 
 def test_square_mesh_keeps_dissection():
