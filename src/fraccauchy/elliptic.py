@@ -9,8 +9,9 @@ an anisotropic operator with a cross term and a drift,
     a = eta ell'/ell,   b = eta (ell''/ell - 2 (ell'/ell)^2),
 
 discretised with central differences (a nine-point stencil).  `assemble`
-factorises the sparse matrix once per curve; each right-hand side (the
-bottom trace, plus any verification data) is then a back-solve.  The curve
+writes each coefficient once into diagonal storage and factorises the
+matrix once per curve; each right-hand side (the bottom trace, plus any
+verification data) is then a back-solve.  The curve
 enters only through coefficient arrays, so outer Newton loops can move it
 without remeshing.
 
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix, dia_matrix
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -234,10 +235,10 @@ def _corner_compat_warning(curve, lateral, f):
 class ForwardOperator:
     """The discrete mixed problem below one curve, factorised by `assemble`.
 
-    ``A`` is the unscaled matrix; ``lu`` factors it with each row scaled by
-    ``rowscale`` and rows and columns permuted by ``perm``: a `_BandLU` in
-    the identity order on shallow meshes, SuperLU in `_dissection` order on
-    deep ones.  `solve` needs nothing of ``lu`` but its ``solve``."""
+    ``A`` is the unscaled matrix, DIA on shallow meshes and CSR on deep ones;
+    ``lu`` factors it with each row scaled by ``rowscale`` and rows and
+    columns permuted by ``perm``: a `_BandLU` in the identity order on
+    shallow meshes, SuperLU in `_dissection` order on deep ones.  `solve` needs nothing of ``lu`` but its ``solve``."""
 
     curve: Curve
     lateral: object
@@ -330,13 +331,12 @@ _BAND_LEVELS = 48
 
 
 class _BandLU:
-    """LAPACK band LU (``dgbtrf``, partial pivoting) of a CSR matrix with
-    ``kl`` sub- and as many super-diagonals; ``solve`` back-solves."""
+    """LAPACK band LU (``dgbtrf``, partial pivoting, in place) of a matrix
+    with ``kl`` sub- and as many super-diagonals, given in LAPACK's band
+    storage ``ab``: entry (k, c) in ``ab[2 kl + k - c, c]``, rows 0..kl-1
+    left for the fill; ``solve`` back-solves."""
 
-    def __init__(self, A, kl):
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        ab = np.zeros((3 * kl + 1, A.shape[0]), order="F")
-        ab[2 * kl + rows - A.indices, A.indices] = A.data
+    def __init__(self, ab, kl):
         self.kl = kl
         self.lu, self.piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
         if info != 0:
@@ -354,15 +354,18 @@ def assemble(curve, lateral, interface, M=None):
     bottom trace.  ``M`` is the number of depth levels (default keeps the
     mapped cells roughly square, 129 x 65 at the standard resolution).
 
-    The operator keeps the unscaled matrix ``A`` for the residual gate and
-    factors P D A P^T, where D scales each row by ``rowscale`` =
-    1/max|row|.  Up to _BAND_LEVELS = 48 depth levels P is the identity and
-    `_BandLU` factors the band (kl = ku = 2M) with LAPACK's ``dgbtrf``.
-    Deeper meshes go to SuperLU in its natural order: P is the symmetric
-    permutation ``perm`` of `_dissection`, and a pivot is taken off the
-    diagonal only when it falls below a tenth of its column.  Without D
-    that threshold rejects the unit diagonal of every Dirichlet row and the
-    fill roughly doubles.
+    Each coefficient is written once into a table of the 12 diagonals the
+    stencil reaches, indexed by offset and row.  The operator keeps the
+    unscaled matrix ``A`` for the residual gate and factors P D A P^T, where
+    D scales each row by ``rowscale`` = 1/max|row|.  Up to _BAND_LEVELS = 48
+    depth levels P is the identity: the table shifted to column-indexed
+    storage is ``A`` in DIA form and, scaled, the band (kl = ku = 2M) that
+    `_BandLU` factors with LAPACK's ``dgbtrf``.  Deeper meshes read the CSR
+    off the written entries, explicit zeros kept, and go to SuperLU in its
+    natural order: P is the symmetric permutation ``perm`` of `_dissection`,
+    and a pivot is taken off the diagonal only when it falls below a tenth
+    of its column.  Without D that threshold rejects the unit diagonal of
+    every Dirichlet row and the fill roughly doubles.
 
     The crossover was measured on one BLAS thread as assembly, factorisation
     and one back-solve, N x M from 17 x 9 to 257 x 65.  Band LU was faster
@@ -389,65 +392,57 @@ def assemble(curve, lateral, interface, M=None):
     if interface.kind == "I":
         gamc = (_samples_on_grid(interface.gamma, curve.x, "gamma") if interface.combined
                 else combined_impedance(interface.gamma, curve))
-        if np.any(gamc <= 0.0):
+        if not np.all(gamc > 0.0):
             raise ValueError("impedance coefficient must be positive")
 
-    rows, cols, vals = [], [], []
+    # entry (k, k + d) of row k = i * M + j is diags[slot[d], i, j]; unwritten
+    # entries stay NaN until the SuperLU pattern is read off
+    offsets = np.array([-2 * M, -M - 1, -M, 1 - M, -2, -1, 0, 1, M - 1, M, M + 1, 2 * M])
+    slot = {d: r for r, d in enumerate(offsets.tolist())}
+    diags = np.full((offsets.size, N, M), np.nan)
 
-    def add(r, c, v):
-        r = np.atleast_1d(np.asarray(r, dtype=np.int64)).ravel()
-        c = np.atleast_1d(np.asarray(c, dtype=np.int64)).ravel()
-        rows.append(r)
-        cols.append(c)
-        vals.append(np.broadcast_to(np.asarray(v, dtype=float), r.shape).ravel())
+    def put(d, i, j, v):
+        diags[slot[d], i, j] = v
 
     # interior nine-point stencil
-    I, J = np.meshgrid(np.arange(1, N - 1), np.arange(1, M - 1), indexing="ij")
-    I = I.ravel()
-    J = J.ravel()
-    k = I * M + J
+    inner = slice(1, -1)
     slope = dl / ell
-    a = eta[J] * slope[I]
-    b = eta[J] * (d2l / ell - 2.0 * slope ** 2)[I]
-    ce = a * a + (1.0 / ell ** 2)[I]
+    a = eta[inner] * slope[inner, None]
+    b = eta[inner] * (d2l / ell - 2.0 * slope ** 2)[inner, None]
+    ce = a * a + (1.0 / ell ** 2)[inner, None]
     cx = 1.0 / hx ** 2
     ie2 = 1.0 / he ** 2
-    add(k, k, -2.0 * cx - 2.0 * ce * ie2)
-    add(k, k + M, cx)
-    add(k, k - M, cx)
-    add(k, k + 1, ce * ie2 - b / (2.0 * he))
-    add(k, k - 1, ce * ie2 + b / (2.0 * he))
+    put(0, inner, inner, -2.0 * cx - 2.0 * ce * ie2)
+    put(M, inner, inner, cx)
+    put(-M, inner, inner, cx)
+    put(1, inner, inner, ce * ie2 - b / (2.0 * he))
+    put(-1, inner, inner, ce * ie2 + b / (2.0 * he))
     cc = -a / (2.0 * hx * he)
-    add(k, k + M + 1, cc)
-    add(k, k - M - 1, cc)
-    add(k, k + M - 1, -cc)
-    add(k, k - M + 1, -cc)
+    put(M + 1, inner, inner, cc)
+    put(-M - 1, inner, inner, cc)
+    put(M - 1, inner, inner, -cc)
+    put(1 - M, inner, inner, -cc)
 
     # bottom edge: Dirichlet trace (owns the corners)
-    kb = np.arange(N) * M
-    add(kb, kb, 1.0)
+    put(0, slice(None), 0, 1.0)
 
     # top edge, interior columns
-    it = np.arange(1, N - 1)
-    kt = it * M + (M - 1)
     if interface.kind == "D":
-        add(kt, kt, 1.0)
+        put(0, inner, -1, 1.0)
     else:
         # ((1+ell'^2)/ell) U_eta - ell' U_x + gamma_comb U = rhs, with the
         # backward one-sided U_eta; identical to -ell' u_x + u_y + gamma_comb u
-        w = (1.0 + dl[it] ** 2) / (2.0 * he * ell[it])
-        add(kt, kt, 3.0 * w + (gamc[it] if gamc is not None else 0.0))
-        add(kt, kt - 1, -4.0 * w)
-        add(kt, kt - 2, w)
-        add(kt, kt + M, -dl[it] / (2.0 * hx))
-        add(kt, kt - M, dl[it] / (2.0 * hx))
+        w = (1.0 + dl[inner] ** 2) / (2.0 * he * ell[inner])
+        put(0, inner, -1, 3.0 * w + (gamc[inner] if gamc is not None else 0.0))
+        put(-1, inner, -1, -4.0 * w)
+        put(-2, inner, -1, w)
+        put(M, inner, -1, -dl[inner] / (2.0 * hx))
+        put(-M, inner, -1, dl[inner] / (2.0 * hx))
 
     def lateral_rows(i0, inward, edge_sign):
         """Rows j = 1..M-1 of one lateral edge (the top corner included)."""
-        jall = np.arange(1, M)
-        kall = i0 * M + jall
         if lateral.kind == "dirichlet":
-            add(kall, kall, 1.0)
+            put(0, i0, slice(1, None), 1.0)
             return
         if lateral.kind == "neumann":
             cxs, cu = 1.0, 0.0
@@ -455,33 +450,47 @@ def assemble(curve, lateral, interface, M=None):
             cxs, cu = edge_sign, lateral.robin_coeff
         # row: cxs * (U_x - a U_eta) + cu * U = rhs, one-sided U_x inward
         sgn = float(inward)
-        add(kall, kall, cxs * sgn * (-3.0) / (2.0 * hx) + cu)
-        add(kall, (i0 + inward) * M + jall, cxs * sgn * 2.0 / hx)
-        add(kall, (i0 + 2 * inward) * M + jall, -cxs * sgn / (2.0 * hx))
+        put(0, i0, slice(1, None), cxs * sgn * (-3.0) / (2.0 * hx) + cu)
+        put(inward * M, i0, slice(1, None), cxs * sgn * 2.0 / hx)
+        put(2 * inward * M, i0, slice(1, None), -cxs * sgn / (2.0 * hx))
         aa = -cxs * eta * (dl[i0] / ell[i0])  # weight of U_eta in the row
-        jj = np.arange(1, M - 1)
-        kk = i0 * M + jj
-        add(kk, kk + 1, aa[jj] / (2.0 * he))
-        add(kk, kk - 1, -aa[jj] / (2.0 * he))
-        ktc = i0 * M + (M - 1)
-        add(ktc, ktc, 3.0 * aa[M - 1] / (2.0 * he))
-        add(ktc, ktc - 1, -4.0 * aa[M - 1] / (2.0 * he))
-        add(ktc, ktc - 2, aa[M - 1] / (2.0 * he))
+        put(1, i0, inner, aa[inner] / (2.0 * he))
+        put(-1, i0, inner, -aa[inner] / (2.0 * he))
+        # the only entry written twice; a two-term sum commutes, so it is
+        # bitwise what summing the duplicate of a COO would give
+        diags[slot[0], i0, -1] += 3.0 * aa[-1] / (2.0 * he)
+        put(-1, i0, -1, -4.0 * aa[-1] / (2.0 * he))
+        put(-2, i0, -1, aa[-1] / (2.0 * he))
 
     lateral_rows(0, +1, -1.0)
     lateral_rows(N - 1, -1, +1.0)
 
-    A = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N * M, N * M),
-    ).tocsr()
-    rowscale = 1.0 / np.maximum.reduceat(np.abs(A.data), A.indptr[:-1])
-    scaled = A.copy()
-    scaled.data *= np.repeat(rowscale, np.diff(A.indptr))
+    n = N * M
+    diags = diags.reshape(offsets.size, n)
+    written = ~np.isnan(diags)
+    diags[~written] = 0.0
+    rowscale = 1.0 / np.max(np.abs(diags), axis=0)
+    scaled = diags * rowscale
     if M <= _BAND_LEVELS:
-        perm = np.arange(N * M)
-        lu = _BandLU(scaled, 2 * M)
+        # column-indexed, entry (k, k + d) in column k + d: SciPy's DIA layout
+        # and, scaled, rows kl..3kl of LAPACK's band storage
+        kl = 2 * M
+        data = np.zeros_like(diags)
+        ab = np.zeros((3 * kl + 1, n), order="F")
+        for r, d in enumerate(offsets):
+            to, of = slice(max(d, 0), n + min(d, 0)), slice(max(-d, 0), n - max(d, 0))
+            data[r, to] = diags[r, of]
+            ab[2 * kl - d, to] = scaled[r, of]
+        A = dia_matrix((data, offsets), shape=(n, n))
+        perm = np.arange(n)
+        lu = _BandLU(ab, kl)
     else:
+        # CSR of the written entries, explicit zeros kept: row-major with the
+        # offsets ascending is the canonical column order
+        indptr = np.concatenate(([0], np.cumsum(written.sum(axis=0))))
+        indices = (np.arange(n) + offsets[:, None]).T[written.T]
+        A = csr_matrix((diags.T[written.T], indices, indptr), shape=(n, n))
+        scaled = csr_matrix((scaled.T[written.T], indices, indptr), shape=(n, n))
         perm = _dissection(N, M)
         try:
             lu = splu(scaled[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)

@@ -376,6 +376,11 @@ def test_superlu_mesh_keeps_stencil_pattern(lat_kind, itf, shape):
     assert op.A.nnz == 9 * (N - 2) * (M - 2) + N + top * (N - 2) + side * 2 * (M - 1)
 
 
+def test_band_lu_reports_singular_matrix():
+    with pytest.raises(RuntimeError, match="band LU info"):
+        _BandLU(np.zeros((7, 5), order="F"), 2)
+
+
 def test_square_mesh_keeps_dissection():
     N = 129
     x = np.linspace(0.0, 1.0, N)
@@ -449,6 +454,12 @@ class TestValidation:
             solve_forward(
                 curve, LateralBC("dirichlet"), InterfaceBC("I", -1.0), np.zeros(N)
             )
+
+    def test_nan_gamma(self):
+        # NaN marks an unwritten matrix entry in `assemble`: no coefficient may be NaN
+        curve = Curve(np.full(33, 0.4), 1.0, 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            assemble(curve, LateralBC("neumann"), InterfaceBC("I", np.nan), M=49)
 
 
 class TestHoldall:
