@@ -470,7 +470,6 @@ def assemble(curve, lateral, interface, M=None):
     written = ~np.isnan(diags)
     diags[~written] = 0.0
     rowscale = 1.0 / np.max(np.abs(diags), axis=0)
-    scaled = diags * rowscale
     if M <= _BAND_LEVELS:
         # column-indexed, entry (k, k + d) in column k + d: SciPy's DIA layout
         # and, scaled, rows kl..3kl of LAPACK's band storage
@@ -480,7 +479,7 @@ def assemble(curve, lateral, interface, M=None):
         for r, d in enumerate(offsets):
             to, of = slice(max(d, 0), n + min(d, 0)), slice(max(-d, 0), n - max(d, 0))
             data[r, to] = diags[r, of]
-            ab[2 * kl - d, to] = scaled[r, of]
+            ab[2 * kl - d, to] = diags[r, of] * rowscale[of]
         A = dia_matrix((data, offsets), shape=(n, n))
         perm = np.arange(n)
         lu = _BandLU(ab, kl)
@@ -488,9 +487,11 @@ def assemble(curve, lateral, interface, M=None):
         # CSR of the written entries, explicit zeros kept: row-major with the
         # offsets ascending is the canonical column order
         indptr = np.concatenate(([0], np.cumsum(written.sum(axis=0))))
-        indices = (np.arange(n) + offsets[:, None]).T[written.T]
-        A = csr_matrix((diags.T[written.T], indices, indptr), shape=(n, n))
-        scaled = csr_matrix((scaled.T[written.T], indices, indptr), shape=(n, n))
+        cols = (np.arange(n)[:, None] + offsets)[written.T]
+        A = csr_matrix((diags.T[written.T], cols, indptr), shape=(n, n))
+        del diags, written, cols  # free the table before SuperLU's fill
+        scaled = A.copy()
+        scaled.data *= np.repeat(rowscale, np.diff(A.indptr))
         perm = _dissection(N, M)
         try:
             lu = splu(scaled[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
