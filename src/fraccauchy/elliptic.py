@@ -11,9 +11,8 @@ an anisotropic operator with a cross term and a drift,
 discretised with central differences (a nine-point stencil).  `assemble`
 writes each coefficient once into diagonal storage and factorises the
 matrix once per curve; each right-hand side (the bottom trace, plus any
-verification data) is then a back-solve.  The curve
-enters only through coefficient arrays, so outer Newton loops can move it
-without remeshing.
+verification data) is then a back-solve.  The curve enters only through
+coefficient arrays, so outer Newton loops can move it without remeshing.
 
 The factor is of the row-equilibrated matrix (each row divided by its
 largest entry), by one of two methods chosen from the number M of depth
@@ -238,7 +237,8 @@ class ForwardOperator:
     ``A`` is the unscaled matrix, DIA on shallow meshes and CSR on deep ones;
     ``lu`` factors it with each row scaled by ``rowscale`` and rows and
     columns permuted by ``perm``: a `_BandLU` in the identity order on
-    shallow meshes, SuperLU in `_dissection` order on deep ones.  `solve` needs nothing of ``lu`` but its ``solve``."""
+    shallow meshes, SuperLU in `_dissection` order on deep ones.  `solve`
+    needs nothing of ``lu`` but its ``solve``."""
 
     curve: Curve
     lateral: object
@@ -331,10 +331,9 @@ _BAND_LEVELS = 48
 
 
 class _BandLU:
-    """LAPACK band LU (``dgbtrf``, partial pivoting, in place) of a matrix
-    with ``kl`` sub- and as many super-diagonals, given in LAPACK's band
-    storage ``ab``: entry (k, c) in ``ab[2 kl + k - c, c]``, rows 0..kl-1
-    left for the fill; ``solve`` back-solves."""
+    """LAPACK band LU (``dgbtrf``, partial pivoting, in place) of band storage
+    ``ab`` with ``kl`` sub- and as many super-diagonals, entry (k, c) at
+    ``ab[2 kl + k - c, c]`` and rows 0..kl-1 free for fill; ``solve`` back-solves."""
 
     def __init__(self, ab, kl):
         self.kl = kl
@@ -367,10 +366,11 @@ def assemble(curve, lateral, interface, M=None):
     of its column.  Without D that threshold rejects the unit diagonal of
     every Dirichlet row and the fill roughly doubles.
 
-    The crossover was measured on one BLAS thread as assembly, factorisation
-    and one back-solve, N x M from 17 x 9 to 257 x 65.  Band LU was faster
-    at every N for M <= 41 (1.1-2.2x), the two tied at M = 49 (0.99-1.06x),
-    and SuperLU was faster from M = 57 (band 0.78-0.91x).
+    The split was measured on one BLAS thread as assembly, factorisation and
+    one back-solve, N x M from 17 x 9 to 257 x 65, with the band scattered
+    from CSR: band LU was faster for M <= 41, tied at M = 49 and slower from
+    M = 57.  Written from the table it takes 0.68-0.75 of SuperLU's time at
+    M = 49 and 0.85-0.98 at M = 57 (N = 65-257); the split has not moved.
     """
     N = curve.N
     if N < 5:
