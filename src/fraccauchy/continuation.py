@@ -20,11 +20,11 @@ one synthesis returns the traces.  A scalar height is the 0-d case of the
 same code.
 
 The kernels depend on the eigenvalues, the heights and the order, never on
-the Cauchy data, so `_kernel` keeps them in tables, one per geometry, filled
-entry by entry as calls ask for them: a first call evaluates the points the
-scheme needs in one batched call per kernel, and a later call on the same
-geometry evaluates only the entries no call has asked for yet.  The tables
-together hold at most _KERNEL_TABLE_BYTES; the least recently used go first.
+the Cauchy data, so `_kernel` keeps the values of each request, the
+geometry and the entries a scheme asks for, as one read-only vector: a
+first call evaluates them in one batched call per kernel, and a later call
+with the same request evaluates nothing.  The vectors together hold at most
+_KERNEL_TABLE_BYTES; the least recently used go first.
 
 ``split_frequency_continue`` assigns a per-band order by a discrepancy rule,
 and ``landweber_smooth`` implements a spectral pre-smoothing iteration that
@@ -73,9 +73,9 @@ _NOISE_SAFETY = 1.5
 # stopping constant of the Landweber pre-smoothing
 _LANDWEBER_C = 1.0
 
-# kernel tables by geometry, least recently used first (see _kernel), the
-# cap on their bytes, values and filled masks together, and the lock that
-# makes each lookup and fill one step for concurrent callers
+# kernel values by request, least recently used first (see _kernel), the
+# cap on their bytes, and the lock that makes each lookup, evaluation and
+# insert one step for concurrent callers
 _KERNEL_TABLES = OrderedDict()
 _KERNEL_TABLE_BYTES = 8 << 20
 _KERNEL_LOCK = threading.Lock()
@@ -187,44 +187,33 @@ def _kernel(kind, alpha, beta, c, t, want):
     ``kind`` is ``"ml"`` for E_{alpha,beta}(z) by ``ml_values``, or
     ``"tail"`` for the algebraic tail of E_{alpha,beta} at
     (z^(1/alpha))^alpha, the argument `_right_dc_ratio_large` takes.  The
-    table of (kind, alpha, beta, c, t) keeps every value evaluated so far;
-    the entries asked for that it lacks are evaluated in one call, through
-    this module's globals, and the table is then the most recently used.
-    A new table evicts the least recently used ones while all of them would
+    values are kept per request (kind, alpha, beta, c, t, want) as one
+    read-only vector: a request seen before returns that vector itself, and
+    a new one is evaluated in one call, through this module's globals.  A
+    new vector evicts the least recently used ones while all of them would
     hold more than _KERNEL_TABLE_BYTES; one larger than that is not kept.
-    Tables are read-only and the values are returned as a copy.
     """
     t = np.ravel(t)
     want = np.reshape(want, (t.size, c.size))
-    key = (kind, alpha, beta, c.tobytes(), t.tobytes())
+    key = (kind, alpha, beta, c.tobytes(), t.tobytes(), want.tobytes())
     with _KERNEL_LOCK:
-        entry = _KERNEL_TABLES.get(key)
-        if entry is None:
-            entry = np.zeros(want.shape), np.zeros(want.shape, dtype=bool)
-            entry[0].flags.writeable = False
-            size = entry[0].nbytes + entry[1].nbytes
-            if size <= _KERNEL_TABLE_BYTES:
-                used = size + sum(v.nbytes + f.nbytes for v, f in _KERNEL_TABLES.values())
-                while used > _KERNEL_TABLE_BYTES:
-                    v, f = _KERNEL_TABLES.popitem(last=False)[1]
-                    used -= v.nbytes + f.nbytes
-                _KERNEL_TABLES[key] = entry
-        else:
+        vals = _KERNEL_TABLES.get(key)
+        if vals is not None:
             _KERNEL_TABLES.move_to_end(key)
-        table, filled = entry
-        miss = want & ~filled
-        if np.any(miss):
-            k, j = np.nonzero(miss)
-            z = c[j] * t[k]
-            if kind == "ml":
-                vals = ml_values(alpha, beta, z)
-            else:
-                vals = _algebraic_tail(alpha, beta, (z ** (1.0 / alpha)) ** alpha)[0]
-            table.flags.writeable = True
-            table[miss] = vals
-            table.flags.writeable = False
-            filled |= miss
-        return table[want]
+            return vals
+        k, j = np.nonzero(want)
+        z = c[j] * t[k]
+        if kind == "ml":
+            vals = ml_values(alpha, beta, z)
+        else:
+            vals = _algebraic_tail(alpha, beta, (z ** (1.0 / alpha)) ** alpha)[0]
+        vals.flags.writeable = False
+        if vals.nbytes <= _KERNEL_TABLE_BYTES:
+            used = vals.nbytes + sum(v.nbytes for v in _KERNEL_TABLES.values())
+            while used > _KERNEL_TABLE_BYTES:
+                used -= _KERNEL_TABLES.popitem(last=False)[1].nbytes
+            _KERNEL_TABLES[key] = vals
+        return vals
 
 
 def _slice(data, a, zeroed, overflow=False):
@@ -393,13 +382,13 @@ def continue_banded(data, bands, y):
 
     ``bands`` is a sequence of ``(end_index, alpha)`` pairs with strictly
     increasing end indices covering all modes (the last end equals basis.J).
-    Each band reads its kernels 1/E_{alpha,1}(-sqrt(lambda_j) y_k^alpha) from
-    the table keyed on (alpha, the eigenvalues, the heights y^alpha), which
-    every call on that geometry shares, whatever its data or band split.  A
-    cold call evaluates each band's positive-eigenvalue modes at every
-    height in one Mittag-Leffler call, as without the table; a warm one only
-    the entries no earlier band of that order covered.  The tables of all
-    geometries hold at most _KERNEL_TABLE_BYTES together.
+    Each band reads its kernels 1/E_{alpha,1}(-sqrt(lambda_j) y_k^alpha)
+    through `_kernel`, keyed on the band's request: alpha, the eigenvalues,
+    the heights y^alpha and the band's positive-eigenvalue modes.  Every
+    call with that request shares its values, whatever its data.  A band
+    not asked for before evaluates all of its modes at every height in one
+    Mittag-Leffler call, even where another band of that order already
+    covers some of them; a band asked for before evaluates nothing.
     """
     y = _check_height(y)
     J = data.basis.J
@@ -444,13 +433,13 @@ def split_frequency_continue(data, y_grid):
     one `continue_banded` call continues the whole grid.  Returns the
     continued `Slice` and the list of bands ``(end_index, alpha)``.
 
-    The kernel rows at ``ystar`` come from one table per order, keyed on
-    (alpha, the eigenvalues, ystar^alpha) and capped with the band tables at
-    _KERNEL_TABLE_BYTES: a cold call evaluates the positive-eigenvalue modes
-    once per order of ALPHA_GRID, as without the tables, and a later call
-    with the same basis and deepest level evaluates none.
+    The heights are checked first, so a refused grid evaluates nothing.
+    The kernel rows at ``ystar`` are one `_kernel` request per order, keyed
+    on (alpha, the eigenvalues, ystar^alpha, the positive-eigenvalue modes):
+    a cold call evaluates those modes once per order of ALPHA_GRID, and a
+    later call with the same basis and deepest level evaluates none.
     """
-    y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
+    y_grid = np.atleast_1d(_check_height(y_grid))
     lam = data.basis.lambdas
     up, _ = _split_coeffs(*data.coeffs(), lam)
     J = lam.size

@@ -23,8 +23,8 @@ with partial pivoting.  Deeper ones get SuperLU in a geometric
 nested-dissection order of the grid (A. George, SIAM J. Numer. Anal. 10
 (1973) 345-363), with threshold partial pivoting.  Band LU costs about
 N M kl (kl + ku) = 8 N M^3 operations, nested dissection on a long strip
-about N M^2, so the crossover lies at a fixed M, whatever N (measured: see
-`assemble`).
+about N M^2, so the crossover lies at a fixed M, whatever N (measured
+between M = 49 and 53: see `assemble`).
 
 For SuperLU the scaling is what lets the order survive the pivoting:
 unscaled, the unit Dirichlet rows sit far below the 1/(ell h)^2
@@ -327,7 +327,7 @@ def _dissection(N, M):
 
 # most depth levels factored by band LU; deeper meshes go to SuperLU (see
 # `assemble` for the measured crossover)
-_BAND_LEVELS = 48
+_BAND_LEVELS = 49
 
 
 class _BandLU:
@@ -356,7 +356,7 @@ def assemble(curve, lateral, interface, M=None):
     Each coefficient is written once into a table of the 12 diagonals the
     stencil reaches, indexed by offset and row.  The operator keeps the
     unscaled matrix ``A`` for the residual gate and factors P D A P^T, where
-    D scales each row by ``rowscale`` = 1/max|row|.  Up to _BAND_LEVELS = 48
+    D scales each row by ``rowscale`` = 1/max|row|.  Up to _BAND_LEVELS = 49
     depth levels P is the identity: the table shifted to column-indexed
     storage is ``A`` in DIA form and, scaled, the band (kl = ku = 2M) that
     `_BandLU` factors with LAPACK's ``dgbtrf``.  Deeper meshes read the CSR
@@ -366,11 +366,11 @@ def assemble(curve, lateral, interface, M=None):
     of its column.  Without D that threshold rejects the unit diagonal of
     every Dirichlet row and the fill roughly doubles.
 
-    The split was measured on one BLAS thread as assembly, factorisation and
-    one back-solve, N x M from 17 x 9 to 257 x 65, with the band scattered
-    from CSR: band LU was faster for M <= 41, tied at M = 49 and slower from
-    M = 57.  Written from the table it takes 0.68-0.75 of SuperLU's time at
-    M = 49 and 0.85-0.98 at M = 57 (N = 65-257); the split has not moved.
+    The split was measured on one BLAS thread as `solve_forward`, best of
+    7 with each path forced, for N = 65, 129 and 257: the band factor
+    written from the table takes 0.91-0.98 of SuperLU's time at M = 49, and
+    1.00-1.13 at M = 53 for N = 65 and 129.  M = 49 is the deepest measured
+    mesh where band LU wins for every N.
     """
     N = curve.N
     if N < 5:

@@ -296,6 +296,51 @@ def test_split_frequency_band_breakpoints_increase():
     assert ends[-1] == 12
 
 
+# Closed-form separable fields u = sum_j a_j phi_j (cosh(k_j y) + sinh(k_j y)/k_j),
+# k_j = sqrt(lambda_j): f and g both have the coefficients a_j, and each field
+# is continued to its depth y*
+CONVERGENCE_FIELDS = {
+    "robin_0.3": (LateralBC("robin", 1.0), 0.3, lambda k, j: np.exp(-2.0 * k)),
+    "neumann_0.6": (LateralBC("neumann"), 0.6, lambda k, j: np.exp(-2.0 * k)),
+    "dirichlet_0.1": (LateralBC("dirichlet"), 0.1,
+                      lambda k, j: (1.0 + j) ** -3.0 * np.exp(-0.1 * k)),
+    "dirichlet_0.3": (LateralBC("dirichlet"), 0.3, lambda k, j: np.exp(-k)),
+}
+_STALLS = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4: on Dirichlet data the split rule's error "
+    "stalls as delta -> 0 (at y = 0.1 it stays near 4.9e-4 from delta = 1e-3 to 1e-5)")
+
+
+@pytest.mark.parametrize("name", [
+    "robin_0.3",
+    "neumann_0.6",
+    pytest.param("dirichlet_0.1", marks=_STALLS),
+    pytest.param("dirichlet_0.3", marks=_STALLS),
+])
+def test_split_frequency_error_falls_with_noise(name):
+    # a convergent rule's error goes to zero with the noise level; pinned as
+    # a fall by at least 2x per decade of delta, each error the median
+    # relative L2 error at y* over 5 noise draws (N = 129, J = 24)
+    bc, ystar, coeffs = CONVERGENCE_FIELDS[name]
+    basis = build_basis(1.0, bc, 24, 129)
+    k = np.sqrt(basis.lambdas)
+    a = coeffs(k, np.arange(basis.J))
+    sinhc = np.where(k > 0.0, np.sinh(k * ystar) / np.where(k > 0.0, k, 1.0), ystar)
+    exact = synthesize(SpectralCoeffs(basis, a * (np.cosh(k * ystar) + sinhc)))
+    trace = synthesize(SpectralCoeffs(basis, a))
+    clean = CauchyData(trace, trace, 0.0, basis)
+    w = basis.weights
+    errors = []
+    for delta in (1e-2, 1e-3, 1e-4, 1e-5):
+        draws = []
+        for seed in range(5):
+            data = with_noise(clean, delta, np.random.default_rng(seed))
+            u = split_frequency_continue(data, [ystar])[0].values[:, 0]
+            draws.append(math.sqrt(np.sum(w * (u - exact) ** 2) / np.sum(w * exact ** 2)))
+        errors.append(float(np.median(draws)))
+    assert all(e1 >= 2.0 * e2 for e1, e2 in zip(errors, errors[1:])), errors
+
+
 GRID_SCHEMES = {
     "exact": continue_exact,
     "left_dc": lambda data, y: continue_left_dc(data, 1.5, y),
@@ -325,7 +370,8 @@ def test_grid_matches_scalar_levels(name):
 
 @pytest.fixture
 def kernel_tables(monkeypatch):
-    """An empty kernel memo for this test, restored afterwards."""
+    """An empty kernel memo (request -> read-only values) for this test,
+    restored afterwards."""
     tables = type(continuation._KERNEL_TABLES)()
     monkeypatch.setattr(continuation, "_KERNEL_TABLES", tables)
     return tables
@@ -503,6 +549,8 @@ def test_memo_cold_call_evaluates_parent_points(monkeypatch, kernel_tables, name
 
 
 def test_memo_outputs_do_not_alias_tables(kernel_tables):
+    # a hit returns the stored vector itself, so it must be read-only, and
+    # no Slice may share memory with a stored vector
     data = _memo_data(1)
     ref = continue_fac_lap(data, 0.7, MEMO_Y).values.copy()
     out = continue_fac_lap(data, 0.7, MEMO_Y)
@@ -511,16 +559,20 @@ def test_memo_outputs_do_not_alias_tables(kernel_tables):
     c = -np.sqrt(data.basis.lambdas)
     want = np.ones((MEMO_Y.size, c.size), dtype=bool)
     vals = continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want)
-    vals[:] = 0.0
-    assert np.all(continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want) > 0.0)
-    for table, filled in kernel_tables.values():
-        assert not table.flags.writeable
+    assert continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want) is vals
+    with pytest.raises(ValueError, match="read-only"):
+        vals[:] = 0.0
+    assert np.all(vals > 0.0)
+    slices = [cont(data, MEMO_Y) for cont in MEMO_SCHEMES.values()]
+    for v in kernel_tables.values():
+        assert not v.flags.writeable
+        assert not any(np.shares_memory(v, sl.values) for sl in slices)
 
 
 def test_memo_shared_by_threads(monkeypatch, kernel_tables):
     # more threads than cores, a short switch interval and a cap of about
-    # two tables, so lookups, fills and evictions interleave
-    monkeypatch.setattr(continuation, "_KERNEL_TABLE_BYTES", 5_000)
+    # two requests, so lookups, evaluations and evictions interleave
+    monkeypatch.setattr(continuation, "_KERNEL_TABLE_BYTES", 2_600)
     data = _memo_data(1)
     heights = [MEMO_Y + 0.01 * k for k in range(6)]
     ref = [continue_fac_lap(data, 0.7, y).values for y in heights]
@@ -557,12 +609,82 @@ def test_memo_memory_stays_under_cap(monkeypatch, kernel_tables):
     for k in range(40):
         y = MEMO_Y + 0.01 * k
         continue_fac_lap(data, 0.7, y)
-        used = sum(v.nbytes + f.nbytes for v, f in kernel_tables.values())
+        used = sum(v.nbytes for v in kernel_tables.values())
         assert 0 < used <= cap
-    # the most recent geometry is kept, and a table above the cap is not
+    # the most recent request is kept, and one above the cap is not, nor
+    # does it evict anything
     assert next(reversed(kernel_tables))[4] == np.float_power(y, 0.7).tobytes()
+    kept = list(kernel_tables)
     continue_fac_lap(data, 0.7, np.linspace(0.0, 3.0, 400))
-    assert all(v.shape[0] == MEMO_Y.size for v, _ in kernel_tables.values())
+    assert list(kernel_tables) == kept
+    assert all(v.size == MEMO_Y.size * data.basis.J for v in kernel_tables.values())
+
+
+def test_memo_lock_makes_one_evaluation_per_request(monkeypatch, kernel_tables):
+    # thread a is held inside the evaluation of a miss while thread b asks
+    # for the same request: b must wait for a's values, not evaluate again
+    entered, release = threading.Event(), threading.Event()
+    calls = []
+
+    def held(alpha, beta, z):
+        calls.append(np.size(z))
+        entered.set()
+        release.wait(timeout=30.0)
+        return ml_values(alpha, beta, z)
+
+    monkeypatch.setattr(continuation, "ml_values", held)
+    c = -np.sqrt(_memo_data(1).basis.lambdas)
+    want = np.ones((MEMO_Y.size, c.size), dtype=bool)
+    got = {}
+
+    def ask(name):
+        got[name] = continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want)
+
+    a = threading.Thread(target=ask, args=("a",))
+    b = threading.Thread(target=ask, args=("b",))
+    try:
+        a.start()
+        assert entered.wait(timeout=30.0)
+        b.start()
+        b.join(timeout=0.5)  # time for b to reach the evaluation were it unguarded
+    finally:
+        release.set()
+        a.join(timeout=30.0)
+        b.join(timeout=30.0)
+    assert not a.is_alive() and not b.is_alive()
+    assert len(calls) == 1
+    assert np.array_equal(got["a"], got["b"])
+
+
+def test_memo_new_mask_evaluates_all_its_entries(monkeypatch, kernel_tables):
+    # requests are keyed on their entries: bands inside a known (order,
+    # heights) request are new requests, and each evaluates all its entries
+    data = _memo_data(1)
+    continue_fac_lap(data, 0.7, MEMO_Y)
+    points = []
+
+    def counted(alpha, beta, z):
+        points.append(np.size(z))
+        return ml_values(alpha, beta, z)
+
+    monkeypatch.setattr(continuation, "ml_values", counted)
+    continue_banded(data, [(5, 0.7), (12, 0.7)], MEMO_Y)
+    assert points == [5 * MEMO_Y.size, 7 * MEMO_Y.size]
+    points.clear()
+    continue_banded(data, [(5, 0.7), (12, 0.7)], MEMO_Y)
+    continue_fac_lap(data, 0.7, MEMO_Y)
+    assert points == []
+
+
+@pytest.mark.parametrize("y", [[np.nan], [np.inf], [-0.1, 0.2], [0.1, -0.2]])
+def test_split_frequency_refuses_heights_before_evaluating(monkeypatch, kernel_tables, y):
+    def refuse(*args):
+        raise AssertionError("a kernel was evaluated for refused heights")
+
+    monkeypatch.setattr(continuation, "ml_values", refuse)
+    with pytest.raises(ValueError, match="height"):
+        split_frequency_continue(_memo_data(1), y)
+    assert not kernel_tables
 
 
 def test_landweber_geometric_recursion():

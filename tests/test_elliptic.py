@@ -365,7 +365,7 @@ def test_superlu_mesh_keeps_stencil_pattern(lat_kind, itf, shape):
     # every stencil entry is stored once, the flat curve's zero cross terms
     # included: nine per interior node, one per bottom node, one (Dirichlet)
     # or five per top and lateral row
-    N, M = 33, 49
+    N, M = 33, 57
     x = np.linspace(0.0, 1.0, N)
     op = assemble(Curve(_PATTERN_CURVES[shape](x), 1.0, 0.1), LateralBC(lat_kind, 2.0),
                   _PATTERN_INTERFACES[itf], M)
