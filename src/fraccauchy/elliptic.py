@@ -8,23 +8,35 @@ an anisotropic operator with a cross term and a drift,
     u_xx + u_yy = U_xx - 2 a U_xeta + (a^2 + 1/ell^2) U_etaeta - b U_eta,
     a = eta ell'/ell,   b = eta (ell''/ell - 2 (ell'/ell)^2),
 
-discretised with central differences (a nine-point stencil).  `assemble`
-writes each coefficient once into diagonal storage and factorises the
-matrix once per curve; each right-hand side (the bottom trace, plus any
-verification data) is then a back-solve.  The curve enters only through
-coefficient arrays, so outer Newton loops can move it without remeshing.
+discretised with central differences (a nine-point stencil).  `_stencil`
+writes each coefficient once into diagonal storage.  The curve enters only
+through coefficient arrays, so outer Newton loops can move it without
+remeshing.
 
-The factor is of the row-equilibrated matrix (each row divided by its
-largest entry), by one of two methods chosen from the number M of depth
-levels.  In row-major node order the matrix is a band matrix with
+The system is solved by one of three methods, chosen from the number M of
+depth levels and from whether one right-hand side is wanted or several.
+Every method works on the row-equilibrated matrix (each row divided by its
+largest entry).  In row-major node order the matrix is a band matrix with
 kl = ku = 2M, since the one-sided lateral rows reach two columns inward.
-Shallow meshes, such as the Newton sweeps' 129 x 17, get LAPACK's band LU
-with partial pivoting.  Deeper ones get SuperLU in a geometric
-nested-dissection order of the grid (A. George, SIAM J. Numer. Anal. 10
-(1973) 345-363), with threshold partial pivoting.  Band LU costs about
-N M kl (kl + ku) = 8 N M^3 operations, nested dissection on a long strip
-about N M^2, so the crossover lies at a fixed M, whatever N (measured
-between M = 49 and 53: see `assemble`).
+
+- Band LU.  Shallow meshes, such as the Newton sweeps' 129 x 17, get
+  LAPACK's band LU with partial pivoting, from `assemble` and from
+  `solve_forward` alike.
+- GMRES.  A one-shot `solve_forward` on a deeper mesh factors nothing: it
+  runs restarted GMRES, right-preconditioned by an exact fast solve of the
+  flat-strip operator at the curve's mean height (`_flat_strip`), until
+  the row-scaled residual is below 1e-13 of the row-scaled right-hand
+  side.  If it does not get there within a fixed number of iterations, the
+  solve falls back to SuperLU.
+- SuperLU.  `assemble` factorises a deeper mesh once per curve, so that
+  each of several right-hand sides (the bottom trace, plus any
+  verification data) is a back-solve.  It uses SuperLU in a geometric
+  nested-dissection order of the grid (A. George, SIAM J. Numer. Anal. 10
+  (1973) 345-363), with threshold partial pivoting.
+
+Band LU costs about N M kl (kl + ku) = 8 N M^3 operations, nested
+dissection on a long strip about N M^2, so the crossover lies at a fixed
+M, whatever N (measured between M = 49 and 53: see `assemble`).
 
 For SuperLU the scaling is what lets the order survive the pivoting:
 unscaled, the unit Dirichlet rows sit far below the 1/(ell h)^2
@@ -55,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigh_tridiagonal, solve_triangular
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import csr_matrix, dia_matrix
 from scipy.sparse.linalg import splu
@@ -87,27 +100,30 @@ def _second_diff(v, h):
     return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class Curve:
     """Top boundary y = ell(x) sampled on the uniform x-grid, confined to the
-    hold-all strip of height olell."""
+    hold-all strip of height olell.  ``ell`` is a read-only copy of the
+    samples, so the slope can be kept."""
 
     ell: np.ndarray
     L: float
     olell: float
 
     def __post_init__(self):
-        self.ell = np.asarray(self.ell, dtype=float)
-        if self.ell.ndim != 1 or self.ell.size < 4:
+        ell = np.array(self.ell, dtype=float)
+        if ell.ndim != 1 or ell.size < 4:
             raise ValueError("need at least 4 curve samples")
         if not (self.L > 0.0 and math.isfinite(self.L)):
             raise ValueError("L must be positive and finite")
         if not (self.olell > 0.0 and math.isfinite(self.olell)):
             raise ValueError("hold-all height must be positive and finite")
-        if np.any(~np.isfinite(self.ell)) or np.any(self.ell <= 0.0):
+        if np.any(~np.isfinite(ell)) or np.any(ell <= 0.0):
             raise ValueError("curve must be finite and strictly positive")
-        if np.any(self.ell > self.olell * (1.0 + 1e-12)):
+        if np.any(ell > self.olell * (1.0 + 1e-12)):
             raise ValueError("curve exceeds the hold-all height")
+        ell.setflags(write=False)
+        object.__setattr__(self, "ell", ell)
 
     @property
     def N(self):
@@ -122,8 +138,15 @@ class Curve:
         return np.linspace(0.0, self.L, self.ell.size)
 
     def dell(self):
-        """Slope samples: centered differences, one-sided at the ends."""
-        return np.gradient(self.ell, self.h, edge_order=2)
+        """Slope samples: centered differences, one-sided at the ends.
+        Computed on first use and shared read-only."""
+        return self._slope
+
+    @functools.cached_property
+    def _slope(self):
+        dl = np.gradient(self.ell, self.h, edge_order=2)
+        dl.setflags(write=False)
+        return dl
 
     def d2ell(self):
         return _second_diff(self.ell, self.h)
@@ -226,7 +249,7 @@ def _corner_compat_warning(curve, lateral, f):
         warnings.warn(
             "bottom trace is incompatible with the lateral condition at a "
             "corner; expect reduced accuracy there",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -258,44 +281,57 @@ class ForwardOperator:
         u on the edge for a Dirichlet side, u_x for a Neumann side, and
         -u_x + sigma*u resp. u_x + sigma*u for a Robin side.
         """
-        curve, eta = self.curve, self.eta
-        N, M = curve.N, eta.size
-        x, ell = curve.x, curve.ell
-        f = np.asarray(f, dtype=float)
-        if f.shape != (N,):
-            raise ValueError("bottom trace must be sampled on the curve's x-grid")
-        src = np.zeros((N, M)) if source is None else source
-        if callable(src):
-            src = src(np.broadcast_to(x[:, None], (N, M)), ell[:, None] * eta[None, :])
-        src = np.asarray(src, dtype=float)
-        if src.shape != (N, M):
-            raise ValueError("source must evaluate to shape (N, M)")
-        itf = np.zeros(N)
-        if interface_rhs is not None:
-            itf = _samples_on_grid(interface_rhs, x, "interface_rhs")
-        if lateral_rhs is None:
-            _corner_compat_warning(curve, self.lateral, f)
-            lateral_rhs = (0.0, 0.0)
-        lat_left = _samples_on_grid(lateral_rhs[0], eta * ell[0], "lateral_rhs[0]")
-        lat_right = _samples_on_grid(lateral_rhs[1], eta * ell[-1], "lateral_rhs[1]")
+        return self._solve_rhs(_right_hand_side(
+            self.curve, self.lateral, self.eta, f, source, interface_rhs, lateral_rhs))
 
-        # row k = i * M + j; the bottom owns the corners, the sides the top ones
-        rhs = np.zeros((N, M))
-        rhs[1:-1, 1:-1] = src[1:-1, 1:-1]
-        rhs[:, 0] = f
-        rhs[1:-1, -1] = itf[1:-1]
-        rhs[0, 1:] = lat_left[1:]
-        rhs[-1, 1:] = lat_right[1:]
-        rhs = rhs.ravel()
+    def _solve_rhs(self, rhs):
         u = np.empty_like(rhs)
         u[self.perm] = self.lu.solve((self.rowscale * rhs)[self.perm])
-        if not np.all(np.isfinite(u)):
-            raise RuntimeError("sparse linear solve returned non-finite values")
-        resid = float(np.max(np.abs(self.A @ u - rhs)))
-        scale = float(np.max(np.abs(self.A) @ np.abs(u))) + float(np.max(np.abs(rhs)))
-        if resid > 1e-8 * max(1.0, scale):
-            raise RuntimeError("discrete residual too large: %.3g" % resid)
-        return MeshField(u.reshape(N, M), curve, eta)
+        return _gated_field(self.A, u, rhs, self.curve, self.eta)
+
+
+def _right_hand_side(curve, lateral, eta, f, source=None, interface_rhs=None, lateral_rhs=None):
+    """The right-hand side of `ForwardOperator.solve`, in row order."""
+    N, M = curve.N, eta.size
+    x, ell = curve.x, curve.ell
+    f = np.asarray(f, dtype=float)
+    if f.shape != (N,):
+        raise ValueError("bottom trace must be sampled on the curve's x-grid")
+    src = np.zeros((N, M)) if source is None else source
+    if callable(src):
+        src = src(np.broadcast_to(x[:, None], (N, M)), ell[:, None] * eta[None, :])
+    src = np.asarray(src, dtype=float)
+    if src.shape != (N, M):
+        raise ValueError("source must evaluate to shape (N, M)")
+    itf = np.zeros(N)
+    if interface_rhs is not None:
+        itf = _samples_on_grid(interface_rhs, x, "interface_rhs")
+    if lateral_rhs is None:
+        _corner_compat_warning(curve, lateral, f)
+        lateral_rhs = (0.0, 0.0)
+    lat_left = _samples_on_grid(lateral_rhs[0], eta * ell[0], "lateral_rhs[0]")
+    lat_right = _samples_on_grid(lateral_rhs[1], eta * ell[-1], "lateral_rhs[1]")
+
+    # row k = i * M + j; the bottom owns the corners, the sides the top ones
+    rhs = np.zeros((N, M))
+    rhs[1:-1, 1:-1] = src[1:-1, 1:-1]
+    rhs[:, 0] = f
+    rhs[1:-1, -1] = itf[1:-1]
+    rhs[0, 1:] = lat_left[1:]
+    rhs[-1, 1:] = lat_right[1:]
+    return rhs.ravel()
+
+
+def _gated_field(A, u, rhs, curve, eta):
+    """The field of a solution ``u`` of A u = rhs, once it is finite and its
+    residual passes the gate."""
+    if not np.all(np.isfinite(u)):
+        raise RuntimeError("sparse linear solve returned non-finite values")
+    resid = float(np.max(np.abs(A @ u - rhs)))
+    scale = float(np.max(np.abs(A) @ np.abs(u))) + float(np.max(np.abs(rhs)))
+    if resid > 1e-8 * max(1.0, scale):
+        raise RuntimeError("discrete residual too large: %.3g" % resid)
+    return MeshField(u.reshape(curve.N, eta.size), curve, eta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,42 +381,53 @@ class _BandLU:
         return dgbtrs(self.lu, self.kl, self.kl, b, self.piv)[0]
 
 
-def assemble(curve, lateral, interface, M=None):
-    """Build and factorise the discrete mixed problem below the curve.
-
-    The field is to satisfy ``lateral`` on the sides and ``interface`` on
-    the upper curve; the returned `ForwardOperator` back-solves for each
-    bottom trace.  ``M`` is the number of depth levels (default keeps the
-    mapped cells roughly square, 129 x 65 at the standard resolution).
-
-    Each coefficient is written once into a table of the 12 diagonals the
-    stencil reaches, indexed by offset and row.  The operator keeps the
-    unscaled matrix ``A`` for the residual gate and factors P D A P^T, where
-    D scales each row by ``rowscale`` = 1/max|row|.  Up to _BAND_LEVELS = 49
-    depth levels P is the identity: the table shifted to column-indexed
-    storage is ``A`` in DIA form and, scaled, the band (kl = ku = 2M) that
-    `_BandLU` factors with LAPACK's ``dgbtrf``.  Deeper meshes read the CSR
-    off the written entries, explicit zeros kept, and go to SuperLU in its
-    natural order: P is the symmetric permutation ``perm`` of `_dissection`,
-    and a pivot is taken off the diagonal only when it falls below a tenth
-    of its column.  Without D that threshold rejects the unit diagonal of
-    every Dirichlet row and the fill roughly doubles.
-
-    The split was measured on one BLAS thread as `solve_forward`, best of
-    7 with each path forced, for N = 65, 129 and 257: the band factor
-    written from the table takes 0.91-0.98 of SuperLU's time at M = 49, and
-    1.00-1.13 at M = 53 for N = 65 and 129.  M = 49 is the deepest measured
-    mesh where band LU wins for every N.
-    """
-    N = curve.N
-    if N < 5:
+def _levels(curve, interface, M):
+    """The number of depth levels, checked with the mesh and interface: by
+    default the mapped cells are roughly square, 129 x 65 at the standard
+    resolution."""
+    if curve.N < 5:
         raise ValueError("need at least 5 x-samples")
-    M = (N - 1) // 2 + 1 if M is None else int(M)
+    M = (curve.N - 1) // 2 + 1 if M is None else int(M)
     if M < 5:
         raise ValueError("need at least 5 depth levels")
     if interface.kind not in _INTERFACE_KINDS:
         raise ValueError("unknown interface kind %r" % (interface.kind,))
+    return M
 
+
+def _impedance(curve, interface):
+    """Samples of the combined impedance of an "I" interface; None otherwise."""
+    if interface.kind != "I":
+        return None
+    gamc = (_samples_on_grid(interface.gamma, curve.x, "gamma") if interface.combined
+            else combined_impedance(interface.gamma, curve))
+    if not np.all(gamc > 0.0):
+        raise ValueError("impedance coefficient must be positive")
+    return gamc
+
+
+def _one_sided(lateral, hx, inward, edge_sign):
+    """A Neumann or Robin side's row cxs * U_x + cu * U, U_x one-sided
+    inward: returns cxs and the weights of U at the edge and one and two
+    columns in."""
+    if lateral.kind == "neumann":
+        cxs, cu = 1.0, 0.0
+    else:
+        cxs, cu = edge_sign, lateral.robin_coeff
+    sgn = float(inward)
+    return cxs, (cxs * sgn * (-3.0) / (2.0 * hx) + cu, cxs * sgn * 2.0 / hx,
+                 -cxs * sgn / (2.0 * hx))
+
+
+def _stencil(curve, lateral, interface, M, gamc):
+    """Write each coefficient of the discrete problem once into a table of
+    the 12 diagonals the stencil reaches, indexed by offset and row.
+
+    Returns the depth grid ``eta``, the ``offsets`` d, the table, whose
+    entry [r, k] is entry (k, k + offsets[r]) of row k = i * M + j and zero
+    where unwritten, the mask of written entries and ``rowscale`` =
+    1/max|row|.  ``gamc`` is `_impedance`'s."""
+    N = curve.N
     hx = curve.h
     eta = np.linspace(0.0, 1.0, M)
     he = 1.0 / (M - 1)
@@ -388,15 +435,7 @@ def assemble(curve, lateral, interface, M=None):
     dl = curve.dell()
     d2l = curve.d2ell()
 
-    gamc = None
-    if interface.kind == "I":
-        gamc = (_samples_on_grid(interface.gamma, curve.x, "gamma") if interface.combined
-                else combined_impedance(interface.gamma, curve))
-        if not np.all(gamc > 0.0):
-            raise ValueError("impedance coefficient must be positive")
-
-    # entry (k, k + d) of row k = i * M + j is diags[slot[d], i, j]; unwritten
-    # entries stay NaN until the SuperLU pattern is read off
+    # unwritten entries stay NaN until the mask is read off
     offsets = np.array([-2 * M, -M - 1, -M, 1 - M, -2, -1, 0, 1, M - 1, M, M + 1, 2 * M])
     slot = {d: r for r, d in enumerate(offsets.tolist())}
     diags = np.full((offsets.size, N, M), np.nan)
@@ -444,15 +483,11 @@ def assemble(curve, lateral, interface, M=None):
         if lateral.kind == "dirichlet":
             put(0, i0, slice(1, None), 1.0)
             return
-        if lateral.kind == "neumann":
-            cxs, cu = 1.0, 0.0
-        else:
-            cxs, cu = edge_sign, lateral.robin_coeff
         # row: cxs * (U_x - a U_eta) + cu * U = rhs, one-sided U_x inward
-        sgn = float(inward)
-        put(0, i0, slice(1, None), cxs * sgn * (-3.0) / (2.0 * hx) + cu)
-        put(inward * M, i0, slice(1, None), cxs * sgn * 2.0 / hx)
-        put(2 * inward * M, i0, slice(1, None), -cxs * sgn / (2.0 * hx))
+        cxs, (w0, w1, w2) = _one_sided(lateral, hx, inward, edge_sign)
+        put(0, i0, slice(1, None), w0)
+        put(inward * M, i0, slice(1, None), w1)
+        put(2 * inward * M, i0, slice(1, None), w2)
         aa = -cxs * eta * (dl[i0] / ell[i0])  # weight of U_eta in the row
         put(1, i0, inner, aa[inner] / (2.0 * he))
         put(-1, i0, inner, -aa[inner] / (2.0 * he))
@@ -465,22 +500,61 @@ def assemble(curve, lateral, interface, M=None):
     lateral_rows(0, +1, -1.0)
     lateral_rows(N - 1, -1, +1.0)
 
-    n = N * M
-    diags = diags.reshape(offsets.size, n)
+    diags = diags.reshape(offsets.size, N * M)
     written = ~np.isnan(diags)
     diags[~written] = 0.0
     rowscale = 1.0 / np.max(np.abs(diags), axis=0)
+    return eta, offsets, diags, written, rowscale
+
+
+def _column_indexed(offsets, table):
+    """A `_stencil` table shifted to column-indexed storage, entry (k, k + d)
+    in column k + d: SciPy's DIA layout."""
+    n = table.shape[1]
+    data = np.zeros_like(table)
+    for r, d in enumerate(offsets):
+        to, of = slice(max(d, 0), n + min(d, 0)), slice(max(-d, 0), n - max(d, 0))
+        data[r, to] = table[r, of]
+    return data
+
+
+def assemble(curve, lateral, interface, M=None):
+    """Build and factorise the discrete mixed problem below the curve.
+
+    The field is to satisfy ``lateral`` on the sides and ``interface`` on
+    the upper curve; the returned `ForwardOperator` back-solves for each
+    bottom trace.  ``M`` is the number of depth levels (default keeps the
+    mapped cells roughly square, 129 x 65 at the standard resolution).
+
+    The operator is written by `_stencil`.  It keeps the unscaled matrix
+    ``A`` for the residual gate and factors P D A P^T, where D scales each
+    row by ``rowscale`` = 1/max|row|.  Up to _BAND_LEVELS = 49 depth levels
+    P is the identity: the table shifted to column-indexed storage is ``A``
+    in DIA form and, scaled, the band (kl = ku = 2M) that `_BandLU` factors
+    with LAPACK's ``dgbtrf``.  Deeper meshes read the CSR off the written
+    entries, explicit zeros kept, and go to SuperLU in its natural order: P
+    is the symmetric permutation ``perm`` of `_dissection`, and a pivot is
+    taken off the diagonal only when it falls below a tenth of its column.
+    Without D that threshold rejects the unit diagonal of every Dirichlet
+    row and the fill roughly doubles.
+
+    The split was measured on one BLAS thread as one-shot solves, best of 7
+    with each path forced, for N = 65, 129 and 257: the band factor written
+    from the table takes 0.91-0.98 of SuperLU's time at M = 49, and
+    1.00-1.13 at M = 53 for N = 65 and 129.  M = 49 is the deepest measured
+    mesh where band LU wins for every N.
+    """
+    M = _levels(curve, interface, M)
+    eta, offsets, diags, written, rowscale = _stencil(
+        curve, lateral, interface, M, _impedance(curve, interface))
+    n = curve.N * M
     if M <= _BAND_LEVELS:
-        # column-indexed, entry (k, k + d) in column k + d: SciPy's DIA layout
-        # and, scaled, rows kl..3kl of LAPACK's band storage
+        # the shifted table is ``A`` in DIA form and, scaled, rows kl..3kl of
+        # LAPACK's band storage
         kl = 2 * M
-        data = np.zeros_like(diags)
+        A = dia_matrix((_column_indexed(offsets, diags), offsets), shape=(n, n))
         ab = np.zeros((3 * kl + 1, n), order="F")
-        for r, d in enumerate(offsets):
-            to, of = slice(max(d, 0), n + min(d, 0)), slice(max(-d, 0), n - max(d, 0))
-            data[r, to] = diags[r, of]
-            ab[2 * kl - d, to] = diags[r, of] * rowscale[of]
-        A = dia_matrix((data, offsets), shape=(n, n))
+        ab[2 * kl - offsets] = _column_indexed(offsets, diags * rowscale)
         perm = np.arange(n)
         lu = _BandLU(ab, kl)
     else:
@@ -492,7 +566,7 @@ def assemble(curve, lateral, interface, M=None):
         del diags, written, cols  # free the table before SuperLU's fill
         scaled = A.copy()
         scaled.data *= np.repeat(rowscale, np.diff(A.indptr))
-        perm = _dissection(N, M)
+        perm = _dissection(curve.N, M)
         try:
             lu = splu(scaled[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
         except RuntimeError as exc:
@@ -500,12 +574,190 @@ def assemble(curve, lateral, interface, M=None):
     return ForwardOperator(curve, lateral, eta, A, lu, perm, rowscale)
 
 
+def _tridiagonal_modes(diag, lower, upper):
+    """Eigendecomposition T = V diag(lam) V^-1 of the tridiagonal T with
+    the given diagonals, every product lower * upper positive: T is
+    symmetrised by a diagonal similarity.  Returns (lam, V, V^-1), read-only."""
+    g = np.concatenate(([1.0], np.cumprod(np.sqrt(lower / upper))))
+    lam, Q = eigh_tridiagonal(diag, np.sqrt(lower * upper))
+    modes = (lam, g[:, None] * Q, Q.T / g)
+    for v in modes:
+        v.setflags(write=False)
+    return modes
+
+
+@functools.lru_cache(maxsize=None)
+def _x_modes(N, L, lateral):
+    """`_tridiagonal_modes` of the flat strip's x-operator on columns
+    1..N-2, non-Dirichlet side rows eliminated (see `_flat_strip`).
+    Computed once per (N, L, lateral) and shared read-only."""
+    hx = L / (N - 1)
+    cx = 1.0 / hx ** 2
+    diag = np.full(N - 2, -2.0 * cx)
+    lower, upper = np.full(N - 3, cx), np.full(N - 3, cx)
+    if lateral.kind != "dirichlet":
+        for i, off, inward in ((0, upper, 1), (-1, lower, -1)):
+            _, (w0, w1, w2) = _one_sided(lateral, hx, inward, float(-inward))
+            diag[i] -= cx * w1 / w0
+            off[i] -= cx * w2 / w0
+    return _tridiagonal_modes(diag, lower, upper)
+
+
+def _flat_strip(curve, lateral, interface, M, gamc):
+    """Direct solve of the operator that `_stencil` writes below the flat
+    curve at the mean height of ``curve``, for "I" with the mean of the
+    combined impedance ``gamc``: returns ``solve(r)``, the solution for a
+    right-hand side ``r`` in row order.
+
+    The flat operator has neither cross nor drift terms, and each side or
+    top row reaches only along its own level or column.  Taking the bottom
+    and Dirichlet values as known and eliminating the other side and top
+    rows leaves Tx U + U Teta^T = R on the interior nodes, Tx and Teta
+    tridiagonal; in their eigenbases that is a division, so a solve is four
+    dense products (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970);
+    Concus & Golub, ibid. 10 (1973))."""
+    N = curve.N
+    hx, he = curve.h, 1.0 / (M - 1)
+    height = float(np.mean(curve.ell))
+    # `_stencil`'s cx and ce * ie2 on the flat curve
+    cx, ceta = 1.0 / hx ** 2, 1.0 / (height * he) ** 2
+    lam_x, Vx, Vx_inv = _x_modes(N, curve.L, lateral)
+    # Teta on levels 1..M-2; a non-Dirichlet top row t U_{M-1} - 4w U_{M-2}
+    # + w U_{M-3} = r is folded into level M-2
+    diag = np.full(M - 2, -2.0 * ceta)
+    lower, upper = np.full(M - 3, ceta), np.full(M - 3, ceta)
+    w, t = 0.0, 1.0
+    if interface.kind != "D":
+        w = 1.0 / (2.0 * he * height)
+        t = 3.0 * w + (float(np.mean(gamc)) if gamc is not None else 0.0)
+        diag[-1] += 4.0 * ceta * w / t
+        lower[-1] -= ceta * w / t
+    lam_e, Ve, Ve_inv = _tridiagonal_modes(diag, lower, upper)
+    inv_lam = 1.0 / (lam_x[:, None] + lam_e)
+    # each side's weights (w0, w1, w2) of U at the edge and one and two
+    # columns in; a Dirichlet side is (1, 0, 0)
+    sides = [(i0, inward, (1.0, 0.0, 0.0) if lateral.kind == "dirichlet"
+              else _one_sided(lateral, hx, inward, float(-inward))[1])
+             for i0, inward in ((0, 1), (N - 1, -1))]
+
+    def solve(r):
+        r = r.reshape(N, M)
+        R = r[1:-1, 1:-1].copy()
+        R[:, 0] -= ceta * r[1:-1, 0]
+        R[:, -1] -= ceta * r[1:-1, -1] / t
+        for i0, inward, (w0, _, _) in sides:
+            R[i0 + inward - 1] -= cx * r[i0, 1:-1] / w0
+        U = Vx @ (((Vx_inv @ R) @ Ve_inv.T) * inv_lam) @ Ve.T
+        z = np.empty((N, M))
+        z[:, 0] = r[:, 0]
+        z[1:-1, 1:-1] = U
+        z[1:-1, -1] = (r[1:-1, -1] + 4.0 * w * U[:, -1] - w * U[:, -2]) / t
+        for i0, inward, (w0, w1, w2) in sides:
+            z[i0, 1:] = (r[i0, 1:] - w1 * z[i0 + inward, 1:] - w2 * z[i0 + 2 * inward, 1:]) / w0
+        return z.ravel()
+
+    return solve
+
+
+# GMRES of a deep one-shot solve: restart length, number of cycles, and the
+# bound on the row-scaled residual max|D(Au - b)| / max|Db|
+_GMRES_RESTART = 16
+_GMRES_CYCLES = 2
+_GMRES_TOL = 1e-13
+
+
+def _gmres(A, rowscale, precond, rhs):
+    """Solve A u = rhs by restarted GMRES on the row-scaled system, D A u =
+    D rhs with D = diag(``rowscale``), right-preconditioned by ``precond``,
+    an approximate inverse of A.  Starts from ``precond(rhs)`` and, after
+    _GMRES_CYCLES cycles of _GMRES_RESTART iterations at most, returns u,
+    the number of iterations and the row-scaled residual max|D(Au - rhs)| /
+    max|D rhs|, which is at most _GMRES_TOL unless the cycles ran out.
+
+    An iterate is formed once GMRES's estimate of the residual's 2-norm
+    meets the bound, and kept if its true max-norm does.  The 2-norm is the
+    stricter test: stopped on the max-norm alone, 257 x 129 solves ended
+    one or two iterations earlier and up to 1e-10 (relative) away from the
+    direct solve, against 6e-12 at most."""
+    b = rowscale * rhs
+    bmax = max(float(np.max(np.abs(b))), np.finfo(float).tiny)
+    tol = _GMRES_TOL * bmax
+    m = _GMRES_RESTART
+
+    def residual(u):
+        return b - rowscale * (A @ u)
+
+    u = precond(rhs)
+    r = residual(u)
+    its = 0
+    for _ in range(_GMRES_CYCLES):
+        if np.max(np.abs(r)) <= tol:
+            break
+        V, Z = np.empty((m + 1, b.size)), np.empty((m, b.size))
+        H, g = np.zeros((m + 1, m)), np.zeros(m + 1)
+        cs, sn = np.zeros(m), np.zeros(m)
+        g[0] = np.linalg.norm(r)
+        V[0] = r / g[0]
+        for k in range(m):
+            Z[k] = precond(V[k] / rowscale)
+            v = rowscale * (A @ Z[k])
+            its += 1
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                h = V[:k + 1] @ v
+                v -= h @ V[:k + 1]
+                H[:k + 1, k] += h
+            vnorm = np.linalg.norm(v)
+            V[k + 1] = v / vnorm if vnorm > 0.0 else 0.0
+            for i in range(k):  # earlier Givens rotations
+                H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                        cs[i] * H[i + 1, k] - sn[i] * H[i, k])
+            rho = math.hypot(H[k, k], vnorm)
+            cs[k], sn[k] = H[k, k] / rho, vnorm / rho
+            H[k, k] = rho
+            g[k + 1] = -sn[k] * g[k]
+            g[k] *= cs[k]
+            last = k == m - 1 or vnorm == 0.0
+            if last or abs(g[k + 1]) <= tol:
+                y = solve_triangular(H[:k + 1, :k + 1], g[:k + 1], check_finite=False)
+                trial = u + y @ Z[:k + 1]
+                r_trial = residual(trial)
+                if last or np.max(np.abs(r_trial)) <= tol:
+                    u, r = trial, r_trial
+                    break
+    return u, its, float(np.max(np.abs(r))) / bmax
+
+
 def solve_forward(curve, lateral, interface, f, M=None):
     """Solve the mixed boundary-value problem on the curved strip: the field
     is harmonic, equals ``f`` on the bottom edge, satisfies ``lateral`` on the
-    sides and ``interface`` on the upper curve.  One-shot form of
-    ``assemble(curve, lateral, interface, M).solve(f)``."""
-    return assemble(curve, lateral, interface, M).solve(f)
+    sides and ``interface`` on the upper curve.
+
+    Up to _BAND_LEVELS depth levels this is ``assemble(curve, lateral,
+    interface, M).solve(f)``.  A deeper mesh is not factored: its
+    `_stencil` table, as a DIA matrix, is solved by `_gmres` preconditioned
+    by `_flat_strip`, and the result passes the finiteness and residual
+    gates of `ForwardOperator.solve`.  If GMRES does not reach its bound
+    the field is ``assemble(...).solve(f)`` after all.  On these meshes the
+    field's ``meta["forward"]`` records the ``method`` ("gmres" or
+    "superlu"), the GMRES ``iterations`` and the ``residual`` max|D(Au - b)|
+    / max|Db| of the returned field, D the row scale."""
+    M = _levels(curve, interface, M)
+    if M <= _BAND_LEVELS:
+        return assemble(curve, lateral, interface, M).solve(f)
+    gamc = _impedance(curve, interface)
+    eta, offsets, diags, _, rowscale = _stencil(curve, lateral, interface, M, gamc)
+    n = curve.N * M
+    A = dia_matrix((_column_indexed(offsets, diags), offsets), shape=(n, n))
+    rhs = _right_hand_side(curve, lateral, eta, f)
+    u, its, res = _gmres(A, rowscale, _flat_strip(curve, lateral, interface, M, gamc), rhs)
+    if res <= _GMRES_TOL:
+        fld, method = _gated_field(A, u, rhs, curve, eta), "gmres"
+    else:
+        fld, method = assemble(curve, lateral, interface, M)._solve_rhs(rhs), "superlu"
+        b = rowscale * rhs
+        res = float(np.max(np.abs(rowscale * (A @ fld.values.ravel()) - b)) / np.max(np.abs(b)))
+    fld.meta["forward"] = {"method": method, "iterations": its, "residual": res}
+    return fld
 
 
 def _uniform_step(eta, what):

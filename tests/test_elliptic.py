@@ -21,6 +21,9 @@ from fraccauchy.elliptic import (
     _BandLU,
     _curve_sampler,
     _dissection,
+    _flat_strip,
+    _impedance,
+    _x_modes,
     assemble,
     bottom_flux,
     combined_impedance,
@@ -58,6 +61,20 @@ class TestCurve:
         c = Curve(0.3 + 0.1 * x ** 2, 1.0, 0.5)
         assert np.max(np.abs(c.dell() - 0.2 * x)) < 1e-12
         assert np.max(np.abs(c.d2ell() - 0.2)) < 1e-10
+
+    def test_samples_and_slope_kept_read_only(self):
+        # the curve owns a read-only copy of its samples, so its slope is
+        # computed once and every call returns that same array
+        x = np.linspace(0.0, 1.0, 41)
+        samples = 0.3 + 0.1 * x ** 2
+        c = Curve(samples, 1.0, 0.5)
+        samples[0] = 0.4
+        assert samples.flags.writeable and c.ell[0] == 0.3
+        assert c.dell() is c.dell()
+        np.testing.assert_array_equal(c.dell(), np.gradient(c.ell, c.h, edge_order=2))
+        for a in (c.ell, c.dell()):
+            with pytest.raises(ValueError):
+                a[1] = 0.0
 
 
 class TestSeparableClosedForm:
@@ -415,6 +432,140 @@ def test_forward_solve_gates(corrupt, message, N, M, banded):
     op.lu = SimpleNamespace(solve=lambda b: corrupt(lu.solve(b)))
     with pytest.raises(RuntimeError, match=message):
         op.solve(f)
+
+
+_DEEP_INTERFACES = {
+    "D": InterfaceBC("D"),
+    "N": InterfaceBC("N"),
+    "I_combined": InterfaceBC("I", lambda x: 0.5 + 0.3 * np.sin(np.pi * x)),
+    "I_raw": InterfaceBC("I", lambda x: 0.5 + 0.3 * np.sin(np.pi * x), combined=False),
+}
+
+
+@pytest.mark.parametrize("itf", sorted(_DEEP_INTERFACES))
+@pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
+def test_flat_strip_inverts_the_flat_operator(lat_kind, itf):
+    # the preconditioner is the exact inverse of the operator assembled
+    # below the flat curve at the mean height, with the mean impedance
+    N, M = 65, 57
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1)
+    lat, interface = LateralBC(lat_kind, 2.0), _DEEP_INTERFACES[itf]
+    gamc = _impedance(curve, interface)
+    flat_itf = interface if gamc is None else InterfaceBC("I", np.mean(gamc))
+    A = assemble(Curve(np.full(N, np.mean(curve.ell)), 1.0, 0.1), lat, flat_itf, M).A
+    u = np.random.default_rng(3).standard_normal(N * M)
+    z = _flat_strip(curve, lat, interface, M, gamc)(A @ u)
+    assert np.max(np.abs(z - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+def _deep_solves(curve, lat, interface, f, M=None):
+    """The one-shot field and the SuperLU field of the same problem."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Robin corners
+        return (solve_forward(curve, lat, interface, f, M),
+                assemble(curve, lat, interface, M).solve(f))
+
+
+def _assert_gmres_agrees(fld, ref):
+    meta = fld.meta["forward"]
+    assert meta["method"] == "gmres"
+    assert 0 < meta["iterations"] <= 16 and 0.0 < meta["residual"] <= 1e-13
+    assert np.max(np.abs(fld.values - ref.values)) <= 1e-11 * np.max(np.abs(ref.values))
+
+
+@pytest.mark.parametrize("itf", sorted(_DEEP_INTERFACES))
+@pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
+def test_deep_one_shot_solve_matches_superlu(lat_kind, itf):
+    # a deep one-shot solve runs GMRES on the flat-strip preconditioner and
+    # reaches the direct solve of the same matrix to rounding
+    N = 129
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1)
+    fld, ref = _deep_solves(curve, LateralBC(lat_kind, 2.0), _DEEP_INTERFACES[itf],
+                            1.0 + 0.3 * np.cos(np.pi * x))
+    assert fld.values.shape == (N, 65)
+    _assert_gmres_agrees(fld, ref)
+
+
+@pytest.mark.parametrize("kind", ["D", "N", "I"])
+def test_benchmark_reference_solve_matches_superlu(kind):
+    # the 257 x 129 reference fluxes of the curve-recovery benchmark
+    N = 257
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.1 * (0.8 + 0.1 * np.cos(2 * np.pi * x)), 1.0, 0.1)
+    interface = InterfaceBC("I", 0.1, combined=False) if kind == "I" else InterfaceBC(kind)
+    fld, ref = _deep_solves(curve, LateralBC("neumann"), interface, 1.0 + 0.3 * np.cos(np.pi * x))
+    _assert_gmres_agrees(fld, ref)
+
+
+def test_x_modes_cached_read_only():
+    # one x-eigendecomposition per (N, L, lateral), shared by every solve
+    first = _x_modes(65, 1.0, LateralBC("neumann"))
+    assert _x_modes(65, 1.0, LateralBC("neumann")) is first
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert _x_modes(65, 1.0, LateralBC("robin", 2.0)) is not first
+    lam, V, V_inv = first
+    np.testing.assert_allclose(V @ V_inv, np.eye(63), atol=1e-12)
+
+
+def _assert_superlu_fallback(fld, ref):
+    meta = fld.meta["forward"]
+    assert meta["method"] == "superlu" and meta["iterations"] == 32
+    assert meta["residual"] <= 1e-13
+    np.testing.assert_array_equal(fld.values, ref.values)
+
+
+def test_unconverged_gmres_falls_back_to_superlu(monkeypatch):
+    # with no preconditioner GMRES cannot reach its bound in 32 iterations;
+    # the field is then the SuperLU solve, bit for bit
+    import fraccauchy.elliptic as el
+
+    monkeypatch.setattr(el, "_flat_strip", lambda *args: lambda r: r)
+    N = 129
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1)
+    _assert_superlu_fallback(*_deep_solves(curve, LateralBC("neumann"), InterfaceBC("N"),
+                                           1.0 + 0.3 * np.cos(np.pi * x)))
+
+
+@pytest.mark.parametrize("kind", ["D", "N", "I"])
+def test_steep_curve_falls_back_to_superlu(kind):
+    # the curve falls from 0.1 to 0.01, far from the flat strip: GMRES
+    # stalls, 5e-6 to 2e-5 away from the direct solve after 32 iterations,
+    # and for N that iterate would pass the 1e-8 residual gate
+    N = 129
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.055 + 0.045 * np.cos(2 * np.pi * x), 1.0, 0.1)
+    interface = InterfaceBC("I", 0.1, combined=False) if kind == "I" else InterfaceBC(kind)
+    _assert_superlu_fallback(*_deep_solves(curve, LateralBC("neumann"), interface,
+                                           1.0 + 0.3 * np.cos(np.pi * x)))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_bump, "discrete residual too large"),
+     (lambda u: np.full_like(u, np.nan), "non-finite values")],
+    ids=["residual", "nan"],
+)
+def test_gmres_result_passes_the_gates(corrupt, message, monkeypatch):
+    import fraccauchy.elliptic as el
+
+    gmres = el._gmres
+
+    def corrupted(*args):
+        u, its, _ = gmres(*args)
+        return corrupt(u), its, 0.0
+
+    monkeypatch.setattr(el, "_gmres", corrupted)
+    N = 129
+    x = np.linspace(0.0, 1.0, N)
+    with pytest.raises(RuntimeError, match=message):
+        solve_forward(Curve(np.full(N, 0.3), 1.0, 0.4), LateralBC("neumann"), InterfaceBC("N"),
+                      np.cos(np.pi * x))
 
 
 def test_corner_compatibility_warning():

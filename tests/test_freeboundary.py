@@ -390,14 +390,14 @@ class TestNewtonGolden:
 
     GOLDEN = {
         "D": (6, True, [], 0.0022220632319496546, 0.00944159317267223, 0.009441590978036728),
-        "N": (5, True, [], 0.0020800134854557215, 0.001129635628662997, 0.0011296603818563044),
+        "N": (5, True, [], 0.0020800135521537888, 0.0011296356382230457, 0.0011296603914160142),
         "I": (
             6,
             True,
             ["iter 0: linearization coefficient below floor at 2 points, update damped there"],
-            0.005126261246932263,
-            0.0018915455018883472,
-            0.0018920928035650849,
+            0.005126260885458748,
+            0.0018915453587032695,
+            0.0018920926605619991,
         ),
     }
 

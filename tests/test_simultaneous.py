@@ -160,7 +160,7 @@ def test_frozen_newton_golden(problem, name):
 @pytest.mark.parametrize("modes", [
     4,
     pytest.param(8, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 2: at J >= 8 the first classical step takes the "
+        strict=True, reason="ROADMAP item 5: at J >= 8 the first classical step takes the "
         "curve error from 0.0705 to 0.115, and the recovery ends at 0.0828")),
 ])
 def test_classical_curve_error_falls_at_n33(modes):
