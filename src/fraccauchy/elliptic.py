@@ -623,7 +623,7 @@ def _flat_strip(curve, lateral, interface, M, gamc):
     cx, ceta = 1.0 / hx ** 2, 1.0 / (height * he) ** 2
     lam_x, Vx, Vx_inv = _x_modes(N, curve.L, lateral)
     # Teta on levels 1..M-2; a non-Dirichlet top row t U_{M-1} - 4w U_{M-2}
-    # + w U_{M-3} = r is folded into level M-2
+    # + w U_{M-3} = r is folded into level M-2 (w = 0, t = 1: a Dirichlet top)
     diag = np.full(M - 2, -2.0 * ceta)
     lower, upper = np.full(M - 3, ceta), np.full(M - 3, ceta)
     w, t = 0.0, 1.0
