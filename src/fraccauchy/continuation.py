@@ -15,16 +15,20 @@ y-derivative by a fractional one of order ``2 alpha < 2``:
 
 Every scheme takes the height ``y`` as a scalar or a 1-D grid and continues
 all heights in one call: the modal coefficients are computed once, each
-Mittag-Leffler kernel is looked up over the whole (height x mode) grid, and
+Mittag-Leffler kernel is evaluated over the whole (height x mode) grid, and
 one synthesis returns the traces.  A scalar height is the 0-d case of the
 same code.
 
 The kernels depend on the eigenvalues, the heights and the order, never on
-the Cauchy data, so `_kernel` keeps the values of each request, the
-geometry and the entries a scheme asks for, as one read-only vector: a
-first call evaluates them in one batched call per kernel, and a later call
-with the same request evaluates nothing.  The vectors together hold at most
-_KERNEL_TABLE_BYTES; the least recently used go first.
+the Cauchy data.  `_plan` keeps, per request of a scheme on a geometry, one
+read-only *plan*: the tuple of every data-independent array the request
+needs (kernel values, masks, decay factors, denominators).  A first call
+fills the plan with one batched call per kernel; a later call with the same
+request makes one lookup and only the arithmetic on the data.  The plans are
+one per band of `continue_banded` (which ``fac_lap`` and the split rule's
+bands share), one per deepest level of the split rule, and one per
+``right_dc`` or ``left_dc`` request; together they hold at most _PLAN_BYTES,
+and the least recently used go first.
 
 ``split_frequency_continue`` assigns a per-band order by a discrepancy rule,
 and ``landweber_smooth`` implements a spectral pre-smoothing iteration that
@@ -73,12 +77,14 @@ _NOISE_SAFETY = 1.5
 # stopping constant of the Landweber pre-smoothing
 _LANDWEBER_C = 1.0
 
-# kernel values by request, least recently used first (see _kernel), the
-# cap on their bytes, and the lock that makes each lookup, evaluation and
-# insert one step for concurrent callers
-_KERNEL_TABLES = OrderedDict()
-_KERNEL_TABLE_BYTES = 8 << 20
-_KERNEL_LOCK = threading.Lock()
+# plans by request, least recently used first (see _plan), the cap on
+# their bytes, and the lock that makes each lookup, fill and insert one step
+# for concurrent callers
+_PLANS = OrderedDict()
+_PLAN_BYTES = 8 << 20
+_PLAN_LOCK = threading.Lock()
+# running count of the kernel points each thread has evaluated
+_EVALUATED = threading.local()
 
 
 @dataclass
@@ -112,12 +118,15 @@ class Slice:
     ``values`` has shape ``(N,) + y.shape``: column k is the trace at
     ``y[k]``.  ``zeroed_modes`` has shape ``y.shape`` and counts, per height,
     the modes a guard zeroed; ``overflow`` is true if any height leaves the
-    double-precision exponential range.
+    double-precision exponential range.  ``kernel_points`` counts the
+    Mittag-Leffler and tail points the call evaluated: 0 when the plans of
+    its requests were kept from an earlier call.
     """
 
     values: np.ndarray
     overflow: bool
     zeroed_modes: np.ndarray
+    kernel_points: int = 0
 
 
 _KINDS = ("exact", "left_dc", "right_dc", "fac_lap", "fac_lap_split")
@@ -180,46 +189,71 @@ def _check_height(y):
     return y
 
 
-def _kernel(kind, alpha, beta, c, t, want):
+def _kernel_values(kind, alpha, beta, c, t, want):
     """Values of a data-independent kernel at z = c_j t_k on the entries
     ``want`` (a mask of shape ``t.shape + c.shape``), in the order ``z[want]``.
 
     ``kind`` is ``"ml"`` for E_{alpha,beta}(z) by ``ml_values``, or
     ``"tail"`` for the algebraic tail of E_{alpha,beta} at
-    (z^(1/alpha))^alpha, the argument `_right_dc_ratio_large` takes.  The
-    values are kept per request (kind, alpha, beta, c, t, want) as one
-    read-only vector: a request seen before returns that vector itself, and
-    a new one is evaluated in one call, through this module's globals.  A
-    new vector evicts the least recently used ones while all of them would
-    hold more than _KERNEL_TABLE_BYTES; one larger than that is not kept.
+    (z^(1/alpha))^alpha, the argument `_right_dc_large_den` takes.  One
+    call, through this module's globals; the points are added to this
+    thread's `_kernel_points`.
     """
     t = np.ravel(t)
-    want = np.reshape(want, (t.size, c.size))
-    key = (kind, alpha, beta, c.tobytes(), t.tobytes(), want.tobytes())
-    with _KERNEL_LOCK:
-        vals = _KERNEL_TABLES.get(key)
-        if vals is not None:
-            _KERNEL_TABLES.move_to_end(key)
-            return vals
-        k, j = np.nonzero(want)
-        z = c[j] * t[k]
-        if kind == "ml":
-            vals = ml_values(alpha, beta, z)
-        else:
-            vals = _algebraic_tail(alpha, beta, (z ** (1.0 / alpha)) ** alpha)[0]
-        vals.flags.writeable = False
-        if vals.nbytes <= _KERNEL_TABLE_BYTES:
-            used = vals.nbytes + sum(v.nbytes for v in _KERNEL_TABLES.values())
-            while used > _KERNEL_TABLE_BYTES:
-                used -= _KERNEL_TABLES.popitem(last=False)[1].nbytes
-            _KERNEL_TABLES[key] = vals
-        return vals
+    k, j = np.nonzero(np.reshape(want, (t.size, c.size)))
+    z = c[j] * t[k]
+    _EVALUATED.points = _kernel_points() + z.size
+    if kind == "ml":
+        return ml_values(alpha, beta, z)
+    return _algebraic_tail(alpha, beta, (z ** (1.0 / alpha)) ** alpha)[0]
 
 
-def _slice(data, a, zeroed, overflow=False):
+def _kernel_points():
+    """Mittag-Leffler and tail points this thread has evaluated so far."""
+    return getattr(_EVALUATED, "points", 0)
+
+
+def _plan_bytes(plan):
+    return sum(arr.nbytes for arr in plan)
+
+
+def _plan(key, fill, *args):
+    """The plan of request ``key``: the tuple of read-only arrays that
+    ``fill(*args)`` returns, filled on the first request only.
+
+    A request seen before returns its tuple itself.  A new plan evicts the
+    least recently used ones while all of them would hold more than
+    _PLAN_BYTES; one larger than that is not kept.  The lookup, the fill and
+    the insert hold _PLAN_LOCK, so concurrent callers of one request wait
+    for a single fill.
+    """
+    with _PLAN_LOCK:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+            return plan
+        plan = fill(*args)
+        for arr in plan:
+            arr.flags.writeable = False
+        size = _plan_bytes(plan)
+        if size <= _PLAN_BYTES:
+            used = size + sum(_plan_bytes(p) for p in _PLANS.values())
+            while used > _PLAN_BYTES:
+                used -= _plan_bytes(_PLANS.popitem(last=False)[1])
+            _PLANS[key] = plan
+        return plan
+
+
+def _geometry(lam, y):
+    """The key part of a request's geometry: eigenvalues and heights."""
+    return lam.tobytes(), y.shape, y.tobytes()
+
+
+def _slice(data, a, zeroed, points=0, overflow=False):
     """Slice from modal coefficients ``a`` of shape ``y.shape + (J,)``;
-    ``zeroed`` counts the guarded modes per height."""
-    return Slice(np.tensordot(data.basis.modes, a, axes=(0, -1)), overflow, zeroed)
+    ``zeroed`` counts the guarded modes per height, ``points`` the kernel
+    points the call evaluated."""
+    return Slice(np.tensordot(data.basis.modes, a, axes=(0, -1)), overflow, zeroed, points)
 
 
 def continue_exact(data, y):
@@ -236,7 +270,7 @@ def continue_exact(data, y):
             fc + gc * yy,
         )
     overflow = bool(np.any(s[-1] * y > 700.0))
-    return _slice(data, a, np.zeros(y.shape, dtype=int), overflow)
+    return _slice(data, a, np.zeros(y.shape, dtype=int), overflow=overflow)
 
 
 def _check_order2(alpha2):
@@ -253,15 +287,32 @@ def continue_left_dc(data, alpha2, y):
     zeroes modes beyond AMP_LIMIT."""
     alpha2 = _check_order2(alpha2)
     y = _check_height(y)
+    since = _kernel_points()
     lam = data.basis.lambdas
-    t = np.float_power(y, alpha2)
-    fc, gc, yy = np.broadcast_arrays(*data.coeffs(), y[..., None])
-    keep = lam ** (1.0 / alpha2) * yy <= _LOG_AMP_LIMIT
+    keep, j, yk, e1, e2 = _plan(("left_dc", alpha2) + _geometry(lam, y),
+                                _left_dc_plan, alpha2, lam, y)
+    fc, gc = data.coeffs()
     a = np.zeros(keep.shape)
+    a[keep] = fc[j] * e1 + gc[j] * yk * e2
+    return _slice(data, a, np.count_nonzero(~keep, axis=-1), _kernel_points() - since)
+
+
+def _entries(mask, y):
+    """Mode index and height of each entry of a (height x mode) mask, in
+    the order ``mask`` picks them."""
+    return (np.broadcast_to(np.arange(mask.shape[-1]), mask.shape)[mask],
+            np.broadcast_to(y[..., None], mask.shape)[mask])
+
+
+def _left_dc_plan(alpha2, lam, y):
+    """Plan of `continue_left_dc`: the entries the guard keeps, with their
+    mode index and height, and E_{a2,1}, E_{a2,2} at lam y^a2 there."""
+    keep = lam ** (1.0 / alpha2) * y[..., None] <= _LOG_AMP_LIMIT
+    e1 = e2 = np.empty(0)
     if np.any(keep):
-        a[keep] = (fc[keep] * _kernel("ml", alpha2, 1.0, lam, t, keep)
-                   + gc[keep] * yy[keep] * _kernel("ml", alpha2, 2.0, lam, t, keep))
-    return _slice(data, a, np.count_nonzero(~keep, axis=-1))
+        t = np.float_power(y, alpha2)
+        e1, e2 = (_kernel_values("ml", alpha2, beta, lam, t, keep) for beta in (1.0, 2.0))
+    return (keep,) + _entries(keep, y) + (e1, e2)
 
 
 def _xi_switch(alpha2):
@@ -279,8 +330,9 @@ def _xi_switch(alpha2):
     return min(14.25 + 5.0 * (alpha2 - 1.0), 17.5)
 
 
-def _right_dc_ratio_large(alpha2, xi, fc, gc, y, tails):
-    """Modal coefficients of right_dc for large xi, from the cancelled form.
+def _right_dc_large_den(alpha2, xi, tails):
+    """Denominator of right_dc for large xi, from the cancelled form, and
+    the factor exp(-xi) (0 past xi = 700) its numerator also takes.
 
     On the positive axis the Mittag-Leffler asymptotics carry a single
     exponential, and the exp(2 xi) parts of E1^2 - z E3 E2 cancel exactly;
@@ -292,11 +344,18 @@ def _right_dc_ratio_large(alpha2, xi, fc, gc, y, tails):
     x = xi ** alpha2
     a1, a2, a3 = tails
     small = np.where(xi < 700.0, np.exp(-xi), 0.0)
-    num = c * (fc + gc * y / xi) + small * (fc * a1 + gc * y * a3)
     den = c * (2.0 * a1 - xi * a3 - xi ** (alpha2 - 1.0) * a2) + small * (
         a1 * a1 - x * a2 * a3
     )
-    return num, den
+    return small, den
+
+
+def _right_dc_large_num(alpha2, xi, small, a1, a3, fc, gc, y):
+    """Numerator of right_dc for large xi, from the cancelled form: ``small``
+    as `_right_dc_large_den` returns it, ``a1`` and ``a3`` the algebraic
+    tails for beta = 1 and 2."""
+    c = 1.0 / alpha2
+    return c * (fc + gc * y / xi) + small * (fc * a1 + gc * y * a3)
 
 
 def _guarded_ratio(num, den, ref):
@@ -321,26 +380,43 @@ def continue_right_dc(data, alpha2, y):
     if alpha2 == 2.0:
         # denominator is cosh^2 - sinh^2 = 1 identically
         return continue_exact(data, y)
+    since = _kernel_points()
     lam = data.basis.lambdas
+    direct, jd, yd, e1, e2, large, jl, yl, xi, small, a1, a3, den = _plan(
+        ("right_dc", alpha2) + _geometry(lam, y), _right_dc_plan, alpha2, lam, y)
+    fc, gc = data.coeffs()
+    num = np.zeros(den.shape)
+    num[direct] = fc[jd] * e1 + gc[jd] * yd * e2
+    num[large] = _right_dc_large_num(alpha2, xi, small, a1, a3, fc[jl], gc[jl], yl)
+    a, zeroed = _guarded_ratio(num, den, np.hypot(fc, gc))
+    return _slice(data, a, zeroed, _kernel_points() - since)
+
+
+def _right_dc_plan(alpha2, lam, y):
+    """Plan of `continue_right_dc`: the entries of the direct form, with
+    their mode index and height, and E_{a2,1} and E_{a2,2} there; the
+    entries of the cancelled form, with their mode index and height, and
+    xi, exp(-xi) and the tails for beta = 1 and 2 there; and the denominator
+    of both forms on the whole grid."""
     t = np.float_power(y, alpha2)
-    fc, gc, yy = np.broadcast_arrays(*data.coeffs(), y[..., None])
     z = lam * t[..., None]
-    num = np.zeros(z.shape)
     den = np.ones(z.shape)
     xi = z ** (1.0 / alpha2)
     direct = xi <= _xi_switch(alpha2)
+    e1 = e2 = np.empty(0)
     if np.any(direct):
-        e1, e2, e3 = (_kernel("ml", alpha2, beta, lam, t, direct) for beta in (1.0, 2.0, alpha2))
-        num[direct] = fc[direct] * e1 + gc[direct] * yy[direct] * e2
+        e1, e2, e3 = (_kernel_values("ml", alpha2, beta, lam, t, direct)
+                      for beta in (1.0, 2.0, alpha2))
         den[direct] = e1 * e1 - z[direct] * e3 * e2
     large = ~direct
+    xi_large = small = a1 = a3 = np.empty(0)
     if np.any(large):
-        tails = [_kernel("tail", alpha2, beta, lam, t, large) for beta in (1.0, alpha2, 2.0)]
-        num[large], den[large] = _right_dc_ratio_large(
-            alpha2, xi[large], fc[large], gc[large], yy[large], tails
-        )
-    a, zeroed = _guarded_ratio(num, den, np.hypot(fc, gc))
-    return _slice(data, a, zeroed)
+        tails = [_kernel_values("tail", alpha2, beta, lam, t, large) for beta in (1.0, alpha2, 2.0)]
+        xi_large = xi[large]
+        small, den[large] = _right_dc_large_den(alpha2, xi_large, tails)
+        a1, _, a3 = tails
+    return ((direct,) + _entries(direct, y) + (e1, e2, large) + _entries(large, y)
+            + (xi_large, small, a1, a3, den))
 
 
 def _split_coeffs(fc, gc, lam):
@@ -382,13 +458,14 @@ def continue_banded(data, bands, y):
 
     ``bands`` is a sequence of ``(end_index, alpha)`` pairs with strictly
     increasing end indices covering all modes (the last end equals basis.J).
-    Each band reads its kernels 1/E_{alpha,1}(-sqrt(lambda_j) y_k^alpha)
-    through `_kernel`, keyed on the band's request: alpha, the eigenvalues,
-    the heights y^alpha and the band's positive-eigenvalue modes.  Every
-    call with that request shares its values, whatever its data.  A band
-    not asked for before evaluates all of its modes at every height in one
-    Mittag-Leffler call, even where another band of that order already
-    covers some of them; a band asked for before evaluates nothing.
+    Each band reads its kernels 1/E_{alpha,1}(-sqrt(lambda_j) y_k^alpha),
+    their guard mask and the decay factors exp(-sqrt(lambda_j) y_k) from
+    one `_plan`, keyed on the band's request: alpha, its first and end
+    index, the eigenvalues and the heights.  Every call with that request
+    shares the plan, whatever its data or its other bands.  A band not
+    asked for before evaluates its positive-eigenvalue modes at every height
+    in one Mittag-Leffler call, even where another band of that order
+    already covers some of them; a band asked for before evaluates nothing.
     """
     y = _check_height(y)
     J = data.basis.J
@@ -398,24 +475,29 @@ def continue_banded(data, bands, y):
         raise ValueError("bands must cover modes 1..J with increasing ends")
     if any(not 0.0 < a <= 1.0 for _, a in bands):
         raise ValueError("band half-orders must lie in (0, 1]")
+    since = _kernel_points()
     fc, gc = data.coeffs()
     lam = data.basis.lambdas
     up, um = _split_coeffs(fc, gc, lam)
     s = np.sqrt(lam)
-    yy = y[..., None]
-    amp = np.ones(y.shape + (J,))
-    start = 0
-    for end, alpha_b in bands:
-        band = np.zeros(J, dtype=bool)
-        band[start:end] = s[start:end] > 0.0
-        band = np.broadcast_to(band, amp.shape)
-        amp[band] = 1.0 / _kernel("ml", alpha_b, 1.0, -s, np.float_power(y, alpha_b), band)
-        start = end
+    geometry = _geometry(lam, y)
+    plans = [_plan(("band", alpha_b, start, end) + geometry, _band_plan, alpha_b, s[start:end], y)
+             for start, (end, alpha_b) in zip([0] + ends, bands)]
+    amp, decay, big = (np.concatenate(part, axis=-1) for part in zip(*plans))
     # zero eigenvalue: both kernels equal 1, recover the linear-in-y limit
-    a = np.where(s > 0.0, up * amp + um * np.exp(-s * yy), fc + gc * yy)
-    big = np.abs(amp) > AMP_LIMIT
+    a = np.where(s > 0.0, up * amp + um * decay, fc + gc * y[..., None])
     a[big] = 0.0
-    return _slice(data, a, np.count_nonzero(big, axis=-1))
+    return _slice(data, a, np.count_nonzero(big, axis=-1), _kernel_points() - since)
+
+
+def _band_plan(alpha, s, y):
+    """Plan of one band of `continue_banded` with modes ``s = sqrt(lambda)``:
+    1/E_{alpha,1}(-s_j y_k^alpha) (1 where s_j = 0), exp(-s_j y_k), and
+    where the first exceeds AMP_LIMIT."""
+    want = np.broadcast_to(s > 0.0, y.shape + s.shape)
+    amp = np.ones(want.shape)
+    amp[want] = 1.0 / _kernel_values("ml", alpha, 1.0, -s, np.float_power(y, alpha), want)
+    return amp, np.exp(-s * y[..., None]), np.abs(amp) > AMP_LIMIT
 
 
 def split_frequency_continue(data, y_grid):
@@ -434,28 +516,19 @@ def split_frequency_continue(data, y_grid):
     continued `Slice` and the list of bands ``(end_index, alpha)``.
 
     The heights are checked first, so a refused grid evaluates nothing.
-    The kernel rows at ``ystar`` are one `_kernel` request per order, keyed
-    on (alpha, the eigenvalues, ystar^alpha, the positive-eigenvalue modes):
-    a cold call evaluates those modes once per order of ALPHA_GRID, and a
-    later call with the same basis and deepest level evaluates none.
+    The growth and defect rows of every order of ALPHA_GRID at ``ystar`` are
+    one `_plan`, keyed on the eigenvalues and ystar: a cold call evaluates
+    the positive-eigenvalue modes once per order, and a later call with the
+    same basis and deepest level evaluates none.  The bands then share the
+    band plans of `continue_banded`.
     """
     y_grid = np.atleast_1d(_check_height(y_grid))
+    since = _kernel_points()
     lam = data.basis.lambdas
     up, _ = _split_coeffs(*data.coeffs(), lam)
     J = lam.size
     ystar = float(np.max(y_grid))
-    s = np.sqrt(lam)
-    pos = s > 0.0
-    # growth factor 1/e of each order, and the consistency defect |1 - q| with
-    # q = exp(-s ystar)/e the go-up-then-come-down factor at depth ystar; q
-    # tends to 1 as alpha -> 1 for fixed frequency, and the scheme can over-
-    # as well as under-amplify (q on either side of 1)
-    growth = np.ones((len(ALPHA_GRID), J))
-    defects = np.zeros((len(ALPHA_GRID), J))
-    for i, a in enumerate(ALPHA_GRID):
-        e = _kernel("ml", a, 1.0, -s, ystar ** a, pos)
-        growth[i, pos] = 1.0 / e
-        defects[i, pos] = np.abs(1.0 - np.exp(-s[pos] * ystar) / e)
+    pos, growth, defects = _plan(("split", ystar, lam.tobytes()), _split_plan, lam, ystar)
     d = np.abs(up)
     # white-noise model: the data error spreads evenly over the modes the
     # scheme actually amplifies (zero modes are continued exactly)
@@ -469,7 +542,28 @@ def split_frequency_continue(data, y_grid):
 
     breaks = np.flatnonzero(mode_alpha[1:] != mode_alpha[:-1]) + 1
     bands = [(int(e), float(mode_alpha[e - 1])) for e in (*breaks, J)]
-    return continue_banded(data, bands, y_grid), bands
+    cont = continue_banded(data, bands, y_grid)
+    cont.kernel_points = _kernel_points() - since
+    return cont, bands
+
+
+def _split_plan(lam, ystar):
+    """Plan of `split_frequency_continue` at the deepest level ``ystar``:
+    the positive-eigenvalue modes, and per order of ALPHA_GRID the growth
+    factor 1/e and the consistency defect |1 - q| with e = E_{a,1}(-s ystar^a).
+
+    q = exp(-s ystar)/e is the go-up-then-come-down factor at depth ystar;
+    it tends to 1 as alpha -> 1 for fixed frequency, and the scheme can
+    over- as well as under-amplify (q on either side of 1)."""
+    s = np.sqrt(lam)
+    pos = s > 0.0
+    growth = np.ones((len(ALPHA_GRID), lam.size))
+    defects = np.zeros((len(ALPHA_GRID), lam.size))
+    for i, a in enumerate(ALPHA_GRID):
+        e = _kernel_values("ml", a, 1.0, -s, ystar ** a, pos)
+        growth[i, pos] = 1.0 / e
+        defects[i, pos] = np.abs(1.0 - np.exp(-s[pos] * ystar) / e)
+    return pos, growth, defects
 
 
 def landweber_smooth(u0_noisy, sigma_t, mu, l, delta, norm_at_l):

@@ -825,8 +825,12 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
     admissible subdomain, so callers may trace it along trial curves with
     `interface_traces` and `curve_conormal`.  ``meta`` holds the ``scheme``
     kind, the ``zeroed_modes`` its guards zeroed at each level, the ``bands``
-    of a scheme that has them, and ``overflow``: whether a level leaves the
-    double-precision exponential range, which only the exact formula can.
+    of a scheme that has them, ``overflow``: whether a level leaves the
+    double-precision exponential range, which only the exact formula can,
+    and ``kernel_points``: the Mittag-Leffler and tail points this call
+    evaluated.  The continuation keeps its data-independent kernels per
+    scheme request and geometry, so ``kernel_points`` is 0 when earlier
+    calls on the same basis, heights and orders filled them.
     """
     if lateral != data.basis.bc:
         raise ValueError("lateral condition disagrees with the data's basis")
@@ -838,7 +842,7 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
 
     cont, bands = scheme.continue_data(data, y)
     meta = {"scheme": scheme.kind, "zeroed_modes": cont.zeroed_modes.tolist(),
-            "overflow": cont.overflow}
+            "overflow": cont.overflow, "kernel_points": cont.kernel_points}
     if bands is not None:
         meta["bands"] = bands
 

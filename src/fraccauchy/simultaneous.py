@@ -161,6 +161,7 @@ class JointTrace:
     NaN when no truth was supplied.  ``gam_gap`` tracks how far apart the
     two impedance copies have drifted.  ``flags`` may hold "diverged" and
     "impedance-clipped"; its last entry is always the "stop=..." reason.
+    ``stop`` is that reason alone: "discrepancy", "max_iter" or "diverged".
     """
 
     ns: list = field(default_factory=list)
@@ -170,6 +171,7 @@ class JointTrace:
     rel_gam: list = field(default_factory=list)
     gam_gap: list = field(default_factory=list)
     flags: list = field(default_factory=list)
+    stop: str = None
 
 
 # ----------------------------------------------------------------------
@@ -688,6 +690,7 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
         trace.flags.append("impedance-clipped")
         gam1 = np.maximum(gam1, floor)
         gam2 = np.maximum(gam2, floor)
+    trace.stop = stop_tag
     alpha_ns = cfg.alpha0 * cfg.theta ** n_star
     alpha_prev = cfg.alpha0 * cfg.theta ** max(n_star - 1, 0)
     trace.flags.append(

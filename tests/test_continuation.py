@@ -24,7 +24,8 @@ from fraccauchy.continuation import (
     split_data,
     split_frequency_continue,
     _guarded_ratio,
-    _right_dc_ratio_large,
+    _right_dc_large_den,
+    _right_dc_large_num,
 )
 from fraccauchy.elliptic import solve_cauchy_holdall
 from fraccauchy.specfun import _algebraic_tail, ml_reciprocal_bound, ml_values
@@ -130,10 +131,13 @@ def test_right_dc_golden():
     assert np.allclose(a, GOLD_RIGHT, rtol=1e-9)
 
 
-def _cancelled_tails(alpha2, xi):
-    """The algebraic tails `_right_dc_ratio_large` takes, at x = xi^alpha2."""
+def _cancelled_ratio(alpha2, xi, fc, gc, y):
+    """(numerator, denominator) of right_dc's cancelled form at xi, from the
+    algebraic tails at x = xi^alpha2."""
     x = xi ** alpha2
-    return [_algebraic_tail(alpha2, beta, x)[0] for beta in (1.0, alpha2, 2.0)]
+    a1, a2, a3 = [_algebraic_tail(alpha2, beta, x)[0] for beta in (1.0, alpha2, 2.0)]
+    small, den = _right_dc_large_den(alpha2, xi, (a1, a2, a3))
+    return _right_dc_large_num(alpha2, xi, small, a1, a3, fc, gc, y), den
 
 
 def test_right_dc_paths_agree_at_switch():
@@ -145,7 +149,7 @@ def test_right_dc_paths_agree_at_switch():
     e2 = float(ml_values(alpha2, 2.0, np.array([z]))[0])
     e3 = float(ml_values(alpha2, alpha2, np.array([z]))[0])
     direct = (0.7 * e1 - 0.4 * y * e2) / (e1 * e1 - z * e3 * e2)
-    num, den = _right_dc_ratio_large(alpha2, xi, 0.7, -0.4, y, _cancelled_tails(alpha2, xi))
+    num, den = _cancelled_ratio(alpha2, xi, 0.7, -0.4, y)
     assert abs(num / den - direct) < 2e-3 * abs(direct)
 
 
@@ -183,7 +187,7 @@ def test_right_dc_switch_tracks_better_form(alpha2):
     e1, e2, e3 = (ml_values(alpha2, b, z) for b in (1.0, 2.0, alpha2))
     direct = (e1 + y * e2) / (e1 * e1 - z * e3 * e2)
     xi_z = z ** (1.0 / alpha2)
-    num, den = _right_dc_ratio_large(alpha2, xi_z, ones, ones, y, _cancelled_tails(alpha2, xi_z))
+    num, den = _cancelled_ratio(alpha2, xi_z, ones, ones, y)
     ref = np.array([_right_dc_coefficient_mp(alpha2, zz, y) for zz in z])
     err = np.abs(got / ref - 1.0)
     best = np.minimum(np.abs(direct / ref - 1.0), np.abs(num / den / ref - 1.0))
@@ -369,12 +373,12 @@ def test_grid_matches_scalar_levels(name):
 
 
 @pytest.fixture
-def kernel_tables(monkeypatch):
-    """An empty kernel memo (request -> read-only values) for this test,
-    restored afterwards."""
-    tables = type(continuation._KERNEL_TABLES)()
-    monkeypatch.setattr(continuation, "_KERNEL_TABLES", tables)
-    return tables
+def plans(monkeypatch):
+    """An empty plan memo (request -> tuple of read-only arrays) for this
+    test, restored afterwards."""
+    table = type(continuation._PLANS)()
+    monkeypatch.setattr(continuation, "_PLANS", table)
+    return table
 
 
 def _fixed_bands(data, y):
@@ -392,7 +396,7 @@ def _fixed_bands(data, y):
      (ContinuationScheme("fac_lap_split").continue_data, None)],
     ids=["exact", "left_dc", "right_dc", "fac_lap", "bands", "split"],
 )
-def test_holdall_call_count_independent_of_levels(monkeypatch, kernel_tables, run, bound):
+def test_holdall_call_count_independent_of_levels(monkeypatch, plans, run, bound):
     rng = np.random.default_rng(8)
     basis = build_basis(math.pi, LateralBC("dirichlet"), 12, 128)
     c = rng.standard_normal(12) * np.exp(-np.arange(12))
@@ -408,7 +412,7 @@ def test_holdall_call_count_independent_of_levels(monkeypatch, kernel_tables, ru
     counts = []
     for levels in (9, 81):
         # each count is of a cold call: the memo would hide repeated kernels
-        kernel_tables.clear()
+        plans.clear()
         calls.clear()
         _, bands = run(data, np.linspace(0.0, 1.0, levels))
         counts.append(len(calls))
@@ -462,12 +466,12 @@ def test_memo_grid_reaches_every_branch():
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_SCHEMES))
-def test_memo_cold_and_warm_calls_agree(kernel_tables, name):
+def test_memo_cold_and_warm_calls_agree(plans, name):
     cont = MEMO_SCHEMES[name]
     d1, d2 = _memo_data(1), _memo_data(2)
     cold1 = cont(d1, MEMO_Y)
     warm2 = cont(d2, MEMO_Y)
-    kernel_tables.clear()
+    plans.clear()
     cold2 = cont(d2, MEMO_Y)
     warm1 = cont(d1, MEMO_Y)
     _same_slice(cold1, warm1)
@@ -475,7 +479,7 @@ def test_memo_cold_and_warm_calls_agree(kernel_tables, name):
 
 
 @pytest.mark.parametrize("name", sorted(MEMO_SCHEMES))
-def test_memo_warm_call_evaluates_nothing(monkeypatch, kernel_tables, name):
+def test_memo_warm_call_evaluates_nothing(monkeypatch, plans, name):
     cont = MEMO_SCHEMES[name]
     # twice the data: new values, but the split rule picks the same bands
     d1, d2 = _memo_data(1), _memo_data(1, scale=2.0)
@@ -489,7 +493,42 @@ def test_memo_warm_call_evaluates_nothing(monkeypatch, kernel_tables, name):
     cont(d2, MEMO_Y)
 
 
-def test_memo_misses_on_new_geometry(monkeypatch, kernel_tables):
+@pytest.mark.parametrize("name", sorted(MEMO_SCHEMES))
+def test_memo_warm_call_makes_one_lookup_per_plan(monkeypatch, plans, name):
+    # a warm call looks up one plan per request: one per scheme call, plus
+    # one per band for the split rule; a return to lookups per kernel fails
+    # here without any timing
+    cont = MEMO_SCHEMES[name]
+    cont(_memo_data(1), MEMO_Y)
+    keys = []
+    lookup = continuation._plan
+
+    def counted(key, fill, *args):
+        keys.append(key)
+        return lookup(key, fill, *args)
+
+    monkeypatch.setattr(continuation, "_plan", counted)
+    out = cont(_memo_data(1, scale=2.0), MEMO_Y)
+    expect = 1 + len(out.bands) if name == "split" else 3 if name == "bands" else 1
+    assert len(keys) == len(set(keys)) == expect
+    assert all(key in plans for key in keys)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", sorted(MEMO_SCHEMES))
+def test_holdall_meta_counts_kernel_points(plans, name, kind):
+    # meta["kernel_points"] shows a cold call's evaluations and a warm call's
+    # none
+    scheme = SimpleNamespace(kind=name,
+                             continue_data=lambda d, y: (MEMO_SCHEMES[name](d, y), None))
+    data = _memo_data(3, kind=kind)
+    cold = solve_cauchy_holdall(data, data.basis.bc, scheme, MEMO_Y)
+    warm = solve_cauchy_holdall(data, data.basis.bc, scheme, MEMO_Y)
+    assert cold.meta["kernel_points"] == sum(_cold_points(data.basis.lambdas)[name])
+    assert warm.meta["kernel_points"] == 0
+
+
+def test_memo_misses_on_new_geometry(monkeypatch, plans):
     calls = []
 
     def counted(alpha, beta, z):
@@ -529,7 +568,7 @@ def _cold_points(lam):
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("name", sorted(MEMO_SCHEMES))
-def test_memo_cold_call_evaluates_parent_points(monkeypatch, kernel_tables, name, kind):
+def test_memo_cold_call_evaluates_parent_points(monkeypatch, plans, name, kind):
     points = {"ml": 0, "tail": 0}
     tail = continuation._algebraic_tail
 
@@ -548,35 +587,45 @@ def test_memo_cold_call_evaluates_parent_points(monkeypatch, kernel_tables, name
     assert (points["ml"], points["tail"]) == _cold_points(data.basis.lambdas)[name]
 
 
-def test_memo_outputs_do_not_alias_tables(kernel_tables):
-    # a hit returns the stored vector itself, so it must be read-only, and
-    # no Slice may share memory with a stored vector
+def test_memo_outputs_do_not_alias_tables(plans):
+    # a hit returns the stored plan itself, so every array of every plan
+    # must be read-only, and no Slice or MeshField may share memory with one
     data = _memo_data(1)
     ref = continue_fac_lap(data, 0.7, MEMO_Y).values.copy()
     out = continue_fac_lap(data, 0.7, MEMO_Y)
     out.values[:] = 0.0
     assert np.array_equal(continue_fac_lap(data, 0.7, MEMO_Y).values, ref)
-    c = -np.sqrt(data.basis.lambdas)
-    want = np.ones((MEMO_Y.size, c.size), dtype=bool)
-    vals = continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want)
-    assert continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want) is vals
+    key, plan = next(iter(plans.items()))
+    assert continuation._plan(key, None) is plan
+    amp = plan[0]
     with pytest.raises(ValueError, match="read-only"):
-        vals[:] = 0.0
-    assert np.all(vals > 0.0)
+        amp[:] = 0.0
+    assert np.all(amp > 0.0)
     slices = [cont(data, MEMO_Y) for cont in MEMO_SCHEMES.values()]
-    for v in kernel_tables.values():
-        assert not v.flags.writeable
-        assert not any(np.shares_memory(v, sl.values) for sl in slices)
+    schemes = [ContinuationScheme("fac_lap_split"), ContinuationScheme("fac_lap", alpha=0.7),
+               ContinuationScheme("right_dc", alpha=0.65),
+               ContinuationScheme("left_dc", alpha=0.75)]
+    fields = [solve_cauchy_holdall(data, data.basis.bc, sc, MEMO_Y) for sc in schemes]
+    outputs = ([arr for sl in slices for arr in (sl.values, sl.zeroed_modes)]
+               + [arr for fld in fields for arr in (fld.values, fld.eta, fld.curve.ell)])
+    # a plan per band of the split rule and of the fixed bands, the split
+    # rows, and one right_dc and one left_dc plan
+    assert len(plans) >= 7
+    for plan in plans.values():
+        for arr in plan:
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, o) for o in outputs)
 
 
-def test_memo_shared_by_threads(monkeypatch, kernel_tables):
+def test_memo_shared_by_threads(monkeypatch, plans):
     # more threads than cores, a short switch interval and a cap of about
-    # two requests, so lookups, evaluations and evictions interleave
-    monkeypatch.setattr(continuation, "_KERNEL_TABLE_BYTES", 2_600)
+    # two plans, so lookups, fills and evictions interleave
     data = _memo_data(1)
     heights = [MEMO_Y + 0.01 * k for k in range(6)]
     ref = [continue_fac_lap(data, 0.7, y).values for y in heights]
-    kernel_tables.clear()
+    size = continuation._plan_bytes(next(iter(plans.values())))
+    monkeypatch.setattr(continuation, "_PLAN_BYTES", 2 * size + size // 10)
+    plans.clear()
     errors = []
 
     def work(offset):
@@ -600,29 +649,30 @@ def test_memo_shared_by_threads(monkeypatch, kernel_tables):
         sys.setswitchinterval(switch)
     assert not any(th.is_alive() for th in threads)
     assert not errors
+    assert 0 < len(plans) <= 2
 
 
-def test_memo_memory_stays_under_cap(monkeypatch, kernel_tables):
+def test_memo_memory_stays_under_cap(monkeypatch, plans):
     cap = 20_000
-    monkeypatch.setattr(continuation, "_KERNEL_TABLE_BYTES", cap)
+    monkeypatch.setattr(continuation, "_PLAN_BYTES", cap)
     data = _memo_data(1)
     for k in range(40):
         y = MEMO_Y + 0.01 * k
         continue_fac_lap(data, 0.7, y)
-        used = sum(v.nbytes for v in kernel_tables.values())
+        used = sum(continuation._plan_bytes(p) for p in plans.values())
         assert 0 < used <= cap
     # the most recent request is kept, and one above the cap is not, nor
     # does it evict anything
-    assert next(reversed(kernel_tables))[4] == np.float_power(y, 0.7).tobytes()
-    kept = list(kernel_tables)
+    assert next(reversed(plans))[-1] == y.tobytes()
+    kept = list(plans)
     continue_fac_lap(data, 0.7, np.linspace(0.0, 3.0, 400))
-    assert list(kernel_tables) == kept
-    assert all(v.size == MEMO_Y.size * data.basis.J for v in kernel_tables.values())
+    assert list(plans) == kept
+    assert all(arr.shape[0] == MEMO_Y.size for p in plans.values() for arr in p)
 
 
-def test_memo_lock_makes_one_evaluation_per_request(monkeypatch, kernel_tables):
-    # thread a is held inside the evaluation of a miss while thread b asks
-    # for the same request: b must wait for a's values, not evaluate again
+def test_memo_lock_makes_one_evaluation_per_request(monkeypatch, plans):
+    # thread a is held inside the fill of a missed plan while thread b asks
+    # for the same request: b must wait for a's plan, not evaluate again
     entered, release = threading.Event(), threading.Event()
     calls = []
 
@@ -633,12 +683,11 @@ def test_memo_lock_makes_one_evaluation_per_request(monkeypatch, kernel_tables):
         return ml_values(alpha, beta, z)
 
     monkeypatch.setattr(continuation, "ml_values", held)
-    c = -np.sqrt(_memo_data(1).basis.lambdas)
-    want = np.ones((MEMO_Y.size, c.size), dtype=bool)
+    data = _memo_data(1)
     got = {}
 
     def ask(name):
-        got[name] = continuation._kernel("ml", 0.7, 1.0, c, MEMO_Y, want)
+        got[name] = continue_fac_lap(data, 0.7, MEMO_Y).values
 
     a = threading.Thread(target=ask, args=("a",))
     b = threading.Thread(target=ask, args=("b",))
@@ -652,13 +701,14 @@ def test_memo_lock_makes_one_evaluation_per_request(monkeypatch, kernel_tables):
         a.join(timeout=30.0)
         b.join(timeout=30.0)
     assert not a.is_alive() and not b.is_alive()
-    assert len(calls) == 1
+    assert calls == [MEMO_Y.size * data.basis.J]
     assert np.array_equal(got["a"], got["b"])
 
 
-def test_memo_new_mask_evaluates_all_its_entries(monkeypatch, kernel_tables):
-    # requests are keyed on their entries: bands inside a known (order,
-    # heights) request are new requests, and each evaluates all its entries
+def test_memo_new_band_evaluates_only_its_entries(monkeypatch, plans):
+    # plans are keyed per band: a band inside a known band of that order is
+    # a new request and evaluates all its entries, and a band list that
+    # shares a band with a known one evaluates only its new bands
     data = _memo_data(1)
     continue_fac_lap(data, 0.7, MEMO_Y)
     points = []
@@ -674,17 +724,19 @@ def test_memo_new_mask_evaluates_all_its_entries(monkeypatch, kernel_tables):
     continue_banded(data, [(5, 0.7), (12, 0.7)], MEMO_Y)
     continue_fac_lap(data, 0.7, MEMO_Y)
     assert points == []
+    continue_banded(data, [(5, 0.7), (12, 0.5)], MEMO_Y)
+    assert points == [7 * MEMO_Y.size]
 
 
 @pytest.mark.parametrize("y", [[np.nan], [np.inf], [-0.1, 0.2], [0.1, -0.2]])
-def test_split_frequency_refuses_heights_before_evaluating(monkeypatch, kernel_tables, y):
+def test_split_frequency_refuses_heights_before_evaluating(monkeypatch, plans, y):
     def refuse(*args):
         raise AssertionError("a kernel was evaluated for refused heights")
 
     monkeypatch.setattr(continuation, "ml_values", refuse)
     with pytest.raises(ValueError, match="height"):
         split_frequency_continue(_memo_data(1), y)
-    assert not kernel_tables
+    assert not plans
 
 
 def test_landweber_geometric_recursion():

@@ -147,6 +147,7 @@ def test_frozen_newton_golden(problem, name):
     )
     assert n_star == 8
     assert trace.flags[-1].startswith("stop=discrepancy")
+    assert trace.stop == "discrepancy"
     assert trace.ns == list(range(n_star + 1))
     rel_ell, rel_gam = GOLDEN[name]
     assert trace.rel_ell[-1] == pytest.approx(rel_ell, rel=1e-8)
@@ -273,6 +274,7 @@ def test_divergence_stops_with_reason_last(problem):
     assert n_star == 6
     assert "diverged" in trace.flags and "impedance-clipped" in trace.flags
     assert trace.flags[-1].startswith("stop=diverged")
+    assert trace.stop == "diverged"
     for gam in (xi.gam1, xi.gam2):
         assert np.min(gam) >= 1e-6 * max(1.0, float(np.max(gam)))
 
