@@ -85,9 +85,9 @@ def holdall_field(kind, olell, delta, seed=3, gamma=GAMMA):
     return _ZBAR[key]
 
 
-def run_newton(kind, olell, delta, start, cfg=None, endpoints=True):
+def run_newton(kind, olell, delta, start, cfg=None, endpoints=True, seed=3):
     lt = truth_curve(X, olell)
-    zbar = holdall_field(kind, olell, delta)
+    zbar = holdall_field(kind, olell, delta, seed=seed)
     curve0 = Curve(start if np.ndim(start) else np.full(N, start), L, olell)
     cfg = cfg if cfg is not None else NewtonConfig()
     if kind == "D":
@@ -157,6 +157,27 @@ class TestBenchmarkRecovery:
         for lo, hi in zip(finals, finals[1:]):
             assert hi >= lo
         assert finals[0] <= (0.012 if kind == "D" else 0.025)
+
+
+_FLOOR = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 12: the Neumann and impedance residuals take "
+    "x-derivatives along the curve to second order, and their error stops near 4.6e-5 "
+    "(about h^2) from delta = 1e-4 on")
+
+
+@pytest.mark.parametrize("kind", ["D", pytest.param("N", marks=_FLOOR),
+                                  pytest.param("I", marks=_FLOOR)])
+def test_curve_error_falls_with_noise(kind):
+    # the whole recovery (noisy flux, split-rule hold-all field, Newton sweep)
+    # is a regularisation, so its error goes to zero with the noise level;
+    # pinned as a fall by at least 2x per decade of delta, each error the
+    # median final relative curve error over seeds 1-5, started at 0.05
+    deltas = (1e-3, 1e-4, 1e-6)
+    errors = [float(np.median([run_newton(kind, 0.1, delta, 0.05, seed=seed).rel_errors[-1]
+                               for seed in range(1, 6)]))
+              for delta in deltas]
+    assert all(e1 >= 2.0 ** math.log10(d1 / d2) * e2
+               for d1, d2, e1, e2 in zip(deltas, deltas[1:], errors, errors[1:])), errors
 
 
 class TestLinearization:
