@@ -7,24 +7,27 @@ lateral conditions, and satisfies a homogeneous condition on the curve itself
 through the hold-all continuation `zbar`, which is computed once from (f, g)
 and frozen.  One Newton sweep serves all three kinds; each step
 
-    1. solves the well-posed mixed problem at the current curve,
-    2. linearizes the interface condition around the current curve,
-    3. solves the linearized equation for the curve update,
-    4. smooths the update (low cosine modes), safeguards it, applies it.
+    1. linearizes the interface condition around the current curve,
+    2. solves the linearized equation for the curve update,
+    3. smooths the update (low cosine modes), safeguards it, applies it.
 
-Step 1 runs on a coarse depth grid (17 levels on the curve's own x-grid,
-against 65 for a square 129-point mesh).  The residual each step drives to
-zero is that of the frozen zbar, so the sweep's fixed point is set by zbar
-alone; the forward field only supplies the linearization (u_y, u_x, or
-(u, u_y) on the curve), and an inexact linearization changes at most the
-rate at which the sweep gets there (Dembo, Eisenstat & Steihaug, SIAM J.
+The residual each step drives to zero is that of the frozen zbar, so the
+sweep's fixed point is set by zbar alone.  The Dirichlet and Neumann steps
+linearize on zbar's own traces along the curve (zbar_y, and zbar_x as the
+difference of zbar along the curve less ell' zbar_y), so they are Newton's
+method on that residual and make no forward solve.  The impedance step linearizes about a forward field instead:
+its ODE below assumes that u meets the impedance condition on the current
+curve, which a forward field does and zbar does not.  That field is solved on
+a coarse depth grid (17 levels on the curve's own x-grid, against 65 for a
+square 129-point mesh); an inexact linearization changes at most the rate at
+which the sweep gets to its fixed point (Dembo, Eisenstat & Steihaug, SIAM J.
 Numer. Anal. 19 (1982) 400-408).
 
 Only the interface residual of zbar and the linearization differ per kind:
 
-* Dirichlet: residual zbar(x, ell); pointwise update delta = -zbar / u_y.
+* Dirichlet: residual zbar(x, ell); pointwise update delta = -zbar / zbar_y.
 * Neumann: residual the conormal derivative of zbar on the curve; delta by
-  regularized least squares from  d/dx [delta * u_x(x, ell)] = residual,
+  regularized least squares from  d/dx [delta * zbar_x(x, ell)] = residual,
   with an H1-type smoothness weight (1/rho1) and an endpoint penalty rho2.
 * Impedance: residual b = conormal + sqrt(1 + ell'^2) gamma zbar; a
   first-order linear ODE for phi = alpha * delta,
@@ -72,11 +75,11 @@ _DEGENERATE_TOL = 1e-4
 # exponent range allowed in the integrating factor before the step is
 # declared overflowing
 _EXP_RANGE = 300.0
-# depth levels of the forward solve that linearizes each sweep step (the
-# x-grid is the curve's own); the residual, and so the fixed point, is
-# measured on zbar, and 17 levels left every step count and stop code of
-# the tests and benchmark inputs as on the square 65-level mesh, where 9
-# levels changed one
+# depth levels of the forward solve that linearizes each impedance step
+# (the x-grid is the curve's own; the Dirichlet and Neumann steps solve
+# none); the residual, and so the fixed point, is measured on zbar, and 17
+# levels left every step count and stop code of the tests and benchmark
+# inputs as on the square 65-level mesh, where 9 levels changed one
 _SWEEP_LEVELS = 17
 # Neumann step: H1 smoothness weight 1/_RHO1, endpoint penalty _RHO2
 _RHO1 = 1e3
@@ -169,22 +172,21 @@ def _trust_clamp(ell, dl, lo, hi):
     return np.clip(new, lo, hi), bool(np.any((new < lo) | (new > hi)))
 
 
-def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
+def _sweep(curve0, zbar, cfg, truth, residual, step):
     """The Newton sweep shared by the three interface kinds.
 
     residual(curve, zl, dnu) is the interface misfit of zbar on the curve,
-    given its trace zl and conormal derivative dnu.  step(curve, u, tr, r,
-    flag) linearizes about the forward field u (interface traces tr) and
-    returns the raw update and the linear operator op it inverts, op(update)
-    ~ r; flag(text) records a flag of the current iteration.  Pass k measures
-    the residual at iterate k and, below max_iter and until the step rule
-    fires, takes one step, so the final residual costs no forward solve.
-    u is solved on _SWEEP_LEVELS depth levels, and zbar's column splines are
-    built once for the whole sweep.
+    given its trace zl and conormal derivative dnu.  step(curve, sample, zl,
+    r, flag) linearizes about the current curve and returns the raw update
+    and the linear operator op it inverts, op(update) ~ r; sample is zbar's
+    `_curve_sampler`, built once for the whole sweep, and flag(text) records
+    a flag of the current iteration.  The Dirichlet and Neumann steps read
+    their linearization from sample; only the impedance step solves forward.
+    Pass k measures the residual at iterate k and, below max_iter and until
+    the step rule fires, takes one step, so the last iterate costs no step.
     """
     n, L, olell = curve0.N, curve0.L, curve0.olell
     w = _trapezoid_weights(n, curve0.h)
-    fv = _samples_on_grid(f, curve0.x, "f")
     lo, hi = _corridor(curve0, zbar)
     if truth is not None:
         truth = _samples_on_grid(truth.ell if isinstance(truth, Curve) else truth, curve0.x, "truth")
@@ -198,16 +200,15 @@ def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
     stop = None
     for k in range(cfg.max_iter + 1):
         curve = iterates[-1]
-        r = residual(curve, *_conormal(sample, zbar.curve.h, curve.ell))
+        zl, dnu = _conormal(sample, zbar.curve.h, curve.ell)
+        r = residual(curve, zl, dnu)
         residual_norms.append(_wnorm(r, w))
         if stop is not None:
             break
         if k == cfg.max_iter:
             stop = "max_iter"
             break
-        u = solve_forward(curve, lateral, interface, fv, M=_SWEEP_LEVELS)
-        dl, op = step(curve, u, interface_traces(u), r,
-                      lambda text: flags.append("iter %d: %s" % (k, text)))
+        dl, op = step(curve, sample, zl, r, lambda text: flags.append("iter %d: %s" % (k, text)))
         dl_sm = project_cosine(dl, L, _SMOOTH_MODES)
         step_residuals.append(_wnorm(op(dl_sm) - r, w))
         ell, pinned = _trust_clamp(curve.ell, dl_sm, lo, hi)
@@ -223,10 +224,15 @@ def _sweep(curve0, zbar, lateral, f, cfg, truth, interface, residual, step):
 
 
 def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):
-    """Recover the curve under a homogeneous Dirichlet interface condition."""
+    """Recover the curve under a homogeneous Dirichlet interface condition.
 
-    def step(curve, u, tr, zl, flag):
-        uy = tr.u_y
+    Each step is -zbar / zbar_y on the curve.  f is still checked as a
+    scalar, a callable or grid samples; neither it nor lateral enters the
+    step."""
+    _samples_on_grid(f, curve0.x, "f")
+
+    def step(curve, sample, zl, r, flag):
+        uy = sample(curve.ell, 1)
         floor = _FLUX_FLOOR * max(1.0, float(np.max(np.abs(uy))))
         ok = np.abs(uy) > floor
         if not ok.all():
@@ -234,12 +240,11 @@ def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):
                  % int(curve.N - ok.sum()))
         return np.where(ok, -zl / np.where(ok, uy, 1.0), 0.0), lambda d: -uy * d
 
-    return _sweep(curve0, zbar, lateral, f, cfg, truth, InterfaceBC("D"),
-                  lambda curve, zl, dnu: zl, step)
+    return _sweep(curve0, zbar, cfg, truth, lambda curve, zl, dnu: zl, step)
 
 
-def _warn_degenerate(u_field, u_x_curve, flag):
-    scale = max(1.0, float(np.max(np.abs(u_field.values))) / u_field.curve.L)
+def _warn_degenerate(zbar, u_x_curve, flag):
+    scale = max(1.0, float(np.max(np.abs(zbar.values))) / zbar.curve.L)
     frac = float(np.mean(np.abs(u_x_curve) < _DEGENERATE_TOL * scale))
     if frac >= _DEGENERATE_FRACTION:
         flag("tangential derivative degenerate on %.0f%% of the interface"
@@ -297,17 +302,21 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     equations are pentadiagonal, and positive definite: the endpoint penalty
     removes the constants, the only null space of d/dx.  They are built as
     bands and solved by banded Cholesky, which treats a failure like a
-    singular matrix.
+    singular matrix.  u_x is zbar's x-derivative on the curve.  f is still
+    checked as a scalar, a callable or grid samples; neither it nor lateral
+    enters the step.
     """
+    _samples_on_grid(f, curve0.x, "f")
     w = _trapezoid_weights(curve0.N, curve0.h)
     cols, grad = _gradient_rows(curve0.N, curve0.h)
     reg = _gram_bands(cols, grad, w)
     warned = False
 
-    def step(curve, u, tr, dnu, flag):
+    def step(curve, sample, zl, dnu, flag):
         nonlocal warned
-        warned = warned or _warn_degenerate(u, tr.u_x, flag)
-        rows = grad * tr.u_x[cols]  # d/dx [u_x delta], the linearized operator
+        ux = np.gradient(zl, curve.h, edge_order=2) - curve.dell() * sample(curve.ell, 1)
+        warned = warned or _warn_degenerate(zbar, ux, flag)
+        rows = grad * ux[cols]  # d/dx [u_x delta], the linearized operator
         base = _gram_bands(cols, rows, w)
         rhs0 = np.bincount(cols.ravel(), (rows * (w * dnu)[:, None]).ravel(),
                            minlength=curve.N)
@@ -330,15 +339,14 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
                 back = np.linalg.norm(_band_matvec(K, cand) - rhs) / (
                     fro * np.linalg.norm(cand) + np.linalg.norm(rhs) + np.finfo(float).tiny)
                 if back < 1e-8:
-                    return cand, lambda d: np.gradient(tr.u_x * d, curve.h, edge_order=2)
+                    return cand, lambda d: np.gradient(ux * d, curve.h, edge_order=2)
             rho1 /= 10.0
             flag("near-singular least-squares system, smoothing weight raised "
                  "to 1/%.3g" % rho1)
         raise RuntimeError("curve-update least-squares system stayed "
                            "near-singular after 3 retries")
 
-    return _sweep(curve0, zbar, lateral, f, cfg, truth, InterfaceBC("N"),
-                  lambda curve, zl, dnu: dnu, step)
+    return _sweep(curve0, zbar, cfg, truth, lambda curve, zl, dnu: dnu, step)
 
 
 def _raw_gamma(gamma, curve):
@@ -376,11 +384,14 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     (raw, per-arclength) coefficient gamma."""
     x, h = curve0.x, curve0.h
     gam, dgam = _raw_gamma(gamma, curve0)
+    interface = InterfaceBC("I", gamma=gam, combined=False)
+    fv = _samples_on_grid(f, x, "f")
 
     def residual(curve, zl, dnu):
         return dnu + combined_impedance(gam, curve) * zl
 
-    def step(curve, u, tr, b, flag):
+    def step(curve, sample, zl, b, flag):
+        tr = interface_traces(solve_forward(curve, lateral, interface, fv, M=_SWEEP_LEVELS))
         alpha, beta = _impedance_coeffs(curve, gam, dgam, tr)
         floor = _ALPHA_FLOOR * max(1.0, float(np.max(np.abs(alpha))))
         ok = np.abs(alpha) > floor
@@ -407,8 +418,7 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
             dl = 0.5 * dl
         return dl, lambda d: np.gradient(alpha * d, h, edge_order=2) + beta * d
 
-    return _sweep(curve0, zbar, lateral, f, cfg, truth,
-                  InterfaceBC("I", gamma=gam, combined=False), residual, step)
+    return _sweep(curve0, zbar, cfg, truth, residual, step)
 
 
 def linearized_flux(curve, lateral, interface, f, dl):

@@ -340,11 +340,15 @@ class TestTraceBookkeeping:
 
 def test_neumann_known_endpoints_accelerate():
     # pinning the endpoint updates to zero (no known heights) still converges,
-    # but needs extra iterations to haul the walls up from the wrong start
+    # but needs extra iterations to haul the walls up from the wrong start:
+    # it first comes within 1% of the truth at a later step
     with_ev = cached_run("N", 0.01, 0.05)
     without = run_newton("N", 0.1, 0.01, 0.05, endpoints=False)
-    assert with_ev.rel_errors[3] <= 0.01
-    assert without.rel_errors[3] > 0.01
+
+    def first_within(tr):
+        return next(k for k, e in enumerate(tr.rel_errors) if e <= 0.01)
+
+    assert first_within(with_ev) < first_within(without)
     assert without.rel_errors[-1] <= 0.01
 
 
@@ -410,8 +414,8 @@ class TestNewtonGolden:
     pinned so that a restructuring of the sweep must reproduce it."""
 
     GOLDEN = {
-        "D": (6, True, [], 0.0022220632319496546, 0.00944159317267223, 0.009441590978036728),
-        "N": (5, True, [], 0.0020800135521537888, 0.0011296356382230457, 0.0011296603914160142),
+        "D": (5, True, [], 0.002283585480234583, 0.009443254597430567, 0.00944325459743061),
+        "N": (5, True, [], 0.002069322535260006, 0.0011306866420926723, 0.0011315349939432099),
         "I": (
             6,
             True,
@@ -581,16 +585,17 @@ class TestSweepBranches:
 
 
 class TestSweepCost:
-    """One coarse forward solve per executed step, one spline build of zbar
-    per sweep and one conormal trace per iterate, whether the sweep stops on
-    its step rule or on max_iter."""
+    """One coarse forward solve and its interface traces per executed
+    impedance step and none for the Dirichlet and Neumann steps, which trace
+    zbar; one spline build of zbar per sweep and one conormal trace per
+    iterate, whether the sweep stops on its step rule or on max_iter."""
 
     @pytest.mark.parametrize("max_iter", [2, 10])
     @pytest.mark.parametrize("kind", ["D", "N", "I"])
     def test_solves_and_traces(self, kind, max_iter, monkeypatch):
         import fraccauchy.freeboundary as fb
 
-        calls = {"solve_forward": 0, "_curve_sampler": 0, "_conormal": 0}
+        calls = {"solve_forward": 0, "interface_traces": 0, "_curve_sampler": 0, "_conormal": 0}
         levels = []
 
         def counted(name):
@@ -609,18 +614,21 @@ class TestSweepCost:
         tr = run_newton(kind, 0.1, 0.01, 0.05, cfg=NewtonConfig(max_iter=max_iter))
         assert tr.converged is (max_iter == 10)
         assert tr.stop == ("step_below_tol" if max_iter == 10 else "max_iter")
-        assert calls["solve_forward"] == len(tr.iterates) - 1
+        steps = len(tr.iterates) - 1 if kind == "I" else 0
+        assert calls["solve_forward"] == calls["interface_traces"] == steps
         assert levels == [fb._SWEEP_LEVELS] * calls["solve_forward"]
         assert calls["_curve_sampler"] == 1
         assert calls["_conormal"] == len(tr.iterates)
 
 
 class TestCoarseLinearization:
-    """The sweep linearizes on _SWEEP_LEVELS depth levels; its residual is
-    measured on zbar, so it must end where a sweep linearized on the square
-    65-level mesh ends, in as many steps and for the same reason."""
+    """The impedance sweep linearizes on _SWEEP_LEVELS depth levels; its
+    residual is measured on zbar, so it must end where a sweep linearized on
+    the square 65-level mesh ends, in as many steps and for the same reason.
+    The Dirichlet and Neumann sweeps solve no forward problem, so the depth
+    grid does not reach them."""
 
-    @pytest.mark.parametrize("kind", ["D", "N", "I"])
+    @pytest.mark.parametrize("kind", ["I"])
     def test_end_state_matches_fine_mesh(self, kind, monkeypatch):
         import fraccauchy.freeboundary as fb
 

@@ -62,6 +62,9 @@ def test_import_layers():
     # their cosine tables through spectral, not through each other
     assert "simultaneous" not in graph["freeboundary"]
     assert "freeboundary" not in graph["simultaneous"]
+    # the curve recovery is a leaf: no sibling imports it, so a change inside
+    # it cannot move the continuations or the joint recovery
+    assert sorted(n for n, deps in graph.items() if "freeboundary" in deps) == []
     # peel off modules whose imports are all placed: a cycle leaves a rest
     placed = set()
     while len(placed) < len(graph):
