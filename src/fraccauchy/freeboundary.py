@@ -183,7 +183,7 @@ def _sweep(curve0, zbar, cfg, truth, residual, step):
     a flag of the current iteration.  The Dirichlet and Neumann steps read
     their linearization from sample; only the impedance step solves forward.
     Pass k measures the residual at iterate k and, below max_iter and until
-    the step rule fires, takes one step, so the last iterate costs no step.
+    the step rule fires, takes one step, so the last residual needs no step.
     """
     n, L, olell = curve0.N, curve0.L, curve0.olell
     w = _trapezoid_weights(n, curve0.h)
