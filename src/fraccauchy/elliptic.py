@@ -908,14 +908,17 @@ def curve_conormal(zbar, curve):
     derivative zbar_y - ell' zbar_x on the curve.  Raises unless the curve
     passes `_check_on_mesh`."""
     _check_on_mesh(zbar, curve)
-    return _conormal(_curve_sampler(zbar), zbar.curve.h, curve.ell)
+    zl, _, dnu = _conormal(_curve_sampler(zbar), zbar.curve.h, curve.ell)
+    return zl, dnu
 
 
 def _conormal(sample, h, ell):
-    """`curve_conormal` through a `_curve_sampler` of zbar (x-spacing h)."""
+    """`curve_conormal` through a `_curve_sampler` of zbar (x-spacing h),
+    with zbar_y on the curve between its two traces: (on_curve, zbar_y,
+    conormal)."""
     ell = np.asarray(ell, dtype=float)
     zl = sample(ell)
     zy = sample(ell, dy=1)
     dl = np.gradient(ell, h, edge_order=2)
     dzl = np.gradient(zl, h, edge_order=2)
-    return zl, (1.0 + dl * dl) * zy - dl * dzl
+    return zl, zy, (1.0 + dl * dl) * zy - dl * dzl

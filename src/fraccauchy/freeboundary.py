@@ -142,9 +142,16 @@ def _wnorm(v, w):
 def project_cosine(values, L, modes):
     """Project grid samples on [0, L] onto span{cos(k pi x / L), k < modes}."""
     values = np.asarray(values, dtype=float)
-    x = np.linspace(0.0, L, values.size)
+    return _cosine_projector(values.size, L, modes)(values)
+
+
+def _cosine_projector(n, L, modes):
+    """`project_cosine` of n samples, with its cosine table and weights built
+    once for any number of calls."""
+    x = np.linspace(0.0, L, n)
     ph, _ = _cos_tables(x, L, modes)
-    return _cos_coeffs(values, ph, _trapezoid_weights(x.size, x[1] - x[0])) @ ph
+    w = _trapezoid_weights(n, x[1] - x[0])
+    return lambda values: _cos_coeffs(values, ph, w) @ ph
 
 
 def _corridor(curve0, zbar):
@@ -176,12 +183,13 @@ def _sweep(curve0, zbar, cfg, truth, residual, step):
     """The Newton sweep shared by the three interface kinds.
 
     residual(curve, zl, dnu) is the interface misfit of zbar on the curve,
-    given its trace zl and conormal derivative dnu.  step(curve, sample, zl,
-    r, flag) linearizes about the current curve and returns the raw update
-    and the linear operator op it inverts, op(update) ~ r; sample is zbar's
-    `_curve_sampler`, built once for the whole sweep, and flag(text) records
-    a flag of the current iteration.  The Dirichlet and Neumann steps read
-    their linearization from sample; only the impedance step solves forward.
+    given its trace zl and conormal derivative dnu.  step(curve, zl, zy, r,
+    flag) linearizes about the current curve and returns the raw update and
+    the linear operator op it inverts, op(update) ~ r; zy is zbar_y on the
+    curve, traced with zl and dnu through one `_curve_sampler` of zbar built
+    for the whole sweep, and flag(text) records a flag of the current
+    iteration.  The Dirichlet and Neumann steps read their linearization
+    from these traces; only the impedance step solves forward.
     Pass k measures the residual at iterate k and, below max_iter and until
     the step rule fires, takes one step, so the last residual needs no step.
     """
@@ -191,6 +199,7 @@ def _sweep(curve0, zbar, cfg, truth, residual, step):
     if truth is not None:
         truth = _samples_on_grid(truth.ell if isinstance(truth, Curve) else truth, curve0.x, "truth")
     sample = _curve_sampler(zbar)
+    smooth = _cosine_projector(n, L, _SMOOTH_MODES)
 
     def relerr(ell):
         return _wnorm(ell - truth, w) / _wnorm(truth, w)
@@ -200,7 +209,7 @@ def _sweep(curve0, zbar, cfg, truth, residual, step):
     stop = None
     for k in range(cfg.max_iter + 1):
         curve = iterates[-1]
-        zl, dnu = _conormal(sample, zbar.curve.h, curve.ell)
+        zl, zy, dnu = _conormal(sample, zbar.curve.h, curve.ell)
         r = residual(curve, zl, dnu)
         residual_norms.append(_wnorm(r, w))
         if stop is not None:
@@ -208,8 +217,8 @@ def _sweep(curve0, zbar, cfg, truth, residual, step):
         if k == cfg.max_iter:
             stop = "max_iter"
             break
-        dl, op = step(curve, sample, zl, r, lambda text: flags.append("iter %d: %s" % (k, text)))
-        dl_sm = project_cosine(dl, L, _SMOOTH_MODES)
+        dl, op = step(curve, zl, zy, r, lambda text: flags.append("iter %d: %s" % (k, text)))
+        dl_sm = smooth(dl)
         step_residuals.append(_wnorm(op(dl_sm) - r, w))
         ell, pinned = _trust_clamp(curve.ell, dl_sm, lo, hi)
         iterates.append(Curve(ell, L, olell))
@@ -231,8 +240,7 @@ def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):
     step."""
     _samples_on_grid(f, curve0.x, "f")
 
-    def step(curve, sample, zl, r, flag):
-        uy = sample(curve.ell, 1)
+    def step(curve, zl, uy, r, flag):
         floor = _FLUX_FLOOR * max(1.0, float(np.max(np.abs(uy))))
         ok = np.abs(uy) > floor
         if not ok.all():
@@ -312,9 +320,9 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     reg = _gram_bands(cols, grad, w)
     warned = False
 
-    def step(curve, sample, zl, dnu, flag):
+    def step(curve, zl, zy, dnu, flag):
         nonlocal warned
-        ux = np.gradient(zl, curve.h, edge_order=2) - curve.dell() * sample(curve.ell, 1)
+        ux = np.gradient(zl, curve.h, edge_order=2) - curve.dell() * zy
         warned = warned or _warn_degenerate(zbar, ux, flag)
         rows = grad * ux[cols]  # d/dx [u_x delta], the linearized operator
         base = _gram_bands(cols, rows, w)
@@ -390,7 +398,7 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     def residual(curve, zl, dnu):
         return dnu + combined_impedance(gam, curve) * zl
 
-    def step(curve, sample, zl, b, flag):
+    def step(curve, zl, zy, b, flag):
         tr = interface_traces(solve_forward(curve, lateral, interface, fv, M=_SWEEP_LEVELS))
         alpha, beta = _impedance_coeffs(curve, gam, dgam, tr)
         floor = _ALPHA_FLOOR * max(1.0, float(np.max(np.abs(alpha))))

@@ -434,9 +434,9 @@ class TestNewtonGolden:
         assert tr.converged is converged
         assert tr.stop == "step_below_tol"
         assert tr.flags == flags
-        assert tr.rel_errors[-1] == pytest.approx(relerr, rel=1e-12)
-        assert tr.residual_norms[-1] == pytest.approx(resid, rel=1e-12)
-        assert tr.step_residuals[-1] == pytest.approx(step_res, rel=1e-12)
+        assert tr.rel_errors[-1] == pytest.approx(relerr, rel=1e-12, abs=0)
+        assert tr.residual_norms[-1] == pytest.approx(resid, rel=1e-12, abs=0)
+        assert tr.step_residuals[-1] == pytest.approx(step_res, rel=1e-12, abs=0)
 
 
 class TestSweepBranches:
