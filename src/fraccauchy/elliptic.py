@@ -13,40 +13,25 @@ writes each coefficient once into diagonal storage.  The curve enters only
 through coefficient arrays, so outer Newton loops can move it without
 remeshing.
 
-The system is solved by one of three methods, chosen from the number M of
-depth levels and from whether one right-hand side is wanted or several.
-Every method works on the row-equilibrated matrix (each row divided by its
-largest entry).  In row-major node order the matrix is a band matrix with
-kl = ku = 2M, since the one-sided lateral rows reach two columns inward.
+The system is solved by one of two methods, chosen from the number M of
+depth levels.  Both work on the row-equilibrated matrix (each row divided
+by its largest entry).  In row-major node order the matrix is a band matrix
+with kl = ku = 2M, since the one-sided lateral rows reach two columns inward.
 
 - Band LU.  Shallow meshes, such as the Newton sweeps' 129 x 17, get
-  LAPACK's band LU with partial pivoting, from `assemble` and from
-  `solve_forward` alike.
-- GMRES.  A one-shot `solve_forward` on a deeper mesh factors nothing: it
-  runs restarted GMRES, right-preconditioned by an exact fast solve of the
-  flat-strip operator at the curve's mean height (`_flat_strip`), until
-  the row-scaled residual is below 1e-13 of the row-scaled right-hand
-  side.  If it does not get there within a fixed number of iterations, the
-  solve falls back to SuperLU.
-- SuperLU.  `assemble` factorises a deeper mesh once per curve, so that
-  each of several right-hand sides (the bottom trace, plus any
-  verification data) is a back-solve.  It uses SuperLU in a geometric
-  nested-dissection order of the grid (A. George, SIAM J. Numer. Anal. 10
-  (1973) 345-363), with threshold partial pivoting.
+  LAPACK's band LU with partial pivoting.
+- GMRES.  A deeper mesh is not factored: each right-hand side is solved by
+  restarted GMRES, right-preconditioned by a separable approximation of
+  the operator that keeps the depth scale 1/ell(x)^2 column by column
+  (`_column_preconditioner`), until the row-scaled residual is below 1e-13
+  of the row-scaled right-hand side.  If it does not get there within a
+  fixed number of iterations, that right-hand side is solved by SuperLU in
+  its default ordering instead.
 
-Band LU costs about N M kl (kl + ku) = 8 N M^3 operations, nested
-dissection on a long strip about N M^2, so the crossover lies at a fixed
-M, whatever N (measured between M = 49 and 53: see `assemble`).
-
-For SuperLU the scaling is what lets the order survive the pivoting:
-unscaled, the unit Dirichlet rows sit far below the 1/(ell h)^2
-coefficients of their columns, any nonzero threshold pivots away from the
-order, and the fill exceeds that of SuperLU's default ordering.  Scaled,
-all but a few diagonal pivots are accepted and the fill at 129 x 65 drops
-by about 40%.  The threshold guards against pivot growth where the rows
-are far from diagonally dominant: the one-sided lateral and interface
-rows, and the cross terms of thin or steep curves.  The residual gate of
-every solve checks the unscaled matrix.
+Band LU costs about N M kl (kl + ku) = 8 N M^3 operations.  Each GMRES
+iteration costs about 4 N M^2, in the two dense depth transforms of the
+preconditioner, so the crossover lies at a fixed M, whatever N (see
+`assemble`).
 
 Boundary rows: the bottom edge carries a Dirichlet trace, the lateral edges
 the same condition family as the eigenbasis of module `spectral`, and the
@@ -67,9 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal, solve_triangular
+from scipy.linalg import eigh_tridiagonal, solve_banded, solve_triangular
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse import csr_matrix, dia_matrix
+from scipy.sparse import dia_matrix
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -255,24 +240,25 @@ def _corner_compat_warning(curve, lateral, f):
 
 @dataclass
 class ForwardOperator:
-    """The discrete mixed problem below one curve, factorised by `assemble`.
+    """The discrete mixed problem below one curve, prepared by `assemble`
+    for any number of right-hand sides.
 
-    ``A`` is the unscaled matrix, DIA on shallow meshes and CSR on deep ones;
-    ``lu`` factors it with each row scaled by ``rowscale`` and rows and
-    columns permuted by ``perm``: a `_BandLU` in the identity order on
-    shallow meshes, SuperLU in `_dissection` order on deep ones.  `solve`
-    needs nothing of ``lu`` but its ``solve``."""
+    ``A`` is the unscaled matrix in DIA form and ``rowscale`` = 1/max|row|
+    the row scale D.  Up to _BAND_LEVELS depth levels ``band`` is the
+    `_BandLU` factor of D A and ``precond`` is None; on deeper meshes
+    ``band`` is None and ``precond`` is the `_column_preconditioner` of the
+    curve, with which `solve` runs `_gmres`."""
 
     curve: Curve
     lateral: object
     eta: np.ndarray
     A: object
-    lu: object
-    perm: np.ndarray
     rowscale: np.ndarray
+    band: object
+    precond: object
 
     def solve(self, f, source=None, interface_rhs=None, lateral_rhs=None):
-        """Back-solve for the field equal to ``f`` on the bottom edge.
+        """Solve for the field equal to ``f`` on the bottom edge.
 
         ``source``, ``interface_rhs`` and ``lateral_rhs`` add a volume source
         and inhomogeneous boundary data to the discrete operator; they exist
@@ -280,14 +266,45 @@ class ForwardOperator:
         problem.  ``lateral_rhs`` is a pair (left, right) of per-level values:
         u on the edge for a Dirichlet side, u_x for a Neumann side, and
         -u_x + sigma*u resp. u_x + sigma*u for a Robin side.
+
+        The field's ``meta["forward"]`` records the ``method`` ("band",
+        "gmres", or "superlu" for a right-hand side on which GMRES missed its
+        bound), the GMRES ``iterations`` (0 for "band") and the ``residual``
+        max|D(Au - b)| / max|Db| of the returned field.
         """
         return self._solve_rhs(_right_hand_side(
             self.curve, self.lateral, self.eta, f, source, interface_rhs, lateral_rhs))
 
     def _solve_rhs(self, rhs):
-        u = np.empty_like(rhs)
-        u[self.perm] = self.lu.solve((self.rowscale * rhs)[self.perm])
-        return _gated_field(self.A, u, rhs, self.curve, self.eta)
+        if self.band is not None:
+            u, its, method = self.band.solve(self.rowscale * rhs), 0, "band"
+        else:
+            u, its, res = _gmres(self.A, self.rowscale, self.precond, rhs)
+            method = "gmres"
+            if res > _GMRES_TOL:
+                try:
+                    lu = splu(self.A.tocsr().multiply(self.rowscale[:, None]).tocsc())
+                except RuntimeError as exc:
+                    raise RuntimeError("sparse factorisation failed: %s" % (exc,))
+                u, method = lu.solve(self.rowscale * rhs), "superlu"
+        return self._gated_field(u, rhs, {"method": method, "iterations": its})
+
+    def _gated_field(self, u, rhs, forward):
+        """The field of a solution ``u`` of A u = rhs, once it is finite and
+        its residual in the unscaled A passes the gate; ``forward`` gains the
+        row-scaled residual and becomes ``meta["forward"]``."""
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError("sparse linear solve returned non-finite values")
+        r = self.A @ u - rhs
+        resid = float(np.max(np.abs(r)))
+        scale = float(np.max(np.abs(self.A) @ np.abs(u))) + float(np.max(np.abs(rhs)))
+        if resid > 1e-8 * max(1.0, scale):
+            raise RuntimeError("discrete residual too large: %.3g" % resid)
+        b = self.rowscale * rhs
+        forward["residual"] = float(np.max(np.abs(self.rowscale * r))) / max(
+            float(np.max(np.abs(b))), np.finfo(float).tiny)
+        return MeshField(u.reshape(self.curve.N, self.eta.size), self.curve, self.eta,
+                         meta={"forward": forward})
 
 
 def _right_hand_side(curve, lateral, eta, f, source=None, interface_rhs=None, lateral_rhs=None):
@@ -322,47 +339,10 @@ def _right_hand_side(curve, lateral, eta, f, source=None, interface_rhs=None, la
     return rhs.ravel()
 
 
-def _gated_field(A, u, rhs, curve, eta):
-    """The field of a solution ``u`` of A u = rhs, once it is finite and its
-    residual passes the gate."""
-    if not np.all(np.isfinite(u)):
-        raise RuntimeError("sparse linear solve returned non-finite values")
-    resid = float(np.max(np.abs(A @ u - rhs)))
-    scale = float(np.max(np.abs(A) @ np.abs(u))) + float(np.max(np.abs(rhs)))
-    if resid > 1e-8 * max(1.0, scale):
-        raise RuntimeError("discrete residual too large: %.3g" % resid)
-    return MeshField(u.reshape(curve.N, eta.size), curve, eta)
-
-
-@functools.lru_cache(maxsize=None)
-def _dissection(N, M):
-    """Geometric nested-dissection order of the N x M grid (node i*M + j):
-    split the longer side at its middle line, order both halves first and
-    the separating line last.  Blocks of at most 16 nodes keep their
-    row-major order.  Computed once per grid size and shared read-only."""
-    order = []
-
-    def split(block):
-        n, m = block.shape
-        if n * m <= 16:
-            order.append(block.ravel())
-        elif n >= m:
-            split(block[: n // 2])
-            split(block[n // 2 + 1:])
-            order.append(block[n // 2])
-        else:
-            split(block[:, : m // 2])
-            split(block[:, m // 2 + 1:])
-            order.append(block[:, m // 2])
-
-    split(np.arange(N * M).reshape(N, M))
-    perm = np.concatenate(order)
-    perm.setflags(write=False)
-    return perm
-
-
-# most depth levels factored by band LU; deeper meshes go to SuperLU (see
-# `assemble` for the measured crossover)
+# most depth levels factored by band LU; deeper meshes are solved by GMRES.
+# 49 was measured against the nested-dissection SuperLU factor that deep
+# meshes used before (see `assemble`); it has not been re-measured against
+# GMRES (ROADMAP item 10, step 2)
 _BAND_LEVELS = 49
 
 
@@ -519,126 +499,100 @@ def _column_indexed(offsets, table):
 
 
 def assemble(curve, lateral, interface, M=None):
-    """Build and factorise the discrete mixed problem below the curve.
+    """Build the discrete mixed problem below the curve, ready to solve.
 
     The field is to satisfy ``lateral`` on the sides and ``interface`` on
-    the upper curve; the returned `ForwardOperator` back-solves for each
-    bottom trace.  ``M`` is the number of depth levels (default keeps the
-    mapped cells roughly square, 129 x 65 at the standard resolution).
+    the upper curve; the returned `ForwardOperator` solves for each bottom
+    trace.  ``M`` is the number of depth levels (default keeps the mapped
+    cells roughly square, 129 x 65 at the standard resolution).
 
-    The operator is written by `_stencil`.  It keeps the unscaled matrix
-    ``A`` for the residual gate and factors P D A P^T, where D scales each
-    row by ``rowscale`` = 1/max|row|.  Up to _BAND_LEVELS = 49 depth levels
-    P is the identity: the table shifted to column-indexed storage is ``A``
-    in DIA form and, scaled, the band (kl = ku = 2M) that `_BandLU` factors
-    with LAPACK's ``dgbtrf``.  Deeper meshes read the CSR off the written
-    entries, explicit zeros kept, and go to SuperLU in its natural order: P
-    is the symmetric permutation ``perm`` of `_dissection`, and a pivot is
-    taken off the diagonal only when it falls below a tenth of its column.
-    Without D that threshold rejects the unit diagonal of every Dirichlet
-    row and the fill roughly doubles.
+    The operator is written by `_stencil`; the table shifted to
+    column-indexed storage is the unscaled matrix ``A`` in DIA form, kept
+    for the residual gate and the Krylov products.  D scales each row by
+    ``rowscale`` = 1/max|row|.  Up to _BAND_LEVELS = 49 depth levels the
+    scaled table is the band (kl = ku = 2M) of D A that `_BandLU` factors
+    with LAPACK's ``dgbtrf``.  Deeper meshes are not factored: the operator
+    holds the curve's `_column_preconditioner`, and each right-hand side is
+    a `_gmres` solve of D A u = D b.
 
     The split was measured on one BLAS thread as one-shot solves, best of 7
-    with each path forced, for N = 65, 129 and 257: the band factor written
-    from the table takes 0.91-0.98 of SuperLU's time at M = 49, and
-    1.00-1.13 at M = 53 for N = 65 and 129.  M = 49 is the deepest measured
-    mesh where band LU wins for every N.
+    with each path forced, for N = 65, 129 and 257, against the
+    nested-dissection SuperLU factor that deep meshes had then: the band
+    factor written from the table took 0.91-0.98 of SuperLU's time at M =
+    49, and 1.00-1.13 at M = 53 for N = 65 and 129.
     """
     M = _levels(curve, interface, M)
-    eta, offsets, diags, written, rowscale = _stencil(
-        curve, lateral, interface, M, _impedance(curve, interface))
+    gamc = _impedance(curve, interface)
+    eta, offsets, diags, _, rowscale = _stencil(curve, lateral, interface, M, gamc)
     n = curve.N * M
-    if M <= _BAND_LEVELS:
-        # the shifted table is ``A`` in DIA form and, scaled, rows kl..3kl of
-        # LAPACK's band storage
-        kl = 2 * M
-        A = dia_matrix((_column_indexed(offsets, diags), offsets), shape=(n, n))
-        ab = np.zeros((3 * kl + 1, n), order="F")
-        ab[2 * kl - offsets] = _column_indexed(offsets, diags * rowscale)
-        perm = np.arange(n)
-        lu = _BandLU(ab, kl)
-    else:
-        # CSR of the written entries, explicit zeros kept: row-major with the
-        # offsets ascending is the canonical column order
-        indptr = np.concatenate(([0], np.cumsum(written.sum(axis=0))))
-        cols = (np.arange(n)[:, None] + offsets)[written.T]
-        A = csr_matrix((diags.T[written.T], cols, indptr), shape=(n, n))
-        del diags, written, cols  # free the table before SuperLU's fill
-        scaled = A.copy()
-        scaled.data *= np.repeat(rowscale, np.diff(A.indptr))
-        perm = _dissection(curve.N, M)
-        try:
-            lu = splu(scaled[perm][:, perm].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.1)
-        except RuntimeError as exc:
-            raise RuntimeError("sparse factorisation failed: %s" % (exc,))
-    return ForwardOperator(curve, lateral, eta, A, lu, perm, rowscale)
+    A = dia_matrix((_column_indexed(offsets, diags), offsets), shape=(n, n))
+    if M > _BAND_LEVELS:
+        return ForwardOperator(curve, lateral, eta, A, rowscale, None,
+                               _column_preconditioner(curve, lateral, interface, M, gamc))
+    # the scaled table fills rows kl..3kl of LAPACK's band storage
+    kl = 2 * M
+    ab = np.zeros((3 * kl + 1, n), order="F")
+    ab[2 * kl - offsets] = _column_indexed(offsets, diags * rowscale)
+    return ForwardOperator(curve, lateral, eta, A, rowscale, _BandLU(ab, kl), None)
 
 
 def _tridiagonal_modes(diag, lower, upper):
     """Eigendecomposition T = V diag(lam) V^-1 of the tridiagonal T with
     the given diagonals, every product lower * upper positive: T is
-    symmetrised by a diagonal similarity.  Returns (lam, V, V^-1), read-only."""
+    symmetrised by a diagonal similarity.  Returns (lam, V, V^-1)."""
     g = np.concatenate(([1.0], np.cumprod(np.sqrt(lower / upper))))
     lam, Q = eigh_tridiagonal(diag, np.sqrt(lower * upper))
-    modes = (lam, g[:, None] * Q, Q.T / g)
-    for v in modes:
-        v.setflags(write=False)
-    return modes
+    return lam, g[:, None] * Q, Q.T / g
 
 
-@functools.lru_cache(maxsize=None)
-def _x_modes(N, L, lateral):
-    """`_tridiagonal_modes` of the flat strip's x-operator on columns
-    1..N-2, non-Dirichlet side rows eliminated (see `_flat_strip`).
-    Computed once per (N, L, lateral) and shared read-only."""
-    hx = L / (N - 1)
-    cx = 1.0 / hx ** 2
-    diag = np.full(N - 2, -2.0 * cx)
-    lower, upper = np.full(N - 3, cx), np.full(N - 3, cx)
-    if lateral.kind != "dirichlet":
-        for i, off, inward in ((0, upper, 1), (-1, lower, -1)):
-            _, (w0, w1, w2) = _one_sided(lateral, hx, inward, float(-inward))
-            diag[i] -= cx * w1 / w0
-            off[i] -= cx * w2 / w0
-    return _tridiagonal_modes(diag, lower, upper)
+def _column_preconditioner(curve, lateral, interface, M, gamc):
+    """Approximate inverse of the operator that `_stencil` writes below
+    ``curve``, for "I" with the combined impedance ``gamc``: returns
+    ``solve(r)``, for a right-hand side ``r`` in row order.
 
-
-def _flat_strip(curve, lateral, interface, M, gamc):
-    """Direct solve of the operator that `_stencil` writes below the flat
-    curve at the mean height of ``curve``, for "I" with the mean of the
-    combined impedance ``gamc``: returns ``solve(r)``, the solution for a
-    right-hand side ``r`` in row order.
-
-    The flat operator has neither cross nor drift terms, and each side or
-    top row reaches only along its own level or column.  Taking the bottom
-    and Dirichlet values as known and eliminating the other side and top
-    rows leaves Tx U + U Teta^T = R on the interior nodes, Tx and Teta
-    tridiagonal; in their eigenbases that is a division, so a solve is four
-    dense products (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970);
-    Concus & Golub, ibid. 10 (1973))."""
-    N = curve.N
+    The approximation keeps each column's depth scale 1/ell(x)^2 and drops
+    the cross term, the drift, the a^2 part of the eta-coefficient and the
+    x-coupling of the top row.  Taking the bottom and Dirichlet values as
+    known and eliminating the other side and top rows then leaves
+    Tx U + diag(1/ell^2) U Teta^T = R on the interior nodes, Tx and Teta
+    tridiagonal, Teta at unit height.  Folding the top row into Teta needs
+    its ratio w/t (below) to be one number; "N" and "D" tops have 1/3 and 0
+    in every column, and "I" tops take the mean over the interior columns.
+    In Teta's eigenbasis each eta-mode k is one tridiagonal system in x,
+    Tx + lam_k diag(1/ell^2), and all M - 2 of them are one banded solve:
+    Fourier analysis in depth and tridiagonal solves in x (Swarztrauber,
+    SIAM Review 19 (1977) 490-501).  On a flat curve with a constant
+    impedance it is the exact inverse."""
+    N, K = curve.N, M - 2
     hx, he = curve.h, 1.0 / (M - 1)
-    height = float(np.mean(curve.ell))
-    # `_stencil`'s cx and ce * ie2 on the flat curve
-    cx, ceta = 1.0 / hx ** 2, 1.0 / (height * he) ** 2
-    lam_x, Vx, Vx_inv = _x_modes(N, curve.L, lateral)
-    # Teta on levels 1..M-2; a non-Dirichlet top row t U_{M-1} - 4w U_{M-2}
-    # + w U_{M-3} = r is folded into level M-2 (w = 0, t = 1: a Dirichlet top)
-    diag = np.full(M - 2, -2.0 * ceta)
-    lower, upper = np.full(M - 3, ceta), np.full(M - 3, ceta)
-    w, t = 0.0, 1.0
+    ell, dl = curve.ell[1:-1], curve.dell()[1:-1]
+    cx, ie2 = 1.0 / hx ** 2, 1.0 / he ** 2
+    # a non-Dirichlet top row t U_{M-1} - 4w U_{M-2} + w U_{M-3} = r per
+    # interior column (w = 0, t = 1: a Dirichlet top)
+    w, t = np.zeros(N - 2), np.ones(N - 2)
     if interface.kind != "D":
-        w = 1.0 / (2.0 * he * height)
-        t = 3.0 * w + (float(np.mean(gamc)) if gamc is not None else 0.0)
-        diag[-1] += 4.0 * ceta * w / t
-        lower[-1] -= ceta * w / t
-    lam_e, Ve, Ve_inv = _tridiagonal_modes(diag, lower, upper)
-    inv_lam = 1.0 / (lam_x[:, None] + lam_e)
+        w = (1.0 + dl ** 2) / (2.0 * he * ell)
+        t = 3.0 * w + (gamc[1:-1] if gamc is not None else 0.0)
+    q = float(np.mean(w / t))
+    diag = np.full(K, -2.0 * ie2)
+    lower, upper = np.full(K - 1, ie2), np.full(K - 1, ie2)
+    diag[-1] += 4.0 * ie2 * q
+    lower[-1] -= ie2 * q
+    lam, Ve, Ve_inv = _tridiagonal_modes(diag, lower, upper)
     # each side's weights (w0, w1, w2) of U at the edge and one and two
-    # columns in; a Dirichlet side is (1, 0, 0)
+    # columns in; a Dirichlet side is (1, 0, 0), the others are eliminated
+    # from Tx on columns 1..N-2
     sides = [(i0, inward, (1.0, 0.0, 0.0) if lateral.kind == "dirichlet"
               else _one_sided(lateral, hx, inward, float(-inward))[1])
              for i0, inward in ((0, 1), (N - 1, -1))]
+    ab = np.zeros((3, K, N - 2))
+    ab[0, :, 1:] = ab[2, :, :-1] = cx
+    ab[1] = -2.0 * cx + lam[:, None] / ell ** 2
+    for (_, _, (w0, w1, w2)), i, off in zip(sides, (0, -1), ((0, 1), (2, -2))):
+        ab[1, :, i] -= cx * w1 / w0
+        ab[off[0], :, off[1]] -= cx * w2 / w0
+    ab = ab.reshape(3, K * (N - 2))
+    ceta = ie2 / ell ** 2
 
     def solve(r):
         r = r.reshape(N, M)
@@ -647,7 +601,8 @@ def _flat_strip(curve, lateral, interface, M, gamc):
         R[:, -1] -= ceta * r[1:-1, -1] / t
         for i0, inward, (w0, _, _) in sides:
             R[i0 + inward - 1] -= cx * r[i0, 1:-1] / w0
-        U = Vx @ (((Vx_inv @ R) @ Ve_inv.T) * inv_lam) @ Ve.T
+        Uk = solve_banded((1, 1), ab, (R @ Ve_inv.T).T.ravel(), check_finite=False)
+        U = Uk.reshape(K, N - 2).T @ Ve.T
         z = np.empty((N, M))
         z[:, 0] = r[:, 0]
         z[1:-1, 1:-1] = U
@@ -659,7 +614,7 @@ def _flat_strip(curve, lateral, interface, M, gamc):
     return solve
 
 
-# GMRES of a deep one-shot solve: restart length, number of cycles, and the
+# GMRES of a deep solve: restart length, number of cycles, and the
 # bound on the row-scaled residual max|D(Au - b)| / max|Db|
 _GMRES_RESTART = 16
 _GMRES_CYCLES = 2
@@ -678,7 +633,11 @@ def _gmres(A, rowscale, precond, rhs):
     meets the bound, and kept if its true max-norm does.  The 2-norm is the
     stricter test: stopped on the max-norm alone, 257 x 129 solves ended
     one or two iterations earlier and up to 1e-10 (relative) away from the
-    direct solve, against 6e-12 at most."""
+    direct solve, against 6e-12 at most.
+
+    Inner products, norms and combinations of the basis are summed by
+    ``np.einsum``, not BLAS: OpenBLAS splits those sums by thread, so their
+    last bits, and so the field's, would depend on the thread count."""
     b = rowscale * rhs
     bmax = max(float(np.max(np.abs(b))), np.finfo(float).tiny)
     tol = _GMRES_TOL * bmax
@@ -696,17 +655,17 @@ def _gmres(A, rowscale, precond, rhs):
         V, Z = np.empty((m + 1, b.size)), np.empty((m, b.size))
         H, g = np.zeros((m + 1, m)), np.zeros(m + 1)
         cs, sn = np.zeros(m), np.zeros(m)
-        g[0] = np.linalg.norm(r)
+        g[0] = math.sqrt(np.einsum("i,i", r, r))
         V[0] = r / g[0]
         for k in range(m):
             Z[k] = precond(V[k] / rowscale)
             v = rowscale * (A @ Z[k])
             its += 1
             for _ in range(2):  # classical Gram-Schmidt, twice
-                h = V[:k + 1] @ v
-                v -= h @ V[:k + 1]
+                h = np.einsum("ij,j", V[:k + 1], v)
+                v -= np.einsum("i,ij", h, V[:k + 1])
                 H[:k + 1, k] += h
-            vnorm = np.linalg.norm(v)
+            vnorm = math.sqrt(np.einsum("i,i", v, v))
             V[k + 1] = v / vnorm if vnorm > 0.0 else 0.0
             for i in range(k):  # earlier Givens rotations
                 H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
@@ -719,7 +678,7 @@ def _gmres(A, rowscale, precond, rhs):
             last = k == m - 1 or vnorm == 0.0
             if last or abs(g[k + 1]) <= tol:
                 y = solve_triangular(H[:k + 1, :k + 1], g[:k + 1], check_finite=False)
-                trial = u + y @ Z[:k + 1]
+                trial = u + np.einsum("i,ij", y, Z[:k + 1])
                 r_trial = residual(trial)
                 if last or np.max(np.abs(r_trial)) <= tol:
                     u, r = trial, r_trial
@@ -732,32 +691,11 @@ def solve_forward(curve, lateral, interface, f, M=None):
     is harmonic, equals ``f`` on the bottom edge, satisfies ``lateral`` on the
     sides and ``interface`` on the upper curve.
 
-    Up to _BAND_LEVELS depth levels this is ``assemble(curve, lateral,
-    interface, M).solve(f)``.  A deeper mesh is not factored: its
-    `_stencil` table, as a DIA matrix, is solved by `_gmres` preconditioned
-    by `_flat_strip`, and the result passes the finiteness and residual
-    gates of `ForwardOperator.solve`.  If GMRES does not reach its bound
-    the field is ``assemble(...).solve(f)`` after all.  On these meshes the
-    field's ``meta["forward"]`` records the ``method`` ("gmres" or
-    "superlu"), the GMRES ``iterations`` and the ``residual`` max|D(Au - b)|
-    / max|Db| of the returned field, D the row scale."""
-    M = _levels(curve, interface, M)
-    if M <= _BAND_LEVELS:
-        return assemble(curve, lateral, interface, M).solve(f)
-    gamc = _impedance(curve, interface)
-    eta, offsets, diags, _, rowscale = _stencil(curve, lateral, interface, M, gamc)
-    n = curve.N * M
-    A = dia_matrix((_column_indexed(offsets, diags), offsets), shape=(n, n))
-    rhs = _right_hand_side(curve, lateral, eta, f)
-    u, its, res = _gmres(A, rowscale, _flat_strip(curve, lateral, interface, M, gamc), rhs)
-    if res <= _GMRES_TOL:
-        fld, method = _gated_field(A, u, rhs, curve, eta), "gmres"
-    else:
-        fld, method = assemble(curve, lateral, interface, M)._solve_rhs(rhs), "superlu"
-        b = rowscale * rhs
-        res = float(np.max(np.abs(rowscale * (A @ fld.values.ravel()) - b)) / np.max(np.abs(b)))
-    fld.meta["forward"] = {"method": method, "iterations": its, "residual": res}
-    return fld
+    This is ``assemble(curve, lateral, interface, M).solve(f)``: band LU up
+    to _BAND_LEVELS depth levels, GMRES on the curve's
+    `_column_preconditioner` on deeper meshes.  The field's
+    ``meta["forward"]`` records the method, iterations and residual."""
+    return assemble(curve, lateral, interface, M).solve(f)
 
 
 def _uniform_step(eta, what):

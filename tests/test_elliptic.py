@@ -19,11 +19,10 @@ from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
     _BandLU,
+    _column_preconditioner,
     _curve_sampler,
-    _dissection,
-    _flat_strip,
     _impedance,
-    _x_modes,
+    _stencil,
     assemble,
     bottom_flux,
     combined_impedance,
@@ -278,31 +277,6 @@ def test_backward_stable_on_thin_curves(shape, lat_kind, itf):
     assert back <= 1e-13
 
 
-@pytest.mark.parametrize("N,M", [(5, 5), (33, 17), (128, 64), (129, 65), (257, 129)])
-def test_dissection_is_a_permutation(N, M):
-    np.testing.assert_array_equal(np.sort(_dissection(N, M)), np.arange(N * M))
-
-
-def test_dissection_cached_read_only():
-    # one order per grid size, shared by every assemble on that grid
-    first = _dissection(33, 17)
-    again = _dissection(33, 17)
-    assert again is first
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 1
-    np.testing.assert_array_equal(np.sort(again), np.arange(33 * 17))
-    assert _dissection(33, 9) is not first
-
-
-def test_dissection_order_cuts_fill():
-    N = 129
-    x = np.linspace(0.0, 1.0, N)
-    op = assemble(Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1),
-                  LateralBC("neumann"), InterfaceBC("N"))
-    assert op.lu.nnz <= 0.75 * splu(op.A.tocsc()).nnz
-
-
 _SWEEP_INTERFACES = {
     "D": InterfaceBC("D"),
     "N": InterfaceBC("N"),
@@ -314,7 +288,7 @@ _SWEEP_INTERFACES = {
 @pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
 def test_band_factor_matches_superlu(lat_kind, itf, monkeypatch):
     # the Newton sweeps' 129 x 17 mesh is band-factored and never reaches
-    # SuperLU; its field is the SuperLU path's solve of the same matrix
+    # SuperLU; its field is the GMRES path's solve of the same matrix
     import fraccauchy.elliptic as el
 
     def refused(*args, **kwargs):
@@ -327,16 +301,16 @@ def test_band_factor_matches_superlu(lat_kind, itf, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(el, "splu", refused)
         op = assemble(*args)
-    with monkeypatch.context() as m:
         m.setattr(el, "_BAND_LEVELS", 0)
         ref = assemble(*args)
-    assert isinstance(op.lu, _BandLU) and not isinstance(ref.lu, _BandLU)
+        f = np.sin(np.pi * x) if lat_kind == "dirichlet" else 1.0 + 0.3 * np.cos(np.pi * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the Robin corners
+            u, r = op.solve(f), ref.solve(f)
+    assert isinstance(op.band, _BandLU) and ref.band is None
     assert (op.A != ref.A).nnz == 0
-    f = np.sin(np.pi * x) if lat_kind == "dirichlet" else 1.0 + 0.3 * np.cos(np.pi * x)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the Robin corners
-        u, r = op.solve(f).values, ref.solve(f).values
-    assert np.max(np.abs(u - r)) <= 1e-12 * np.max(np.abs(r))
+    assert u.meta["forward"]["method"] == "band" and r.meta["forward"]["method"] == "gmres"
+    assert np.max(np.abs(u.values - r.values)) <= 1e-12 * np.max(np.abs(r.values))
 
 
 _PATTERN_INTERFACES = {
@@ -362,7 +336,7 @@ def test_band_array_is_the_scaled_matrix(lat_kind, itf, shape, N, M):
     x = np.linspace(0.0, 1.0, N)
     op = assemble(Curve(_PATTERN_CURVES[shape](x), 1.0, 0.1), LateralBC(lat_kind, 2.0),
                   _PATTERN_INTERFACES[itf], M)
-    assert isinstance(op.lu, _BandLU)
+    assert isinstance(op.band, _BandLU)
     A = op.A.tocsr()
     A.data = A.data * np.repeat(op.rowscale, np.diff(A.indptr))
     kl = 2 * M
@@ -371,41 +345,31 @@ def test_band_array_is_the_scaled_matrix(lat_kind, itf, shape, N, M):
     ab[2 * kl + rows - A.indices, A.indices] = A.data
     lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
     assert info == 0
-    np.testing.assert_array_equal(op.lu.lu, lu)
-    np.testing.assert_array_equal(op.lu.piv, piv)
+    np.testing.assert_array_equal(op.band.lu, lu)
+    np.testing.assert_array_equal(op.band.piv, piv)
 
 
 @pytest.mark.parametrize("shape", sorted(_PATTERN_CURVES))
 @pytest.mark.parametrize("itf", sorted(_PATTERN_INTERFACES))
 @pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
 def test_superlu_mesh_keeps_stencil_pattern(lat_kind, itf, shape):
-    # every stencil entry is stored once, the flat curve's zero cross terms
+    # every stencil entry is written once, the flat curve's zero cross terms
     # included: nine per interior node, one per bottom node, one (Dirichlet)
     # or five per top and lateral row
     N, M = 33, 57
     x = np.linspace(0.0, 1.0, N)
-    op = assemble(Curve(_PATTERN_CURVES[shape](x), 1.0, 0.1), LateralBC(lat_kind, 2.0),
-                  _PATTERN_INTERFACES[itf], M)
-    assert not isinstance(op.lu, _BandLU)
-    assert op.A.format == "csr" and op.A.has_canonical_format
+    curve = Curve(_PATTERN_CURVES[shape](x), 1.0, 0.1)
+    interface = _PATTERN_INTERFACES[itf]
+    written = _stencil(curve, LateralBC(lat_kind, 2.0), interface, M,
+                       _impedance(curve, interface))[3]
     top = 1 if itf == "D" else 5
     side = 1 if lat_kind == "dirichlet" else 5
-    assert op.A.nnz == 9 * (N - 2) * (M - 2) + N + top * (N - 2) + side * 2 * (M - 1)
+    assert written.sum() == 9 * (N - 2) * (M - 2) + N + top * (N - 2) + side * 2 * (M - 1)
 
 
 def test_band_lu_reports_singular_matrix():
     with pytest.raises(RuntimeError, match="band LU info"):
         _BandLU(np.zeros((7, 5), order="F"), 2)
-
-
-def test_square_mesh_keeps_dissection():
-    N = 129
-    x = np.linspace(0.0, 1.0, N)
-    op = assemble(Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1),
-                  LateralBC("neumann"), InterfaceBC("N"))
-    assert op.eta.size == 65
-    assert op.perm is _dissection(N, 65)
-    assert not isinstance(op.lu, _BandLU)
 
 
 def _bump(u):
@@ -422,14 +386,26 @@ def _bump(u):
 )
 @pytest.mark.parametrize("N, M, banded", [(33, 17, True), (129, 65, False)],
                          ids=["band", "superlu"])
-def test_forward_solve_gates(corrupt, message, N, M, banded):
+def test_forward_solve_gates(corrupt, message, N, M, banded, monkeypatch):
+    # the deep case, under its old id, is the GMRES operator
+    import fraccauchy.elliptic as el
+
     x = np.linspace(0.0, 1.0, N)
     op = assemble(Curve(np.full(N, 0.3), 1.0, 0.4), LateralBC("neumann"), InterfaceBC("N"), M=M)
-    assert isinstance(op.lu, _BandLU) is banded
+    assert (op.band is not None) is banded
     f = np.cos(np.pi * x)
     op.solve(f)
-    lu = op.lu
-    op.lu = SimpleNamespace(solve=lambda b: corrupt(lu.solve(b)))
+    if banded:
+        band = op.band
+        op.band = SimpleNamespace(solve=lambda b: corrupt(band.solve(b)))
+    else:
+        gmres = el._gmres
+
+        def corrupted(*args):
+            u, its, res = gmres(*args)
+            return corrupt(u), its, res
+
+        monkeypatch.setattr(el, "_gmres", corrupted)
     with pytest.raises(RuntimeError, match=message):
         op.solve(f)
 
@@ -442,42 +418,57 @@ _DEEP_INTERFACES = {
 }
 
 
-@pytest.mark.parametrize("itf", sorted(_DEEP_INTERFACES))
+_FLAT_INTERFACES = {
+    "D": InterfaceBC("D"),
+    "N": InterfaceBC("N"),
+    "I_combined": InterfaceBC("I", 0.8),
+    "I_raw": InterfaceBC("I", 0.8, combined=False),
+}
+
+
+@pytest.mark.parametrize("itf", sorted(_FLAT_INTERFACES))
 @pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
 def test_flat_strip_inverts_the_flat_operator(lat_kind, itf):
-    # the preconditioner is the exact inverse of the operator assembled
-    # below the flat curve at the mean height, with the mean impedance
+    # below a flat curve with a constant impedance the column preconditioner
+    # drops nothing: it is the exact inverse of the assembled operator
     N, M = 65, 57
-    x = np.linspace(0.0, 1.0, N)
-    curve = Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1)
-    lat, interface = LateralBC(lat_kind, 2.0), _DEEP_INTERFACES[itf]
-    gamc = _impedance(curve, interface)
-    flat_itf = interface if gamc is None else InterfaceBC("I", np.mean(gamc))
-    A = assemble(Curve(np.full(N, np.mean(curve.ell)), 1.0, 0.1), lat, flat_itf, M).A
+    curve = Curve(np.full(N, 0.08), 1.0, 0.1)
+    lat, interface = LateralBC(lat_kind, 2.0), _FLAT_INTERFACES[itf]
+    A = assemble(curve, lat, interface, M).A
+    precond = _column_preconditioner(curve, lat, interface, M, _impedance(curve, interface))
     u = np.random.default_rng(3).standard_normal(N * M)
-    z = _flat_strip(curve, lat, interface, M, gamc)(A @ u)
+    z = precond(A @ u)
     assert np.max(np.abs(z - u)) <= 1e-12 * np.max(np.abs(u))
 
 
+def _direct_field(op, f):
+    """SciPy's SuperLU solve, in its default ordering, of the row-scaled
+    matrix of ``op`` for the bottom trace ``f``."""
+    rhs = np.zeros((op.curve.N, op.eta.size))
+    rhs[:, 0] = f
+    scaled = op.A.tocsr().multiply(op.rowscale[:, None]).tocsc()
+    return splu(scaled).solve(op.rowscale * rhs.ravel()).reshape(rhs.shape)
+
+
 def _deep_solves(curve, lat, interface, f, M=None):
-    """The one-shot field and the SuperLU field of the same problem."""
+    """The one-shot field and the direct solve of the same problem."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the Robin corners
-        return (solve_forward(curve, lat, interface, f, M),
-                assemble(curve, lat, interface, M).solve(f))
+        fld = solve_forward(curve, lat, interface, f, M)
+    return fld, _direct_field(assemble(curve, lat, interface, M), f)
 
 
-def _assert_gmres_agrees(fld, ref):
+def _assert_gmres_agrees(fld, ref, iterations=16):
     meta = fld.meta["forward"]
     assert meta["method"] == "gmres"
-    assert 0 < meta["iterations"] <= 16 and 0.0 < meta["residual"] <= 1e-13
-    assert np.max(np.abs(fld.values - ref.values)) <= 1e-11 * np.max(np.abs(ref.values))
+    assert 0 < meta["iterations"] <= iterations and 0.0 < meta["residual"] <= 1e-13
+    assert np.max(np.abs(fld.values - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("itf", sorted(_DEEP_INTERFACES))
 @pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
 def test_deep_one_shot_solve_matches_superlu(lat_kind, itf):
-    # a deep one-shot solve runs GMRES on the flat-strip preconditioner and
+    # a deep one-shot solve runs GMRES on the column preconditioner and
     # reaches the direct solve of the same matrix to rounding
     N = 129
     x = np.linspace(0.0, 1.0, N)
@@ -499,50 +490,54 @@ def test_benchmark_reference_solve_matches_superlu(kind):
     _assert_gmres_agrees(fld, ref)
 
 
-def test_x_modes_cached_read_only():
-    # one x-eigendecomposition per (N, L, lateral), shared by every solve
-    first = _x_modes(65, 1.0, LateralBC("neumann"))
-    assert _x_modes(65, 1.0, LateralBC("neumann")) is first
-    for a in first:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-    assert _x_modes(65, 1.0, LateralBC("robin", 2.0)) is not first
-    lam, V, V_inv = first
-    np.testing.assert_allclose(V @ V_inv, np.eye(63), atol=1e-12)
-
-
-def _assert_superlu_fallback(fld, ref):
-    meta = fld.meta["forward"]
-    assert meta["method"] == "superlu" and meta["iterations"] == 32
-    assert meta["residual"] <= 1e-13
-    np.testing.assert_array_equal(fld.values, ref.values)
-
-
 def test_unconverged_gmres_falls_back_to_superlu(monkeypatch):
     # with no preconditioner GMRES cannot reach its bound in 32 iterations;
-    # the field is then the SuperLU solve, bit for bit
+    # the field is then SuperLU's solve of the row-scaled matrix, bit for bit
     import fraccauchy.elliptic as el
 
-    monkeypatch.setattr(el, "_flat_strip", lambda *args: lambda r: r)
+    monkeypatch.setattr(el, "_column_preconditioner", lambda *args: lambda r: r)
     N = 129
     x = np.linspace(0.0, 1.0, N)
     curve = Curve(0.08 + 0.01 * np.cos(2 * np.pi * x), 1.0, 0.1)
-    _assert_superlu_fallback(*_deep_solves(curve, LateralBC("neumann"), InterfaceBC("N"),
-                                           1.0 + 0.3 * np.cos(np.pi * x)))
+    fld, ref = _deep_solves(curve, LateralBC("neumann"), InterfaceBC("N"),
+                            1.0 + 0.3 * np.cos(np.pi * x))
+    meta = fld.meta["forward"]
+    assert meta["method"] == "superlu" and meta["iterations"] == 32
+    assert meta["residual"] <= 1e-13
+    np.testing.assert_array_equal(fld.values, ref)
 
 
 @pytest.mark.parametrize("kind", ["D", "N", "I"])
-def test_steep_curve_falls_back_to_superlu(kind):
-    # the curve falls from 0.1 to 0.01, far from the flat strip: GMRES
-    # stalls, 5e-6 to 2e-5 away from the direct solve after 32 iterations,
-    # and for N that iterate would pass the 1e-8 residual gate
-    N = 129
+@pytest.mark.parametrize("N", [129, 257])
+def test_steep_curve_converges_by_gmres(N, kind):
+    # the curve falls from 0.1 to 0.01: the column preconditioner follows
+    # the height, so GMRES converges with no fallback, to the direct solve
     x = np.linspace(0.0, 1.0, N)
     curve = Curve(0.055 + 0.045 * np.cos(2 * np.pi * x), 1.0, 0.1)
     interface = InterfaceBC("I", 0.1, combined=False) if kind == "I" else InterfaceBC(kind)
-    _assert_superlu_fallback(*_deep_solves(curve, LateralBC("neumann"), interface,
-                                           1.0 + 0.3 * np.cos(np.pi * x)))
+    fld, ref = _deep_solves(curve, LateralBC("neumann"), interface,
+                            1.0 + 0.3 * np.cos(np.pi * x))
+    _assert_gmres_agrees(fld, ref, iterations=12)
+
+
+def test_forward_meta_names_each_method(monkeypatch):
+    # every solve reports how it was made: band LU on a shallow mesh, GMRES
+    # on a deep one, and SuperLU where GMRES misses its bound
+    import fraccauchy.elliptic as el
+
+    N = 65
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.3 + 0.05 * np.cos(2 * np.pi * x), 1.0, 0.4)
+    lat, itf, f = LateralBC("neumann"), InterfaceBC("N"), np.cos(np.pi * x)
+    band = assemble(curve, lat, itf, M=17).solve(f).meta["forward"]
+    gmres = assemble(curve, lat, itf, M=57).solve(f).meta["forward"]
+    monkeypatch.setattr(el, "_column_preconditioner", lambda *args: lambda r: r)
+    superlu = assemble(curve, lat, itf, M=57).solve(f).meta["forward"]
+    assert [m["method"] for m in (band, gmres, superlu)] == ["band", "gmres", "superlu"]
+    assert band["iterations"] == 0
+    assert 0 < gmres["iterations"] < superlu["iterations"] == 32
+    for m in (band, gmres, superlu):
+        assert 0.0 <= m["residual"] <= 1e-13
 
 
 @pytest.mark.parametrize(

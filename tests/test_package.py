@@ -1,9 +1,11 @@
 """The package's declared surface matches its tree: public names resolve,
 every public function is named by a test, the files named in pyproject.toml
-exist and the modules import one another in layers."""
+exist, the modules import one another in layers and the benchmark's tracer
+finds and restores every name it wraps."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
@@ -122,3 +124,25 @@ def test_public_functions_are_tested():
         untested += ["%s.%s" % (name, n) for n in module.__all__
                      if inspect.isfunction(getattr(module, n)) and n not in named]
     assert not untested
+
+
+def test_benchmark_tracer_restores_every_attribute():
+    # bench/tracing.py wraps every public function and the SciPy names the
+    # modules bind (elliptic.splu, specfun.quad); a name it expects and the
+    # package dropped fails here, and uninstalling leaves no wrapper behind
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    before = {name: dict(vars(mod)) for name, mod in tracer.modules.items()}
+    tracer.install()
+    try:
+        wrapped = [(name, attr) for name, mod in tracer.modules.items()
+                   for attr, val in vars(mod).items() if val is not before[name].get(attr)]
+    finally:
+        tracer.uninstall()
+    assert ("elliptic", "splu") in wrapped and ("elliptic", "assemble") in wrapped
+    for name, mod in tracer.modules.items():
+        after = vars(mod)
+        assert after.keys() == before[name].keys()
+        assert [attr for attr, val in after.items() if val is not before[name][attr]] == []
