@@ -536,15 +536,6 @@ def assemble(curve, lateral, interface, M=None):
     return ForwardOperator(curve, lateral, eta, A, rowscale, _BandLU(ab, kl), None)
 
 
-def _tridiagonal_modes(diag, lower, upper):
-    """Eigendecomposition T = V diag(lam) V^-1 of the tridiagonal T with
-    the given diagonals, every product lower * upper positive: T is
-    symmetrised by a diagonal similarity.  Returns (lam, V, V^-1)."""
-    g = np.concatenate(([1.0], np.cumprod(np.sqrt(lower / upper))))
-    lam, Q = eigh_tridiagonal(diag, np.sqrt(lower * upper))
-    return lam, g[:, None] * Q, Q.T / g
-
-
 def _column_preconditioner(curve, lateral, interface, M, gamc):
     """Approximate inverse of the operator that `_stencil` writes below
     ``curve``, for "I" with the combined impedance ``gamc``: returns
@@ -578,19 +569,29 @@ def _column_preconditioner(curve, lateral, interface, M, gamc):
     lower, upper = np.full(K - 1, ie2), np.full(K - 1, ie2)
     diag[-1] += 4.0 * ie2 * q
     lower[-1] -= ie2 * q
-    lam, Ve, Ve_inv = _tridiagonal_modes(diag, lower, upper)
+    # Teta = Ve diag(lam) Ve^-1, symmetrised by a diagonal similarity
+    # (every product lower * upper is positive)
+    g = np.concatenate(([1.0], np.cumprod(np.sqrt(lower / upper))))
+    lam, Q = eigh_tridiagonal(diag, np.sqrt(lower * upper))
+    Ve, Ve_inv = g[:, None] * Q, Q.T / g
     # each side's weights (w0, w1, w2) of U at the edge and one and two
     # columns in; a Dirichlet side is (1, 0, 0), the others are eliminated
     # from Tx on columns 1..N-2
     sides = [(i0, inward, (1.0, 0.0, 0.0) if lateral.kind == "dirichlet"
               else _one_sided(lateral, hx, inward, float(-inward))[1])
              for i0, inward in ((0, 1), (N - 1, -1))]
+    # Tx + lam_k diag(1/ell^2) for every mode k in `solve_banded`'s layout:
+    # super-, main and sub-diagonal, zero between modes
     ab = np.zeros((3, K, N - 2))
     ab[0, :, 1:] = ab[2, :, :-1] = cx
     ab[1] = -2.0 * cx + lam[:, None] / ell ** 2
-    for (_, _, (w0, w1, w2)), i, off in zip(sides, (0, -1), ((0, 1), (2, -2))):
-        ab[1, :, i] -= cx * w1 / w0
-        ab[off[0], :, off[1]] -= cx * w2 / w0
+    # an eliminated side row moves w1/w0 and w2/w0 of the side's U onto the
+    # first two interior columns
+    (_, _, (w0, w1, w2)), (_, _, (v0, v1, v2)) = sides
+    ab[1, :, 0] -= cx * w1 / w0
+    ab[0, :, 1] -= cx * w2 / w0
+    ab[1, :, -1] -= cx * v1 / v0
+    ab[2, :, -2] -= cx * v2 / v0
     ab = ab.reshape(3, K * (N - 2))
     ceta = ie2 / ell ** 2
 
