@@ -18,8 +18,8 @@ depth levels.  Both work on the row-equilibrated matrix (each row divided
 by its largest entry).  In row-major node order the matrix is a band matrix
 with kl = ku = 2M, since the one-sided lateral rows reach two columns inward.
 
-- Band LU.  Shallow meshes, such as the Newton sweeps' 129 x 17, get
-  LAPACK's band LU with partial pivoting.
+- Band LU.  Shallow meshes, such as the joint recovery's 17 x 9 start
+  fields, get LAPACK's band LU with partial pivoting.
 - GMRES.  A deeper mesh is not factored: each right-hand side is solved by
   restarted GMRES, right-preconditioned by a separable approximation of
   the operator that keeps the depth scale 1/ell(x)^2 column by column

@@ -12,29 +12,27 @@ and frozen.  One Newton sweep serves all three kinds; each step
     3. smooths the update (low cosine modes), safeguards it, applies it.
 
 The residual each step drives to zero is that of the frozen zbar, so the
-sweep's fixed point is set by zbar alone.  The Dirichlet and Neumann steps
-linearize on zbar's own traces along the curve (zbar_y, and zbar_x as the
-difference of zbar along the curve less ell' zbar_y), so they are Newton's
-method on that residual and make no forward solve.  The impedance step linearizes about a forward field instead:
-its ODE below assumes that u meets the impedance condition on the current
-curve, which a forward field does and zbar does not.  That field is solved on
-a coarse depth grid (17 levels on the curve's own x-grid, against 65 for a
-square 129-point mesh); an inexact linearization changes at most the rate at
-which the sweep gets to its fixed point (Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19 (1982) 400-408).
+sweep's fixed point is set by zbar alone.  Every step linearizes that
+residual on zbar's own traces along the curve (zbar and its y-derivatives
+from one spline of zbar per sweep, x-derivatives by the same differences the
+residual takes), so each is Newton's method on the residual and no step
+solves a forward problem.
 
-Only the interface residual of zbar and the linearization differ per kind:
+Only the interface residual of zbar and the linearization differ per kind
+(Z, Z_y, Z_yy are zbar and its y-derivatives on the curve, D the
+difference np.gradient(., h, edge_order=2) along it):
 
-* Dirichlet: residual zbar(x, ell); pointwise update delta = -zbar / zbar_y.
+* Dirichlet: residual Z; pointwise update delta = -Z / Z_y.
 * Neumann: residual the conormal derivative of zbar on the curve; delta by
-  regularized least squares from  d/dx [delta * zbar_x(x, ell)] = residual,
+  regularized least squares from  D[delta * zbar_x(x, ell)] = residual,
   with an H1-type smoothness weight (1/rho1) and an endpoint penalty rho2.
-* Impedance: residual b = conormal + sqrt(1 + ell'^2) gamma zbar; a
-  first-order linear ODE for phi = alpha * delta,
-      phi' + (beta/alpha) phi = b,
-  integrated by the integrating-factor formula with trapezoid quadrature;
-  the degenerate endpoint (alpha -> 0 under lateral Neumann conditions) is
-  handled by the l'Hospital limit delta(0) = b(0) / (alpha'(0) + beta(0)).
+* Impedance: residual R = (1 + ell'^2) Z_y - ell' DZ + sqrt(1 + ell'^2)
+  gamma Z, whose exact discrete derivative in ell is
+      dR[delta] = c1 D delta + c0 delta - ell' D(Z_y delta),
+      c1 = 2 ell' Z_y - DZ + ell' gamma Z / sqrt(1 + ell'^2),
+      c0 = (1 + ell'^2) Z_yy + sqrt(1 + ell'^2) gamma Z_y;
+  delta by the Neumann step's regularized least squares from
+  -dR[delta] = R, without the endpoint penalty.
 
 Every update is projected onto a few low cosine modes (mild ill-posedness of
 the curve problem), halved until it is small against the current curve height
@@ -45,11 +43,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solveh_banded
 
-from .elliptic import (Curve, InterfaceBC, _conormal, _curve_sampler, _samples_on_grid, assemble,
-                       bottom_flux, combined_impedance, interface_traces, solve_forward)
+from .elliptic import (Curve, _conormal, _curve_sampler, _samples_on_grid, assemble, bottom_flux,
+                       combined_impedance, interface_traces)
 from .spectral import _cos_coeffs, _cos_tables, _trapezoid_weights
 
 __all__ = [
@@ -62,26 +59,14 @@ __all__ = [
     "project_cosine",
 ]
 
-# point-degeneracy floors, relative to the trace scale
+# point-degeneracy floor of the Dirichlet step, relative to the trace scale
 _FLUX_FLOOR = 1e-8
-_ALPHA_FLOOR = 1e-8
-# |ell'| below this uses the straight-interface branch of the impedance
-# linearization coefficient
-_SLOPE_TOL = 1e-6
 # fraction of interface points with vanishing tangential derivative that
 # triggers the nonuniqueness warning
 _DEGENERATE_FRACTION = 0.6
 _DEGENERATE_TOL = 1e-4
-# exponent range allowed in the integrating factor before the step is
-# declared overflowing
-_EXP_RANGE = 300.0
-# depth levels of the forward solve that linearizes each impedance step
-# (the x-grid is the curve's own; the Dirichlet and Neumann steps solve
-# none); the residual, and so the fixed point, is measured on zbar, and 17
-# levels left every step count and stop code of the tests and benchmark
-# inputs as on the square 65-level mesh, where 9 levels changed one
-_SWEEP_LEVELS = 17
-# Neumann step: H1 smoothness weight 1/_RHO1, endpoint penalty _RHO2
+# Neumann and impedance steps: H1 smoothness weight 1/_RHO1; Neumann
+# endpoint penalty _RHO2
 _RHO1 = 1e3
 _RHO2 = 1e6
 # cosine modes kept of every curve update
@@ -94,8 +79,8 @@ class NewtonConfig:
 
     Fixed: the iterates stay in the corridor (0.01 * olell, olell) of the
     starting curve (`_corridor`), updates keep 8 cosine modes
-    (_SMOOTH_MODES), and the Neumann step uses rho1 = 1e3 (_RHO1) and
-    rho2 = 1e6 (_RHO2).
+    (_SMOOTH_MODES), the Neumann and impedance steps use rho1 = 1e3 (_RHO1)
+    and the Neumann step rho2 = 1e6 (_RHO2).
     """
 
     max_iter: int = 10
@@ -183,13 +168,13 @@ def _sweep(curve0, zbar, cfg, truth, residual, step):
     """The Newton sweep shared by the three interface kinds.
 
     residual(curve, zl, dnu) is the interface misfit of zbar on the curve,
-    given its trace zl and conormal derivative dnu.  step(curve, zl, zy, r,
-    flag) linearizes about the current curve and returns the raw update and
-    the linear operator op it inverts, op(update) ~ r; zy is zbar_y on the
-    curve, traced with zl and dnu through one `_curve_sampler` of zbar built
-    for the whole sweep, and flag(text) records a flag of the current
-    iteration.  The Dirichlet and Neumann steps read their linearization
-    from these traces; only the impedance step solves forward.
+    given its trace zl and conormal derivative dnu.  step(curve, sample, zl,
+    zy, r, flag) linearizes about the current curve and returns the raw
+    update and the linear operator op it inverts, op(update) ~ r; sample is
+    the one `_curve_sampler` of zbar built for the whole sweep, zy is zbar_y
+    on the curve, traced with zl and dnu through it, and flag(text) records
+    a flag of the current iteration.  Every step reads its linearization
+    from these traces and solves no forward problem.
     Pass k measures the residual at iterate k and, below max_iter and until
     the step rule fires, takes one step, so the last residual needs no step.
     """
@@ -217,7 +202,8 @@ def _sweep(curve0, zbar, cfg, truth, residual, step):
         if k == cfg.max_iter:
             stop = "max_iter"
             break
-        dl, op = step(curve, zl, zy, r, lambda text: flags.append("iter %d: %s" % (k, text)))
+        dl, op = step(curve, sample, zl, zy, r,
+                      lambda text: flags.append("iter %d: %s" % (k, text)))
         dl_sm = smooth(dl)
         step_residuals.append(_wnorm(op(dl_sm) - r, w))
         ell, pinned = _trust_clamp(curve.ell, dl_sm, lo, hi)
@@ -240,7 +226,7 @@ def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):
     step."""
     _samples_on_grid(f, curve0.x, "f")
 
-    def step(curve, zl, uy, r, flag):
+    def step(curve, sample, zl, uy, r, flag):
         floor = _FLUX_FLOOR * max(1.0, float(np.max(np.abs(uy))))
         ok = np.abs(uy) > floor
         if not ok.all():
@@ -298,21 +284,57 @@ def _band_matvec(ab, x):
     return y
 
 
+def _regularized_update(cols, rows, w, r, reg, flag, pin=None):
+    """The update d minimizing |op(d) - r|_w^2 + (1/_RHO1) |Dd|_w^2 for the
+    operator whose row i weighs d[cols[i]] by rows[i], with D the rows of
+    `_gradient_rows` (reg holds their `_gram_bands`).  pin = (t0, tL) adds
+    _RHO2 ((d0 - t0)^2 + (dL - tL)^2); pin = None adds no endpoint penalty.
+
+    The normal equations are pentadiagonal and solved by banded Cholesky,
+    which treats a failure like a singular matrix.  A solve that fails, or
+    whose normwise backward error is not below 1e-8, is retried with the
+    smoothing weight raised tenfold, at most three times."""
+    base = _gram_bands(cols, rows, w)
+    rhs = np.bincount(cols.ravel(), (rows * (w * r)[:, None]).ravel(), minlength=cols.shape[0])
+    if pin is not None:
+        rhs[0] += _RHO2 * pin[0]
+        rhs[-1] += _RHO2 * pin[1]
+    rho1 = _RHO1
+    for _ in range(4):
+        K = base + (1.0 / rho1) * reg
+        if pin is not None:
+            K[2, 0] += _RHO2
+            K[2, -1] += _RHO2
+        try:
+            cand = solveh_banded(K, rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            cand = None
+        if cand is not None and np.all(np.isfinite(cand)):
+            fro = np.sqrt(np.sum(K[2] ** 2) + 2.0 * np.sum(K[:2] ** 2))
+            back = np.linalg.norm(_band_matvec(K, cand) - rhs) / (
+                fro * np.linalg.norm(cand) + np.linalg.norm(rhs) + np.finfo(float).tiny)
+            if back < 1e-8:
+                return cand
+        rho1 /= 10.0
+        flag("near-singular least-squares system, smoothing weight raised "
+             "to 1/%.3g" % rho1)
+    raise RuntimeError("curve-update least-squares system stayed "
+                       "near-singular after 3 retries")
+
+
 def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
                    endpoint_values=None):
     """Recover the curve under a homogeneous Neumann interface condition.
 
     The update minimizes the weighted least-squares misfit of the linearized
-    interface equation plus (1/_RHO1) |delta'|^2 and an endpoint penalty _RHO2.
-    When endpoint_values = (v0, vL) is given, the penalty pulls the curve
-    endpoints toward these known heights; otherwise it pins the endpoint
-    updates to zero (the starting endpoints are trusted).  The normal
-    equations are pentadiagonal, and positive definite: the endpoint penalty
-    removes the constants, the only null space of d/dx.  They are built as
-    bands and solved by banded Cholesky, which treats a failure like a
-    singular matrix.  u_x is zbar's x-derivative on the curve.  f is still
-    checked as a scalar, a callable or grid samples; neither it nor lateral
-    enters the step.
+    interface equation plus (1/_RHO1) |delta'|^2 and an endpoint penalty _RHO2
+    (`_regularized_update`).  When endpoint_values = (v0, vL) is given, the
+    penalty pulls the curve endpoints toward these known heights; otherwise
+    it pins the endpoint updates to zero (the starting endpoints are
+    trusted).  The penalty also removes the constants, the only null space of
+    d/dx.  u_x is zbar's x-derivative on the curve.  f is still checked as a
+    scalar, a callable or grid samples; neither it nor lateral enters the
+    step.
     """
     _samples_on_grid(f, curve0.x, "f")
     w = _trapezoid_weights(curve0.N, curve0.h)
@@ -320,111 +342,55 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     reg = _gram_bands(cols, grad, w)
     warned = False
 
-    def step(curve, zl, zy, dnu, flag):
+    def step(curve, sample, zl, zy, dnu, flag):
         nonlocal warned
         ux = np.gradient(zl, curve.h, edge_order=2) - curve.dell() * zy
         warned = warned or _warn_degenerate(zbar, ux, flag)
         rows = grad * ux[cols]  # d/dx [u_x delta], the linearized operator
-        base = _gram_bands(cols, rows, w)
-        rhs0 = np.bincount(cols.ravel(), (rows * (w * dnu)[:, None]).ravel(),
-                           minlength=curve.N)
-        rho1 = _RHO1
-        for _ in range(4):
-            K = base + (1.0 / rho1) * reg
-            K[2, 0] += _RHO2
-            K[2, -1] += _RHO2
-            rhs = rhs0.copy()
-            if endpoint_values is not None:
-                rhs[0] += _RHO2 * (endpoint_values[0] - curve.ell[0])
-                rhs[-1] += _RHO2 * (endpoint_values[1] - curve.ell[-1])
-            try:
-                cand = solveh_banded(K, rhs, check_finite=False)
-            except np.linalg.LinAlgError:
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)):
-                # normwise backward error of the solve
-                fro = np.sqrt(np.sum(K[2] ** 2) + 2.0 * np.sum(K[:2] ** 2))
-                back = np.linalg.norm(_band_matvec(K, cand) - rhs) / (
-                    fro * np.linalg.norm(cand) + np.linalg.norm(rhs) + np.finfo(float).tiny)
-                if back < 1e-8:
-                    return cand, lambda d: np.gradient(ux * d, curve.h, edge_order=2)
-            rho1 /= 10.0
-            flag("near-singular least-squares system, smoothing weight raised "
-                 "to 1/%.3g" % rho1)
-        raise RuntimeError("curve-update least-squares system stayed "
-                           "near-singular after 3 retries")
+        pin = (0.0, 0.0) if endpoint_values is None else (
+            endpoint_values[0] - curve.ell[0], endpoint_values[1] - curve.ell[-1])
+        cand = _regularized_update(cols, rows, w, dnu, reg, flag, pin)
+        return cand, lambda d: np.gradient(ux * d, curve.h, edge_order=2)
 
     return _sweep(curve0, zbar, cfg, truth, lambda curve, zl, dnu: dnu, step)
 
 
-def _raw_gamma(gamma, curve):
-    """Impedance samples and their x-derivative on the curve grid."""
-    g = _samples_on_grid(gamma, curve.x, "gamma")
-    if np.any(g <= 0):
-        raise ValueError("impedance coefficient must be positive")
-    return g, np.gradient(g, curve.h, edge_order=2)
-
-
-def _impedance_coeffs(curve, gam, dgam, tr):
-    """Coefficients (alpha, beta) of the linearized impedance condition
-    d/dx[alpha * delta] + beta * delta = b.
-
-    alpha uses the slope-quotient form with a straight-interface branch
-    alpha = u_x wherever |ell'| is tiny.  The algebraically equivalent smooth
-    form u_x - ell'/sq*gam*u is deliberately NOT used here: it vanishes
-    exactly at lateral-Neumann endpoints (u_x = 0 on the wall, ell' = 0
-    there), which makes the recovery ODE singular and the division by alpha
-    blow up; the quotient keeps a nonzero discrete value at those nodes.
-    """
-    dl = curve.dell()
-    d2l = curve.d2ell()
-    sq = np.sqrt(1.0 + dl * dl)
-    steep = np.abs(dl) > _SLOPE_TOL
-    alpha = np.where(steep,
-                     (gam / sq * tr.u + tr.u_y) / np.where(steep, dl, 1.0),
-                     tr.u_x)
-    beta = (d2l / sq ** 3 * gam + dl / sq * dgam + gam * gam) * tr.u
-    return alpha, beta
-
-
 def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     """Recover the curve under an impedance interface condition with known
-    (raw, per-arclength) coefficient gamma."""
-    x, h = curve0.x, curve0.h
-    gam, dgam = _raw_gamma(gamma, curve0)
-    interface = InterfaceBC("I", gamma=gam, combined=False)
-    fv = _samples_on_grid(f, x, "f")
+    (raw, per-arclength) coefficient gamma.
+
+    Each step is Newton's method on the residual R of zbar: the update
+    minimizes the weighted least-squares misfit of -dR[delta] = R, with dR
+    the exact derivative of the discrete residual in ell (module docstring),
+    plus (1/_RHO1) |delta'|^2 and no endpoint penalty (`_regularized_update`).
+    f is still checked as a scalar, a callable or grid samples; neither it
+    nor lateral enters the step."""
+    n, h = curve0.N, curve0.h
+    gam = _samples_on_grid(gamma, curve0.x, "gamma")
+    if np.any(gam <= 0):
+        raise ValueError("impedance coefficient must be positive")
+    _samples_on_grid(f, curve0.x, "f")
+    w = _trapezoid_weights(n, h)
+    cols, grad = _gradient_rows(n, h)
+    reg = _gram_bands(cols, grad, w)
+    diag = cols == np.arange(n)[:, None]
 
     def residual(curve, zl, dnu):
         return dnu + combined_impedance(gam, curve) * zl
 
-    def step(curve, zl, zy, b, flag):
-        tr = interface_traces(solve_forward(curve, lateral, interface, fv, M=_SWEEP_LEVELS))
-        alpha, beta = _impedance_coeffs(curve, gam, dgam, tr)
-        floor = _ALPHA_FLOOR * max(1.0, float(np.max(np.abs(alpha))))
-        ok = np.abs(alpha) > floor
-        a = np.where(ok, beta / np.where(ok, alpha, 1.0), 0.0)
-        A = cumulative_trapezoid(a, x, initial=0.0)
-        A -= A.min()
-        overflow = bool(A.max() > _EXP_RANGE)
-        if overflow:
-            A = np.clip(A, 0.0, _EXP_RANGE)
-            flag("integrating factor overflowed, update halved")
-        grow = np.exp(A)
-        phi = (1.0 / grow) * cumulative_trapezoid(b * grow, x, initial=0.0)
-        dl = np.where(ok, phi / np.where(ok, alpha, 1.0), 0.0)
-        if not ok[0]:
-            # degenerate left endpoint (lateral Neumann): l'Hospital limit
-            dalpha = np.gradient(alpha, h, edge_order=2)
-            den = dalpha[0] + beta[0]
-            dl[0] = b[0] / den if abs(den) > floor else 0.0
-        dl[~np.isfinite(dl)] = 0.0
-        if not ok.all():
-            flag("linearization coefficient below floor at %d points, update "
-                 "damped there" % int(curve.N - ok.sum()))
-        if overflow:
-            dl = 0.5 * dl
-        return dl, lambda d: np.gradient(alpha * d, h, edge_order=2) + beta * d
+    def step(curve, sample, zl, zy, r, flag):
+        dl = curve.dell()
+        sq = np.sqrt(1.0 + dl * dl)
+        c1 = 2.0 * dl * zy - np.gradient(zl, h, edge_order=2) + dl * gam * zl / sq
+        c0 = (1.0 + dl * dl) * sample(curve.ell, dy=2) + sq * gam * zy
+        # -dR: row i weighs delta[cols[i]]
+        rows = grad * (dl[:, None] * zy[cols] - c1[:, None]) - diag * c0[:, None]
+
+        def op(d):
+            return (dl * np.gradient(zy * d, h, edge_order=2)
+                    - c1 * np.gradient(d, h, edge_order=2) - c0 * d)
+
+        return _regularized_update(cols, rows, w, r, reg, flag), op
 
     return _sweep(curve0, zbar, cfg, truth, residual, step)
 
