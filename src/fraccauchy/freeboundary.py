@@ -284,42 +284,52 @@ def _band_matvec(ab, x):
     return y
 
 
-def _regularized_update(cols, rows, w, r, reg, flag, pin=None):
-    """The update d minimizing |op(d) - r|_w^2 + (1/_RHO1) |Dd|_w^2 for the
-    operator whose row i weighs d[cols[i]] by rows[i], with D the rows of
-    `_gradient_rows` (reg holds their `_gram_bands`).  pin = (t0, tL) adds
+def _regularized_solver(n, h):
+    """The least-squares update of the Neumann and impedance steps on n
+    samples at spacing h.  Returns (cols, grad, solve): the rows of D =
+    np.gradient(., h, edge_order=2) as `_gradient_rows` gives them, and
+    solve(rows, r, flag, pin=None), the d minimizing
+    |op(d) - r|_w^2 + (1/_RHO1) |Dd|_w^2 (trapezoid weights w) for the
+    operator whose row i weighs d[cols[i]] by rows[i].  pin = (t0, tL) adds
     _RHO2 ((d0 - t0)^2 + (dL - tL)^2); pin = None adds no endpoint penalty.
 
     The normal equations are pentadiagonal and solved by banded Cholesky,
     which treats a failure like a singular matrix.  A solve that fails, or
     whose normwise backward error is not below 1e-8, is retried with the
     smoothing weight raised tenfold, at most three times."""
-    base = _gram_bands(cols, rows, w)
-    rhs = np.bincount(cols.ravel(), (rows * (w * r)[:, None]).ravel(), minlength=cols.shape[0])
-    if pin is not None:
-        rhs[0] += _RHO2 * pin[0]
-        rhs[-1] += _RHO2 * pin[1]
-    rho1 = _RHO1
-    for _ in range(4):
-        K = base + (1.0 / rho1) * reg
+    w = _trapezoid_weights(n, h)
+    cols, grad = _gradient_rows(n, h)
+    reg = _gram_bands(cols, grad, w)
+
+    def solve(rows, r, flag, pin=None):
+        base = _gram_bands(cols, rows, w)
+        rhs = np.bincount(cols.ravel(), (rows * (w * r)[:, None]).ravel(), minlength=n)
         if pin is not None:
-            K[2, 0] += _RHO2
-            K[2, -1] += _RHO2
-        try:
-            cand = solveh_banded(K, rhs, check_finite=False)
-        except np.linalg.LinAlgError:
-            cand = None
-        if cand is not None and np.all(np.isfinite(cand)):
-            fro = np.sqrt(np.sum(K[2] ** 2) + 2.0 * np.sum(K[:2] ** 2))
-            back = np.linalg.norm(_band_matvec(K, cand) - rhs) / (
-                fro * np.linalg.norm(cand) + np.linalg.norm(rhs) + np.finfo(float).tiny)
-            if back < 1e-8:
-                return cand
-        rho1 /= 10.0
-        flag("near-singular least-squares system, smoothing weight raised "
-             "to 1/%.3g" % rho1)
-    raise RuntimeError("curve-update least-squares system stayed "
-                       "near-singular after 3 retries")
+            rhs[0] += _RHO2 * pin[0]
+            rhs[-1] += _RHO2 * pin[1]
+        rho1 = _RHO1
+        for _ in range(4):
+            K = base + (1.0 / rho1) * reg
+            if pin is not None:
+                K[2, 0] += _RHO2
+                K[2, -1] += _RHO2
+            try:
+                cand = solveh_banded(K, rhs, check_finite=False)
+            except np.linalg.LinAlgError:
+                cand = None
+            if cand is not None and np.all(np.isfinite(cand)):
+                fro = np.sqrt(np.sum(K[2] ** 2) + 2.0 * np.sum(K[:2] ** 2))
+                back = np.linalg.norm(_band_matvec(K, cand) - rhs) / (
+                    fro * np.linalg.norm(cand) + np.linalg.norm(rhs) + np.finfo(float).tiny)
+                if back < 1e-8:
+                    return cand
+            rho1 /= 10.0
+            flag("near-singular least-squares system, smoothing weight raised "
+                 "to 1/%.3g" % rho1)
+        raise RuntimeError("curve-update least-squares system stayed "
+                           "near-singular after 3 retries")
+
+    return cols, grad, solve
 
 
 def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
@@ -328,7 +338,7 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
 
     The update minimizes the weighted least-squares misfit of the linearized
     interface equation plus (1/_RHO1) |delta'|^2 and an endpoint penalty _RHO2
-    (`_regularized_update`).  When endpoint_values = (v0, vL) is given, the
+    (`_regularized_solver`).  When endpoint_values = (v0, vL) is given, the
     penalty pulls the curve endpoints toward these known heights; otherwise
     it pins the endpoint updates to zero (the starting endpoints are
     trusted).  The penalty also removes the constants, the only null space of
@@ -337,9 +347,7 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     step.
     """
     _samples_on_grid(f, curve0.x, "f")
-    w = _trapezoid_weights(curve0.N, curve0.h)
-    cols, grad = _gradient_rows(curve0.N, curve0.h)
-    reg = _gram_bands(cols, grad, w)
+    cols, grad, solve = _regularized_solver(curve0.N, curve0.h)
     warned = False
 
     def step(curve, sample, zl, zy, dnu, flag):
@@ -349,8 +357,7 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
         rows = grad * ux[cols]  # d/dx [u_x delta], the linearized operator
         pin = (0.0, 0.0) if endpoint_values is None else (
             endpoint_values[0] - curve.ell[0], endpoint_values[1] - curve.ell[-1])
-        cand = _regularized_update(cols, rows, w, dnu, reg, flag, pin)
-        return cand, lambda d: np.gradient(ux * d, curve.h, edge_order=2)
+        return solve(rows, dnu, flag, pin), lambda d: np.gradient(ux * d, curve.h, edge_order=2)
 
     return _sweep(curve0, zbar, cfg, truth, lambda curve, zl, dnu: dnu, step)
 
@@ -362,7 +369,7 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     Each step is Newton's method on the residual R of zbar: the update
     minimizes the weighted least-squares misfit of -dR[delta] = R, with dR
     the exact derivative of the discrete residual in ell (module docstring),
-    plus (1/_RHO1) |delta'|^2 and no endpoint penalty (`_regularized_update`).
+    plus (1/_RHO1) |delta'|^2 and no endpoint penalty (`_regularized_solver`).
     f is still checked as a scalar, a callable or grid samples; neither it
     nor lateral enters the step."""
     n, h = curve0.N, curve0.h
@@ -370,9 +377,7 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     if np.any(gam <= 0):
         raise ValueError("impedance coefficient must be positive")
     _samples_on_grid(f, curve0.x, "f")
-    w = _trapezoid_weights(n, h)
-    cols, grad = _gradient_rows(n, h)
-    reg = _gram_bands(cols, grad, w)
+    cols, grad, solve = _regularized_solver(n, h)
     diag = cols == np.arange(n)[:, None]
 
     def residual(curve, zl, dnu):
@@ -390,7 +395,7 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
             return (dl * np.gradient(zy * d, h, edge_order=2)
                     - c1 * np.gradient(d, h, edge_order=2) - c0 * d)
 
-        return _regularized_update(cols, rows, w, r, reg, flag), op
+        return solve(rows, r, flag), op
 
     return _sweep(curve0, zbar, cfg, truth, residual, step)
 
