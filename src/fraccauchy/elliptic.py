@@ -51,9 +51,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal, solve_banded, solve_triangular
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 from scipy.sparse import dia_matrix
 from scipy.sparse.linalg import splu
 
@@ -73,6 +72,17 @@ __all__ = [
 ]
 
 _INTERFACE_KINDS = ("N", "D", "I")
+
+
+def _first_diff(v, h):
+    """First derivative of samples at spacing h: centered inside,
+    second-order one-sided at the ends.  The arithmetic of
+    np.gradient(v, h, edge_order=2) on 1-D samples, term for term."""
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    d[0] = (-1.5 / h) * v[0] + (2.0 / h) * v[1] + (-0.5 / h) * v[2]
+    d[-1] = (0.5 / h) * v[-3] + (-2.0 / h) * v[-2] + (1.5 / h) * v[-1]
+    return d
 
 
 def _second_diff(v, h):
@@ -129,7 +139,7 @@ class Curve:
 
     @functools.cached_property
     def _slope(self):
-        dl = np.gradient(self.ell, self.h, edge_order=2)
+        dl = _first_diff(self.ell, self.h)
         dl.setflags(write=False)
         return dl
 
@@ -729,9 +739,9 @@ def interface_traces(field, curve=None):
             top.same_grid(curve) and np.allclose(top.ell, curve.ell, rtol=1e-12, atol=1e-14)):
         _check_on_mesh(field, curve)
         sample, h, dl = _curve_sampler(field), curve.h, curve.dell()
-        u, uy, uyy = (sample(curve.ell, dy) for dy in range(3))
-        return InterfaceTraces(u=u, u_x=np.gradient(u, h, edge_order=2) - dl * uy,
-                               u_y=uy, u_yy=uyy, u_xy=np.gradient(uy, h, edge_order=2) - dl * uyy)
+        u, uy, uyy = sample(curve.ell, (0, 1, 2))
+        return InterfaceTraces(u=u, u_x=_first_diff(u, h) - dl * uy,
+                               u_y=uy, u_yy=uyy, u_xy=_first_diff(uy, h) - dl * uyy)
     U = field.values
     if U.shape[1] < 4:
         raise ValueError("interface traces need at least 4 depth levels")
@@ -741,8 +751,8 @@ def interface_traces(field, curve=None):
     dl = field.curve.dell()
     ue = (3.0 * U[:, -1] - 4.0 * U[:, -2] + U[:, -3]) / (2.0 * he)
     uee = (2.0 * U[:, -1] - 5.0 * U[:, -2] + 4.0 * U[:, -3] - U[:, -4]) / he ** 2
-    ux = np.gradient(U[:, -1], hx, edge_order=2)
-    uxe = np.gradient(ue, hx, edge_order=2)
+    ux = _first_diff(U[:, -1], hx)
+    uxe = _first_diff(ue, hx)
     s = dl / ell
     return InterfaceTraces(
         u=U[:, -1].copy(),
@@ -799,42 +809,90 @@ def _check_on_mesh(field, curve):
         raise ValueError("curve leaves the field's mesh; trace it on a covering field")
 
 
+def _spline_tables(eta, values):
+    """Coefficient tables of the not-a-knot cubic spline in eta through every
+    column of values (shape (N, M), M = eta.size levels), and of its first
+    two derivatives: tables[q] has shape (4 - q, M - 1, N), and row r of it
+    multiplies (eta - eta[k]) ** (3 - q - r) on interval k.
+
+    These are CubicSpline(eta, values, axis=1).c and .derivative(q).c bit
+    for bit: the same slopes, tridiagonal system and right-hand side, one
+    LAPACK dgtsv call over all columns, the same Hermite coefficient formulas
+    and PPoly.derivative's factors (3, 2, 1) and (6, 2).  Like CubicSpline,
+    refuses non-finite input and eta not strictly increasing; it also
+    refuses fewer than 4 levels, where CubicSpline changes its end
+    conditions."""
+    eta = np.asarray(eta, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n = eta.size
+    if eta.ndim != 1 or values.ndim != 2 or values.shape[1] != n:
+        raise ValueError("values must hold one column of eta.size levels per row")
+    if n < 4:
+        raise ValueError("need at least 4 depth levels to interpolate")
+    if not (np.isfinite(eta).all() and np.isfinite(values).all()):
+        raise ValueError("spline levels and values must be finite")
+    dx = eta[1:] - eta[:-1]
+    if not (dx > 0.0).all():
+        raise ValueError("spline levels must be strictly increasing")
+    y = values.T
+    dxr = dx[:, None]
+    slope = (y[1:] - y[:-1]) / dxr
+    # not-a-knot rows at both ends, the interior rows of C2 continuity
+    du = np.concatenate(([eta[2] - eta[0]], dx[:-1]))
+    diag = np.concatenate((dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]))
+    dl = np.concatenate((dx[1:], [eta[-1] - eta[-3]]))
+    b = np.empty(values.shape).T
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = eta[2] - eta[0]
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = eta[-1] - eta[-3]
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    *_, s, info = dgtsv(dl, diag, du, b, 1, 1, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular spline system")
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    return (c, c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None],
+            c[:-2] * np.array([6.0, 2.0])[:, None, None])
+
+
 def _curve_sampler(field):
     """Column splines of ``field`` in height, built once: returns
-    ``sample(ell, dy=0)``, the field (or its ``dy``-th y-derivative) along
-    the curve y = ell(x), for any number of curves on the field's x-grid.
-    ``ell`` may stack curves along leading axes (shape (..., N)); each
-    element is evaluated as it would be alone.
+    ``sample(ell, dy=0)``, the field's ``dy``-th y-derivative (dy = 0, 1, 2)
+    along the curve y = ell(x), for any number of curves on the field's
+    x-grid.  ``ell`` may stack curves along leading axes (shape (..., N));
+    each element is evaluated as it would be alone.  A tuple dy returns one
+    array per order, all from one interval search.
 
-    One cubic spline in eta serves every column: column i holds the levels
-    eta * base_i, with base_i the mesh's top height there, so it is
-    evaluated at eta = ell_i / base_i by Horner on its own cubic piece and
-    its derivative rescaled by base_i^-dy.  Each derivative's coefficients
-    are formed on first use and kept.  Mild extrapolation above the top
-    level is allowed."""
-    if field.eta.size < 4:
-        raise ValueError("need at least 4 depth levels to interpolate")
+    One cubic spline in eta serves every column (`_spline_tables`): column i
+    holds the levels eta * base_i, with base_i the mesh's top height there,
+    so it is evaluated at eta = ell_i / base_i by Horner on its own cubic
+    piece and its derivative rescaled by base_i^-dy.  Mild extrapolation
+    above the top level is allowed."""
+    eta = np.ascontiguousarray(field.eta, dtype=float)
+    tables = dict(enumerate(_spline_tables(eta, field.values)))
     base = field.curve.ell
+    scale = [base ** q for q in range(3)]
     cols = np.arange(base.size)
-    spline = CubicSpline(field.eta, field.values, axis=1)
-    pieces = {}
+    last = eta.size - 2
 
     def sample(ell, dy=0):
         ell = np.asarray(ell, dtype=float)
         if ell.shape[-1:] != base.shape:
             raise ValueError("curve samples must live on the field's x-grid")
-        if dy not in pieces:
-            pieces[dy] = spline.derivative(dy)
-        pp = pieces[dy]
         t = ell / base
-        k = np.clip(np.searchsorted(pp.x, t, side="right") - 1, 0, pp.x.size - 2)
-        d = t - pp.x[k]
-        # Horner on each column's own cubic piece, highest power first
-        c = pp.c[:, k, cols]
-        vals = c[0]
-        for row in c[1:]:
-            vals = vals * d + row
-        return vals / base ** dy
+        k = np.minimum(np.maximum(eta.searchsorted(t, side="right") - 1, 0), last)
+        d = t - eta[k]
+
+        def horner(q):
+            # each column's own cubic piece, highest power first
+            c = tables[q][:, k, cols]
+            vals = c[0]
+            for row in c[1:]:
+                vals = vals * d + row
+            return vals / scale[q]
+
+        return tuple(horner(q) for q in dy) if isinstance(dy, tuple) else horner(dy)
 
     return sample
 
@@ -856,8 +914,7 @@ def _conormal(sample, h, ell):
     with zbar_y on the curve between its two traces: (on_curve, zbar_y,
     conormal)."""
     ell = np.asarray(ell, dtype=float)
-    zl = sample(ell)
-    zy = sample(ell, dy=1)
-    dl = np.gradient(ell, h, edge_order=2)
-    dzl = np.gradient(zl, h, edge_order=2)
+    zl, zy = sample(ell, (0, 1))
+    dl = _first_diff(ell, h)
+    dzl = _first_diff(zl, h)
     return zl, zy, (1.0 + dl * dl) * zy - dl * dzl

@@ -20,7 +20,8 @@ solves a forward problem.
 
 Only the interface residual of zbar and the linearization differ per kind
 (Z, Z_y, Z_yy are zbar and its y-derivatives on the curve, D the
-difference np.gradient(., h, edge_order=2) along it):
+difference `elliptic._first_diff` along it: centered inside, second-order
+one-sided at the ends, with np.gradient(., h, edge_order=2)'s arithmetic):
 
 * Dirichlet: residual Z; pointwise update delta = -Z / Z_y.
 * Neumann: residual the conormal derivative of zbar on the curve; delta by
@@ -39,14 +40,15 @@ the curve problem), halved until it is small against the current curve height
 (keeps ell > 0), and clamped into the corridor (0.01 olell, olell).
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .elliptic import (Curve, _conormal, _curve_sampler, _samples_on_grid, assemble, bottom_flux,
-                       combined_impedance, interface_traces)
+from .elliptic import (Curve, _conormal, _curve_sampler, _first_diff, _samples_on_grid, assemble,
+                       bottom_flux, combined_impedance, interface_traces)
 from .spectral import _cos_coeffs, _cos_tables, _trapezoid_weights
 
 __all__ = [
@@ -121,7 +123,7 @@ class RecoveryTrace:
 
 
 def _wnorm(v, w):
-    return float(np.sqrt(np.sum(w * v * v)))
+    return math.sqrt((w * v * v).sum())
 
 
 def project_cosine(values, L, modes):
@@ -155,13 +157,13 @@ def _corridor(curve0, zbar):
 def _trust_clamp(ell, dl, lo, hi):
     """Halve dl until it is small against the current curve, then clamp.
     Returns the new curve and whether the clamp cut the update."""
-    cap = 0.5 * float(np.min(ell))
+    cap = 0.5 * float(ell.min())
     for _ in range(64):
-        if float(np.max(np.abs(dl))) <= cap:
+        if float(abs(dl).max()) <= cap:
             break
         dl = 0.5 * dl
     new = ell + dl
-    return np.clip(new, lo, hi), bool(np.any((new < lo) | (new > hi)))
+    return np.minimum(np.maximum(new, lo), hi), bool(((new < lo) | (new > hi)).any())
 
 
 def _sweep(curve0, zbar, cfg, truth, residual, step):
@@ -252,8 +254,9 @@ def _warn_degenerate(zbar, u_x_curve, flag):
 
 
 def _gradient_rows(n, h):
-    """The rows of np.gradient(., h, edge_order=2) on n samples as (cols,
-    vals), each of shape (n, 3): row i weighs samples cols[i] by vals[i]."""
+    """The rows of the difference `_first_diff` on n samples at spacing h as
+    (cols, vals), each of shape (n, 3): row i weighs samples cols[i] by
+    vals[i]."""
     cols = np.clip(np.arange(n), 1, n - 2)[:, None] + np.arange(-1, 2)
     vals = np.tile([-1.0, 0.0, 1.0], (n, 1))
     vals[0] = [-3.0, 4.0, -1.0]
@@ -286,8 +289,8 @@ def _band_matvec(ab, x):
 
 def _regularized_solver(n, h):
     """The least-squares update of the Neumann and impedance steps on n
-    samples at spacing h.  Returns (cols, grad, solve): the rows of D =
-    np.gradient(., h, edge_order=2) as `_gradient_rows` gives them, and
+    samples at spacing h.  Returns (cols, grad, solve): the rows of the
+    difference D = `_first_diff` as `_gradient_rows` gives them, and
     solve(rows, r, flag, pin=None), the d minimizing
     |op(d) - r|_w^2 + (1/_RHO1) |Dd|_w^2 (trapezoid weights w) for the
     operator whose row i weighs d[cols[i]] by rows[i].  pin = (t0, tL) adds
@@ -352,12 +355,12 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
 
     def step(curve, sample, zl, zy, dnu, flag):
         nonlocal warned
-        ux = np.gradient(zl, curve.h, edge_order=2) - curve.dell() * zy
+        ux = _first_diff(zl, curve.h) - curve.dell() * zy
         warned = warned or _warn_degenerate(zbar, ux, flag)
         rows = grad * ux[cols]  # d/dx [u_x delta], the linearized operator
         pin = (0.0, 0.0) if endpoint_values is None else (
             endpoint_values[0] - curve.ell[0], endpoint_values[1] - curve.ell[-1])
-        return solve(rows, dnu, flag, pin), lambda d: np.gradient(ux * d, curve.h, edge_order=2)
+        return solve(rows, dnu, flag, pin), lambda d: _first_diff(ux * d, curve.h)
 
     return _sweep(curve0, zbar, cfg, truth, lambda curve, zl, dnu: dnu, step)
 
@@ -386,14 +389,13 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     def step(curve, sample, zl, zy, r, flag):
         dl = curve.dell()
         sq = np.sqrt(1.0 + dl * dl)
-        c1 = 2.0 * dl * zy - np.gradient(zl, h, edge_order=2) + dl * gam * zl / sq
+        c1 = 2.0 * dl * zy - _first_diff(zl, h) + dl * gam * zl / sq
         c0 = (1.0 + dl * dl) * sample(curve.ell, dy=2) + sq * gam * zy
         # -dR: row i weighs delta[cols[i]]
         rows = grad * (dl[:, None] * zy[cols] - c1[:, None]) - diag * c0[:, None]
 
         def op(d):
-            return (dl * np.gradient(zy * d, h, edge_order=2)
-                    - c1 * np.gradient(d, h, edge_order=2) - c0 * d)
+            return dl * _first_diff(zy * d, h) - c1 * _first_diff(d, h) - c0 * d
 
         return solve(rows, r, flag), op
 
@@ -420,7 +422,7 @@ def linearized_flux(curve, lateral, interface, f, dl):
     if interface.kind == "D":
         rhs = -tr.u_y * dl
     elif interface.kind == "N":
-        rhs = np.gradient(dl * tr.u_x, h, edge_order=2)
+        rhs = _first_diff(dl * tr.u_x, h)
     else:
         dl_c = curve.dell()
         sq = np.sqrt(1.0 + dl_c ** 2)
@@ -430,6 +432,6 @@ def linearized_flux(curve, lateral, interface, f, dl):
         # shape derivative of the impedance condition in primitive form:
         # dl' * (u_x - ell'/sq * gamma * u) - dl * (u_yy - ell' u_xy + sq gamma u_y)
         alpha = tr.u_x - dl_c / sq * gam * tr.u
-        ddl = np.gradient(dl, h, edge_order=2)
+        ddl = _first_diff(dl, h)
         rhs = ddl * alpha - dl * (tr.u_yy - dl_c * tr.u_xy + sq * gam * tr.u_y)
     return bottom_flux(op.solve(np.zeros_like(fv), interface_rhs=rhs))

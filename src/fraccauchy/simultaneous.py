@@ -655,6 +655,10 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
     res0 = math.sqrt(float(np.sum(rw * r ** 2)))
     log(0, cfg.alpha0, res0)
 
+    # K and the penalty rows stay frozen, so their weighted normal matrix
+    # is formed once
+    KTw, PTw = K.T * rw, prow.T * pw
+    KK = KTw @ K + PTw @ prow
     n_star = cfg.max_iter
     stop_tag = "max_iter"
     for n in range(cfg.max_iter):
@@ -664,8 +668,8 @@ def frozen_newton(data, xi0, penalty, cfg=None, truth=None):
             stop_tag = "discrepancy"
             break
         pval = sys.penalty_values(v)
-        M = (K.T * rw) @ K + (prow.T * pw) @ prow + alpha_n * np.diag(wx)
-        rhs = (K.T * rw) @ r - (prow.T * pw) @ pval + alpha_n * wx * (v0 - v)
+        M = KK + alpha_n * np.diag(wx)
+        rhs = KTw @ r - PTw @ pval + alpha_n * wx * (v0 - v)
         try:
             step = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError as exc:

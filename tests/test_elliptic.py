@@ -18,10 +18,13 @@ from fraccauchy.continuation import (
 from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
+    MeshField,
     _BandLU,
     _column_preconditioner,
     _curve_sampler,
+    _first_diff,
     _impedance,
+    _spline_tables,
     _stencil,
     assemble,
     bottom_flux,
@@ -74,6 +77,18 @@ class TestCurve:
         for a in (c.ell, c.dell()):
             with pytest.raises(ValueError):
                 a[1] = 0.0
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 129, 257])
+@pytest.mark.parametrize("h", [0.7, np.float64(0.7)], ids=["float", "float64"])
+def test_first_diff_is_gradient_bit_for_bit(n, h):
+    # the spacing is not a power of two, so no division by it is exact
+    v = np.random.default_rng(n).standard_normal(n)
+    hn = h / (n - 1)
+    np.testing.assert_array_equal(_first_diff(v, hn), np.gradient(v, hn, edge_order=2),
+                                  strict=True)
+    np.testing.assert_array_equal(_first_diff(v[::-1], hn),
+                                  np.gradient(v[::-1], hn, edge_order=2), strict=True)
 
 
 class TestSeparableClosedForm:
@@ -822,6 +837,70 @@ class TestEvalOnCurve:
         got = _curve_sampler(fld)(0.9 * ell)
         exact = np.cos(K * x + PH) * np.exp(Q * 0.9 * ell)
         assert np.max(np.abs(got - exact)) < 5e-4
+
+
+@pytest.fixture(scope="module")
+def spline_fields():
+    """Fields the column splines are built on: an 81-level hold-all field
+    (the benchmark's depth), a 9-level forward field, a hold-all field on a
+    non-uniform height grid and one of exactly 4 levels."""
+    basis = build_basis(1.0, LateralBC("neumann"), J=8, N=129)
+    x = basis.grid
+    data = CauchyData(1.0 + 0.3 * np.cos(np.pi * x), 0.2 * np.cos(2 * np.pi * x), 0.0, basis)
+
+    def holdall(y):
+        return solve_cauchy_holdall(data, basis.bc, ContinuationScheme("exact"), y)
+
+    xf = np.linspace(0.0, 1.0, 17)
+    forward = solve_forward(Curve(0.3 + 0.02 * np.cos(np.pi * xf), 1.0, 0.3 * 1.07),
+                            LateralBC("neumann"), InterfaceBC("I", 1.0), np.cos(np.pi * xf), M=9)
+    return {"holdall81": holdall(np.linspace(0.0, 0.1, 81)), "forward9": forward,
+            "nonuniform": holdall(0.4 * np.linspace(0.0, 1.0, 21) ** 1.5),
+            "levels4": holdall(np.array([0.0, 0.05, 0.2, 0.4]))}
+
+
+@pytest.mark.parametrize("name", ["holdall81", "forward9", "nonuniform", "levels4"])
+def test_spline_tables_are_cubicspline_coefficients(spline_fields, name):
+    # the sampler's own spline build against SciPy's, bit for bit, for the
+    # values and both derivative orders
+    fld = spline_fields[name]
+    assert fld.values.shape[1] == {"holdall81": 81, "forward9": 9,
+                                   "nonuniform": 21, "levels4": 4}[name]
+    tables = _spline_tables(fld.eta, fld.values)
+    ref = CubicSpline(fld.eta, fld.values, axis=1)
+    np.testing.assert_array_equal(tables[0], ref.c, strict=True)
+    for q in (1, 2):
+        np.testing.assert_array_equal(tables[q], ref.derivative(q).c, strict=True)
+
+
+def test_spline_refusals(spline_fields):
+    # CubicSpline's refusals are kept: non-finite values and levels that do
+    # not increase; and the sampler needs 4 levels
+    fld = spline_fields["forward9"]
+    nan, inf = fld.values.copy(), fld.values.copy()
+    nan[3, 4], inf[5, 0] = np.nan, -np.inf
+    for values, eta, match in ((nan, fld.eta, "finite"), (inf, fld.eta, "finite"),
+                               (fld.values[:, :3], fld.eta[:3], "4 depth levels"),
+                               (fld.values, fld.eta[::-1].copy(), "increasing")):
+        with pytest.raises(ValueError, match=match):
+            _curve_sampler(MeshField(values, fld.curve, eta))
+
+
+@pytest.mark.parametrize("name", ["holdall81", "nonuniform"])
+def test_order_tuple_equals_single_orders(spline_fields, name):
+    # one call for orders (0, 1, 2) gives the three single-order calls bit
+    # for bit, on stacked heights and on heights above the top level
+    fld = spline_fields[name]
+    x, top = fld.x, fld.curve.ell
+    heights = np.stack([0.3 * top * (1.0 + 0.2 * np.sin(np.pi * x)), 0.77 * top,
+                        1.01 * top, 1.05 * top])
+    sample = _curve_sampler(fld)
+    for ell in (heights, heights[1:3][None], heights[2], heights[3]):
+        got = sample(ell, (0, 1, 2))
+        assert isinstance(got, tuple) and len(got) == 3
+        for dy, g in enumerate(got):
+            np.testing.assert_array_equal(g, sample(ell, dy), strict=True)
+        np.testing.assert_array_equal(sample(ell, (2, 0))[0], got[2], strict=True)
 
 
 class TestTraceRefusals:
