@@ -58,6 +58,35 @@ class TestCurve:
         with pytest.raises(ValueError):
             Curve(np.full(9, 0.6), 1.0, 0.5)
 
+    NONPOSITIVE = "curve must be finite and strictly positive"
+    ABOVE = "curve exceeds the hold-all height"
+
+    @pytest.mark.parametrize("bad, message", [
+        ({4: np.nan}, NONPOSITIVE),
+        ({0: np.inf}, NONPOSITIVE),
+        ({8: -np.inf}, NONPOSITIVE),
+        ({3: 0.0}, NONPOSITIVE),
+        ({5: -0.1}, NONPOSITIVE),
+        ({2: 0.5 * (1.0 + 1e-11)}, ABOVE),
+        ({1: 0.6, 6: np.nan}, NONPOSITIVE),
+        ({1: 0.6, 6: 0.0}, NONPOSITIVE),
+        ({1: np.inf, 6: -1.0}, NONPOSITIVE),
+        ({1: 0.6, 7: 0.7}, ABOVE),
+    ], ids=["nan", "inf", "-inf", "zero", "negative", "above", "above+nan", "above+zero",
+            "inf+negative", "above-twice"])
+    def test_refusal_messages(self, bad, message):
+        # every refused sample set gives the one message of its first check
+        ell = np.full(9, 0.3)
+        for i, v in bad.items():
+            ell[i] = v
+        with pytest.raises(ValueError, match="^%s$" % message):
+            Curve(ell, 1.0, 0.5)
+
+    def test_top_within_rounding_of_holdall_accepted(self):
+        ell = np.full(9, 0.3)
+        ell[4] = 0.5 * (1.0 + 1e-13)
+        assert Curve(ell, 1.0, 0.5).ell[4] == ell[4]
+
     def test_derivatives_exact_on_quadratic(self):
         x = np.linspace(0.0, 1.0, 41)
         c = Curve(0.3 + 0.1 * x ** 2, 1.0, 0.5)

@@ -529,6 +529,25 @@ class TestSweepBranches:
         with pytest.raises(RuntimeError, match="near-singular after 3 retries"):
             self._neumann_with_failing_solves(monkeypatch, math.inf)
 
+    @pytest.mark.parametrize("kind", ["D", "N", "I"])
+    def test_nonfinite_update_refused(self, kind, monkeypatch):
+        # a step whose update turns NaN: the trust clamp and the corridor
+        # pass NaN through, so the new iterate's Curve must refuse it
+        import fraccauchy.freeboundary as fb
+
+        sweep = fb._sweep
+
+        def nan_steps(curve0, zbar, cfg, truth, residual, step):
+            def nan_step(*args):
+                dl, op = step(*args)
+                return np.full_like(dl, np.nan), op
+
+            return sweep(curve0, zbar, cfg, truth, residual, nan_step)
+
+        monkeypatch.setattr(fb, "_sweep", nan_steps)
+        with pytest.raises(ValueError, match="^curve must be finite and strictly positive$"):
+            run_newton(kind, 0.1, 0.01, 0.05, cfg=NewtonConfig(max_iter=2))
+
     def test_neumann_bands_match_dense_normal_equations(self):
         # the Neumann step's banded normal matrix and product against the
         # dense d/dx that np.gradient applies; only the summation order differs
