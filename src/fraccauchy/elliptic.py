@@ -113,9 +113,10 @@ class Curve:
             raise ValueError("L must be positive and finite")
         if not (self.olell > 0.0 and math.isfinite(self.olell)):
             raise ValueError("hold-all height must be positive and finite")
-        if np.any(~np.isfinite(ell)) or np.any(ell <= 0.0):
+        lo, hi = ell.min(), ell.max()  # NaN in either if any sample is NaN
+        if not (lo > 0.0 and hi < math.inf):
             raise ValueError("curve must be finite and strictly positive")
-        if np.any(ell > self.olell * (1.0 + 1e-12)):
+        if hi > self.olell * (1.0 + 1e-12):
             raise ValueError("curve exceeds the hold-all height")
         ell.setflags(write=False)
         object.__setattr__(self, "ell", ell)

@@ -41,15 +41,16 @@ the curve problem), halved until it is small against the current curve height
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from .elliptic import (Curve, _conormal, _curve_sampler, _first_diff, _samples_on_grid, assemble,
-                       bottom_flux, combined_impedance, interface_traces)
-from .spectral import _cos_coeffs, _cos_tables, _trapezoid_weights
+                       bottom_flux, interface_traces)
+from .spectral import _trapezoid_weights
 
 __all__ = [
     "NewtonConfig",
@@ -73,6 +74,10 @@ _RHO1 = 1e3
 _RHO2 = 1e6
 # cosine modes kept of every curve update
 _SMOOTH_MODES = 8
+# the pairs (p, q), p <= q, of a row's three weights, in `_gram_bands`' order
+_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+_PQ = np.array(_PAIRS).T
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,11 @@ class NewtonConfig:
     stop_tol: float = 1e-4
 
     def __post_init__(self):
-        if int(self.max_iter) < 1:
+        try:
+            max_iter = operator.index(self.max_iter)
+        except TypeError:
+            raise ValueError("max_iter must be an integer") from None
+        if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
@@ -133,12 +142,14 @@ def project_cosine(values, L, modes):
 
 
 def _cosine_projector(n, L, modes):
-    """`project_cosine` of n samples, with its cosine table and weights built
-    once for any number of calls."""
+    """`project_cosine` of n samples: `_cos_coeffs` on the cosine rows of
+    `_cos_tables`, with the rows, weights and their norms built once for any
+    number of calls."""
     x = np.linspace(0.0, L, n)
-    ph, _ = _cos_tables(x, L, modes)
+    ph = np.cos(np.outer(np.arange(int(modes)) * np.pi / L, x))
     w = _trapezoid_weights(n, x[1] - x[0])
-    return lambda values: _cos_coeffs(values, ph, w) @ ph
+    norms = (ph * ph * w).sum(axis=1)
+    return lambda values: ((ph * (w * values)).sum(axis=1) / norms) @ ph
 
 
 def _corridor(curve0, zbar):
@@ -229,8 +240,8 @@ def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):
     _samples_on_grid(f, curve0.x, "f")
 
     def step(curve, sample, zl, uy, r, flag):
-        floor = _FLUX_FLOOR * max(1.0, float(np.max(np.abs(uy))))
-        ok = np.abs(uy) > floor
+        size = np.abs(uy)
+        ok = size > _FLUX_FLOOR * max(1.0, float(size.max()))
         if not ok.all():
             flag("normal flux below floor at %d points, update damped there"
                  % int(curve.N - ok.sum()))
@@ -239,8 +250,7 @@ def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):
     return _sweep(curve0, zbar, cfg, truth, lambda curve, zl, dnu: zl, step)
 
 
-def _warn_degenerate(zbar, u_x_curve, flag):
-    scale = max(1.0, float(np.max(np.abs(zbar.values))) / zbar.curve.L)
+def _warn_degenerate(scale, u_x_curve, flag):
     frac = float(np.mean(np.abs(u_x_curve) < _DEGENERATE_TOL * scale))
     if frac >= _DEGENERATE_FRACTION:
         flag("tangential derivative degenerate on %.0f%% of the interface"
@@ -264,17 +274,26 @@ def _gradient_rows(n, h):
     return cols, vals / (2.0 * h)
 
 
-def _gram_bands(cols, vals, w):
-    """Upper bands of R^T diag(w) R for the rows (cols, vals) of
-    `_gradient_rows`, in the layout of `solveh_banded`: entry (b - d, b) of
-    the pentadiagonal product sits at [2 - d, b]."""
-    n = cols.shape[0]
-    ab = np.zeros(3 * n)
-    for p in range(3):
-        for q in range(p, 3):
-            ab += np.bincount((2 - q + p) * n + cols[:, q], w * vals[:, p] * vals[:, q],
-                              minlength=3 * n)
-    return ab.reshape(3, n)
+def _gram_bands(vals, w):
+    """Upper bands of R^T diag(w) R for rows vals on the column pattern of
+    `_gradient_rows` (n >= 4 rows), as LAPACK's upper banded Cholesky
+    (dpbsv) stores them: entry (b - d, b) of the pentadiagonal product sits
+    at [2 - d, b].
+
+    Row i (0 < i < n - 1) weighs columns i - 1, i, i + 1, and rows 0 and
+    n - 1 repeat the columns of rows 1 and n - 2, so the scatter is a fixed
+    set of slices: each entry sums the products w vals[:, p] vals[:, q]
+    (p <= q) of one (p, q) first, rows in order, then those sums into zeros
+    in the order of (p, q), as one `np.bincount` per (p, q) would."""
+    n = vals.shape[0]
+    v = (w[:, None] * vals)[:, _PQ[0]] * vals[:, _PQ[1]]
+    v[1] = v[0] + v[1]
+    v[-2] = v[-2] + v[-1]
+    v = v[1:-1]
+    ab = np.zeros((3, n))
+    for j, (p, q) in enumerate(_PAIRS):
+        ab[2 - q + p, q:n - 2 + q] += v[:, j]
+    return ab
 
 
 def _band_matvec(ab, x):
@@ -296,16 +315,18 @@ def _regularized_solver(n, h):
     operator whose row i weighs d[cols[i]] by rows[i].  pin = (t0, tL) adds
     _RHO2 ((d0 - t0)^2 + (dL - tL)^2); pin = None adds no endpoint penalty.
 
-    The normal equations are pentadiagonal and solved by banded Cholesky,
-    which treats a failure like a singular matrix.  A solve that fails, or
-    whose normwise backward error is not below 1e-8, is retried with the
-    smoothing weight raised tenfold, at most three times."""
+    The normal equations are pentadiagonal, laid out by `_gram_bands`, and
+    solved by LAPACK's banded Cholesky dpbsv, called directly.
+    A solve whose factorisation breaks down (info > 0), or whose result is
+    not finite or has a normwise backward error not below 1e-8, is retried
+    with the smoothing weight raised tenfold, at most three times; an
+    illegal argument (info < 0) raises."""
     w = _trapezoid_weights(n, h)
     cols, grad = _gradient_rows(n, h)
-    reg = _gram_bands(cols, grad, w)
+    reg = _gram_bands(grad, w)
 
     def solve(rows, r, flag, pin=None):
-        base = _gram_bands(cols, rows, w)
+        base = _gram_bands(rows, w)
         rhs = np.bincount(cols.ravel(), (rows * (w * r)[:, None]).ravel(), minlength=n)
         if pin is not None:
             rhs[0] += _RHO2 * pin[0]
@@ -316,14 +337,15 @@ def _regularized_solver(n, h):
             if pin is not None:
                 K[2, 0] += _RHO2
                 K[2, -1] += _RHO2
-            try:
-                cand = solveh_banded(K, rhs, check_finite=False)
-            except np.linalg.LinAlgError:
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)):
-                fro = np.sqrt(np.sum(K[2] ** 2) + 2.0 * np.sum(K[:2] ** 2))
-                back = np.linalg.norm(_band_matvec(K, cand) - rhs) / (
-                    fro * np.linalg.norm(cand) + np.linalg.norm(rhs) + np.finfo(float).tiny)
+            _, cand, info = dpbsv(K, rhs)
+            if info < 0:
+                raise ValueError("illegal value in argument %d of dpbsv" % -info)
+            if info == 0 and np.isfinite(cand).all():
+                # 2-norms as np.linalg.norm takes them, sqrt(x . x)
+                fro = math.sqrt((K[2] * K[2]).sum() + 2.0 * (K[:2] * K[:2]).sum())
+                res = _band_matvec(K, cand) - rhs
+                back = math.sqrt(res @ res) / (
+                    fro * math.sqrt(cand @ cand) + math.sqrt(rhs @ rhs) + _TINY)
                 if back < 1e-8:
                     return cand
             rho1 /= 10.0
@@ -351,12 +373,13 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     """
     _samples_on_grid(f, curve0.x, "f")
     cols, grad, solve = _regularized_solver(curve0.N, curve0.h)
+    scale = max(1.0, float(np.max(np.abs(zbar.values))) / zbar.curve.L)
     warned = False
 
     def step(curve, sample, zl, zy, dnu, flag):
         nonlocal warned
         ux = _first_diff(zl, curve.h) - curve.dell() * zy
-        warned = warned or _warn_degenerate(zbar, ux, flag)
+        warned = warned or _warn_degenerate(scale, ux, flag)
         rows = grad * ux[cols]  # d/dx [u_x delta], the linearized operator
         pin = (0.0, 0.0) if endpoint_values is None else (
             endpoint_values[0] - curve.ell[0], endpoint_values[1] - curve.ell[-1])
@@ -384,7 +407,8 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
     diag = cols == np.arange(n)[:, None]
 
     def residual(curve, zl, dnu):
-        return dnu + combined_impedance(gam, curve) * zl
+        # combined_impedance(gam, curve) * zl on the samples gam already holds
+        return dnu + np.sqrt(1.0 + curve.dell() ** 2) * gam * zl
 
     def step(curve, sample, zl, zy, r, flag):
         dl = curve.dell()

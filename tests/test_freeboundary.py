@@ -345,6 +345,19 @@ def test_conormal_trace_matches_closed_form():
     np.testing.assert_allclose(dnu, exact, atol=2e-3)
 
 
+def test_project_cosine_is_cos_coeffs_on_cos_tables_bitwise():
+    from fraccauchy.spectral import _cos_coeffs, _cos_tables
+
+    for n, length, modes in ((17, 1.0, 4), (129, 1.0, 8), (65, 2.3, 8)):
+        x = np.linspace(0.0, length, n)
+        ph, _ = _cos_tables(x, length, modes)
+        w = np.full(n, x[1])
+        w[0] = w[-1] = 0.5 * x[1]
+        v = np.random.default_rng(n).standard_normal(n)
+        np.testing.assert_array_equal(project_cosine(v, length, modes), _cos_coeffs(v, ph, w) @ ph,
+                                      strict=True)
+
+
 def test_project_cosine_reproduces_low_modes_and_kills_high():
     x = np.linspace(0.0, 1.0, 201)
     low = 0.3 - 0.2 * np.cos(np.pi * x) + 0.05 * np.cos(6 * np.pi * x)
@@ -399,10 +412,16 @@ class TestValidation:
     def test_bad_config_values(self):
         for kw in (
             dict(max_iter=0),
+            dict(max_iter=2.5),
+            dict(max_iter="3"),
             dict(stop_tol=0.0),
         ):
             with pytest.raises(ValueError):
                 NewtonConfig(**kw)
+
+    def test_numpy_integer_max_iter(self):
+        tr = run_newton("D", 0.1, 0.01, 0.05, cfg=NewtonConfig(max_iter=np.int64(2)))
+        assert len(tr.iterates) == 3 and tr.stop == "max_iter"
 
     def test_truth_on_wrong_grid(self):
         zbar = holdall_field("D", 0.1, 0.0)
@@ -497,20 +516,22 @@ class TestSweepBranches:
             for k in (0, 1)
         ]
 
-    def _neumann_with_failing_solves(self, monkeypatch, failures):
-        # the Neumann step's banded solve raises LinAlgError on its first
-        # ``failures`` calls; each retry raises the smoothing weight tenfold
+    def _neumann_with_failing_solves(self, monkeypatch, failures, info=3):
+        # the banded Cholesky of the Neumann step reports ``info`` on its
+        # first ``failures`` calls: info > 0 (a leading minor not positive
+        # definite) retries with the smoothing weight raised tenfold; the
+        # calls are counted in self.calls
         import fraccauchy.freeboundary as fb
 
-        solve, calls = fb.solveh_banded, []
+        dpbsv, calls = fb.dpbsv, []
+        self.calls = calls
 
         def failing(*args, **kwargs):
             calls.append(None)
-            if len(calls) <= failures:
-                raise np.linalg.LinAlgError("not positive definite")
-            return solve(*args, **kwargs)
+            c, x, ok = dpbsv(*args, **kwargs)
+            return (c, x, info) if len(calls) <= failures else (c, x, ok)
 
-        monkeypatch.setattr(fb, "solveh_banded", failing)
+        monkeypatch.setattr(fb, "dpbsv", failing)
         lt = truth_curve(X, 0.1)
         return newton_neumann(Curve(np.full(N, 0.09), L, 0.1), holdall_field("N", 0.1, 0.0),
                               LATERAL, excitation(X), NewtonConfig(max_iter=1),
@@ -523,11 +544,19 @@ class TestSweepBranches:
             for w in ("100", "10")
         ]
         assert len(tr.iterates) == 2 and tr.stop == "max_iter"
+        assert len(self.calls) == 3
         assert np.all(np.isfinite(tr.iterates[-1].ell))
 
     def test_neumann_retries_exhausted(self, monkeypatch):
         with pytest.raises(RuntimeError, match="near-singular after 3 retries"):
             self._neumann_with_failing_solves(monkeypatch, math.inf)
+        assert len(self.calls) == 4
+
+    def test_illegal_argument_raises_without_retry(self, monkeypatch):
+        # info < 0 is a bad call, not a hard system: no smoothing retry
+        with pytest.raises(ValueError, match="illegal value in argument 4 of dpbsv"):
+            self._neumann_with_failing_solves(monkeypatch, 1, info=-4)
+        assert len(self.calls) == 1
 
     @pytest.mark.parametrize("kind", ["D", "N", "I"])
     def test_nonfinite_update_refused(self, kind, monkeypatch):
@@ -557,7 +586,7 @@ class TestSweepBranches:
         M = np.gradient(np.eye(n), h, axis=0, edge_order=2) * ux
         K = M.T @ (w[:, None] * M)
         cols, grad = _gradient_rows(n, h)
-        ab = _gram_bands(cols, grad * ux[cols], w)
+        ab = _gram_bands(grad * ux[cols], w)
         banded = np.diag(ab[2]) + sum(np.diag(ab[2 - d, d:], d) + np.diag(ab[2 - d, d:], -d)
                                       for d in (1, 2))
         tol = 1e-14 * np.max(np.abs(K))
@@ -632,6 +661,100 @@ class TestSweepBranches:
             for truth in (lambda x: truth_curve(x, 0.1), truth_curve(X, 0.1))
         ]
         assert runs[0].rel_errors == runs[1].rel_errors
+
+
+# The Neumann and impedance steps' least-squares solve as it was built before
+# its bands were scattered by slices and its banded Cholesky called through
+# LAPACK's dpbsv: six np.bincount calls into zeros and solveh_banded.  The
+# solve must return the same floats, bit for bit.
+def _bincount_bands(cols, vals, w):
+    n = cols.shape[0]
+    ab = np.zeros(3 * n)
+    for p in range(3):
+        for q in range(p, 3):
+            ab += np.bincount((2 - q + p) * n + cols[:, q], w * vals[:, p] * vals[:, q],
+                              minlength=3 * n)
+    return ab.reshape(3, n)
+
+
+def _solveh_banded_solve(n, h, rows, r, flag, pin=None):
+    from scipy.linalg import solveh_banded
+
+    from fraccauchy.freeboundary import _RHO1, _RHO2
+
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    cols, grad = _gradient_rows(n, h)
+    reg = _bincount_bands(cols, grad, w)
+    base = _bincount_bands(cols, rows, w)
+    rhs = np.bincount(cols.ravel(), (rows * (w * r)[:, None]).ravel(), minlength=n)
+    if pin is not None:
+        rhs[0] += _RHO2 * pin[0]
+        rhs[-1] += _RHO2 * pin[1]
+    rho1 = _RHO1
+    for _ in range(4):
+        K = base + (1.0 / rho1) * reg
+        if pin is not None:
+            K[2, 0] += _RHO2
+            K[2, -1] += _RHO2
+        try:
+            cand = solveh_banded(K, rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            cand = None
+        if cand is not None and np.all(np.isfinite(cand)):
+            fro = np.sqrt(np.sum(K[2] ** 2) + 2.0 * np.sum(K[:2] ** 2))
+            back = np.linalg.norm(_band_matvec(K, cand) - rhs) / (
+                fro * np.linalg.norm(cand) + np.linalg.norm(rhs) + np.finfo(float).tiny)
+            if back < 1e-8:
+                return cand
+        rho1 /= 10.0
+        flag("smoothing weight raised to 1/%.3g" % rho1)
+    raise RuntimeError("near-singular after 3 retries")
+
+
+class TestBandedSolveBitwise:
+    """`_regularized_solver`'s solve against its bincount and solveh_banded
+    form, on seeded rows of both step kinds."""
+
+    def _rows(self, kind, n, h, rng):
+        cols, grad = _gradient_rows(n, h)
+        if kind == "N":
+            return grad * (1.0 + 0.5 * rng.standard_normal(n))[cols]
+        dl, zy, c1, c0 = (rng.standard_normal(n) for _ in range(4))
+        diag = cols == np.arange(n)[:, None]
+        return grad * (dl[:, None] * zy[cols] - c1[:, None]) - diag * c0[:, None]
+
+    @pytest.mark.parametrize("n", [17, 129])
+    @pytest.mark.parametrize("kind", ["N", "I"])
+    @pytest.mark.parametrize("pin", [None, (0.0, 0.0), (2e-3, -1e-3)])
+    def test_same_bits(self, n, kind, pin):
+        from fraccauchy.freeboundary import _regularized_solver
+
+        h = 0.7 / (n - 1)
+        _, _, solve = _regularized_solver(n, h)
+        rng = np.random.default_rng(n + 7 * len(kind) + (pin is None))
+        flags, ref_flags = [], []
+        for _ in range(5):
+            rows, r = self._rows(kind, n, h, rng), rng.standard_normal(n)
+            np.testing.assert_array_equal(solve(rows, r, flags.append, pin),
+                                          _solveh_banded_solve(n, h, rows, r, ref_flags.append, pin),
+                                          strict=True)
+        assert flags == ref_flags == []
+
+    @pytest.mark.parametrize("n", [17, 129])
+    def test_bands_same_bits(self, n):
+        # signed zeros among the rows included
+        h = 0.7 / (n - 1)
+        cols, grad = _gradient_rows(n, h)
+        w = np.full(n, h)
+        w[0] = w[-1] = 0.5 * h
+        rng = np.random.default_rng(n)
+        for zero in (0.0, -0.0):
+            vals = rng.standard_normal((n, 3))
+            vals[rng.random((n, 3)) < 0.3] = zero
+            got, ref = _gram_bands(vals, w), _bincount_bands(cols, vals, w)
+            np.testing.assert_array_equal(got, ref, strict=True)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestSweepCost:
