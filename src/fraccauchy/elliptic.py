@@ -42,7 +42,8 @@ factor and the raw impedance never appear separately.
 
 Both inverse solvers read fields along curves here: `interface_traces`
 (value and derivatives) and `curve_conormal` trace a covering (hold-all)
-field through the column splines of `_curve_sampler`.
+field through the column splines of `_curve_sampler`, which a `MeshField`
+builds on its first trace and keeps.
 """
 
 import functools
@@ -191,15 +192,66 @@ def combined_impedance(gamma, curve):
     return np.sqrt(1.0 + curve.dell() ** 2) * g
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeshField:
     """Discrete field on the mapped rectangle; values[i, j] lives at the
-    physical point (x_i, eta_j * ell(x_i))."""
+    physical point (x_i, eta_j * ell(x_i)).
+
+    ``values`` and ``eta`` are read-only float views of the arrays given,
+    not copies, so the column spline of the field's first trace is kept on
+    it (`_curve_sampler`).  The arrays given must not be changed through
+    another reference afterwards: the kept spline would no longer match."""
 
     values: np.ndarray
     curve: Curve
     eta: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("values", "eta"):
+            a = np.asarray(getattr(self, name), dtype=float).view()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        # the kept sampler is a closure, which pickle cannot store: a copy is
+        # rebuilt from the fields and builds its own on its first trace
+        return MeshField, (self.values, self.curve, self.eta, self.meta)
+
+    @functools.cached_property
+    def _sampler(self):
+        """`_curve_sampler`'s sampler, built on first use.  It keeps only
+        the value table of `_spline_tables`: each call gathers the rows of
+        its curve's pieces once and derives each order's rows from them
+        (`_derived_rows`)."""
+        eta = np.ascontiguousarray(self.eta)
+        c = _spline_tables(eta, self.values)
+        base = self.curve.ell
+        scale = [base ** q for q in range(3)]
+        cols = np.arange(base.size)
+        last = eta.size - 2
+
+        def sample(ell, dy=0):
+            ell = np.asarray(ell, dtype=float)
+            if ell.shape[-1:] != base.shape:
+                raise ValueError("curve samples must live on the field's x-grid")
+            t = ell / base
+            k = np.minimum(np.maximum(eta.searchsorted(t, side="right") - 1, 0), last)
+            d = t - eta[k]
+            orders = dy if isinstance(dy, tuple) else (dy,)
+            # each column's own cubic piece, highest power first
+            rows = c[:4 - min(orders), k, cols]
+
+            def horner(q):
+                vals, *rest = _derived_rows(rows, q)
+                for row in rest:
+                    vals = vals * d + row
+                return vals / scale[q]
+
+            out = tuple(horner(q) for q in orders)
+            return out if isinstance(dy, tuple) else out[0]
+
+        return sample
 
     @property
     def x(self):
@@ -733,8 +785,9 @@ def interface_traces(field, curve=None):
     traced by one-sided depth stencils (four-point for second derivatives)
     and the chain rule.  Any other curve must pass `_check_on_mesh`, as
     every admissible curve does for a hold-all field: u, u_y and u_yy come
-    from one `_curve_sampler`, u_x and u_xy from differences of u and u_y
-    along the curve minus ell' times their y-derivative."""
+    from one call of the field's kept `_curve_sampler`, u_x and u_xy from
+    differences of u and u_y along the curve minus ell' times their
+    y-derivative."""
     top = field.curve
     if curve is not None and not (
             top.same_grid(curve) and np.allclose(top.ell, curve.ell, rtol=1e-12, atol=1e-14)):
@@ -773,14 +826,17 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
     uniqueness of harmonic continuation the resulting field agrees (up to
     the scheme's regularisation error) with the Newton-step field on any
     admissible subdomain, so callers may trace it along trial curves with
-    `interface_traces` and `curve_conormal`.  ``meta`` holds the ``scheme``
-    kind, the ``zeroed_modes`` its guards zeroed at each level, the ``bands``
-    of a scheme that has them, ``overflow``: whether a level leaves the
-    double-precision exponential range, which only the exact formula can,
-    and ``kernel_points``: the Mittag-Leffler and tail points this call
-    evaluated.  The continuation keeps its data-independent kernels per
-    scheme request and geometry, so ``kernel_points`` is 0 when earlier
-    calls on the same basis, heights and orders filled them.
+    `interface_traces` and `curve_conormal`; the field keeps the column
+    spline of its first trace for every later one.  Its ``values`` are a
+    read-only view of the continuation's own array, not a copy.  ``meta``
+    holds the ``scheme`` kind, the ``zeroed_modes`` its guards zeroed at
+    each level, the ``bands`` of a scheme that has them, ``overflow``:
+    whether a level leaves the double-precision exponential range, which
+    only the exact formula can, and ``kernel_points``: the Mittag-Leffler
+    and tail points this call evaluated.  The continuation keeps its
+    data-independent kernels per scheme request and geometry, so
+    ``kernel_points`` is 0 when earlier calls on the same basis, heights and
+    orders filled them.
     """
     if lateral != data.basis.bc:
         raise ValueError("lateral condition disagrees with the data's basis")
@@ -811,15 +867,14 @@ def _check_on_mesh(field, curve):
 
 
 def _spline_tables(eta, values):
-    """Coefficient tables of the not-a-knot cubic spline in eta through every
-    column of values (shape (N, M), M = eta.size levels), and of its first
-    two derivatives: tables[q] has shape (4 - q, M - 1, N), and row r of it
-    multiplies (eta - eta[k]) ** (3 - q - r) on interval k.
+    """Coefficient table c of the not-a-knot cubic spline in eta through
+    every column of values (shape (N, M), M = eta.size levels): c has shape
+    (4, M - 1, N), and row r of it multiplies (eta - eta[k]) ** (3 - r) on
+    interval k.  `_derived_rows` gives its derivatives' rows.
 
-    These are CubicSpline(eta, values, axis=1).c and .derivative(q).c bit
-    for bit: the same slopes, tridiagonal system and right-hand side, one
-    LAPACK dgtsv call over all columns, the same Hermite coefficient formulas
-    and PPoly.derivative's factors (3, 2, 1) and (6, 2).  Like CubicSpline,
+    This is CubicSpline(eta, values, axis=1).c bit for bit: the same slopes,
+    tridiagonal system and right-hand side, one LAPACK dgtsv call over all
+    columns and the same Hermite coefficient formulas.  Like CubicSpline,
     refuses non-finite input and eta not strictly increasing; it also
     refuses fewer than 4 levels, where CubicSpline changes its end
     conditions."""
@@ -852,50 +907,37 @@ def _spline_tables(eta, values):
     if info != 0:
         raise np.linalg.LinAlgError("singular spline system")
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
-    return (c, c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None],
-            c[:-2] * np.array([6.0, 2.0])[:, None, None])
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+# PPoly.derivative's factors on the leading rows of a cubic, per order; the
+# factor 1 on the last row of the first derivative is left out
+_DERIVATIVE_FACTORS = {0: (), 1: (3.0, 2.0), 2: (6.0, 2.0)}
+
+
+def _derived_rows(c, q):
+    """Rows, highest power first, of the q-th derivative (q = 0, 1, 2) of the
+    cubic pieces whose rows are c: CubicSpline.derivative(q).c on c's rows,
+    bit for bit."""
+    factors = _DERIVATIVE_FACTORS[q]
+    return [f * row for f, row in zip(factors, c)] + list(c[len(factors):4 - q])
 
 
 def _curve_sampler(field):
-    """Column splines of ``field`` in height, built once: returns
-    ``sample(ell, dy=0)``, the field's ``dy``-th y-derivative (dy = 0, 1, 2)
-    along the curve y = ell(x), for any number of curves on the field's
-    x-grid.  ``ell`` may stack curves along leading axes (shape (..., N));
-    each element is evaluated as it would be alone.  A tuple dy returns one
-    array per order, all from one interval search.
+    """Column splines of ``field`` in height, built on the field's first
+    trace and kept on it (`MeshField._sampler`): returns ``sample(ell,
+    dy=0)``, the field's ``dy``-th y-derivative (dy = 0, 1, 2) along the
+    curve y = ell(x), for any number of curves on the field's x-grid.
+    ``ell`` may stack curves along leading axes (shape (..., N)); each
+    element is evaluated as it would be alone.  A tuple dy returns one array
+    per order, all from one interval search and one gather.
 
     One cubic spline in eta serves every column (`_spline_tables`): column i
     holds the levels eta * base_i, with base_i the mesh's top height there,
     so it is evaluated at eta = ell_i / base_i by Horner on its own cubic
     piece and its derivative rescaled by base_i^-dy.  Mild extrapolation
     above the top level is allowed."""
-    eta = np.ascontiguousarray(field.eta, dtype=float)
-    tables = dict(enumerate(_spline_tables(eta, field.values)))
-    base = field.curve.ell
-    scale = [base ** q for q in range(3)]
-    cols = np.arange(base.size)
-    last = eta.size - 2
-
-    def sample(ell, dy=0):
-        ell = np.asarray(ell, dtype=float)
-        if ell.shape[-1:] != base.shape:
-            raise ValueError("curve samples must live on the field's x-grid")
-        t = ell / base
-        k = np.minimum(np.maximum(eta.searchsorted(t, side="right") - 1, 0), last)
-        d = t - eta[k]
-
-        def horner(q):
-            # each column's own cubic piece, highest power first
-            c = tables[q][:, k, cols]
-            vals = c[0]
-            for row in c[1:]:
-                vals = vals * d + row
-            return vals / scale[q]
-
-        return tuple(horner(q) for q in dy) if isinstance(dy, tuple) else horner(dy)
-
-    return sample
+    return field._sampler
 
 
 def curve_conormal(zbar, curve):
@@ -906,16 +948,19 @@ def curve_conormal(zbar, curve):
     derivative zbar_y - ell' zbar_x on the curve.  Raises unless the curve
     passes `_check_on_mesh`."""
     _check_on_mesh(zbar, curve)
-    zl, _, dnu = _conormal(_curve_sampler(zbar), zbar.curve.h, curve.ell)
+    (zl, _), _, dnu = _conormal(_curve_sampler(zbar), curve)
     return zl, dnu
 
 
-def _conormal(sample, h, ell):
-    """`curve_conormal` through a `_curve_sampler` of zbar (x-spacing h),
-    with zbar_y on the curve between its two traces: (on_curve, zbar_y,
-    conormal)."""
-    ell = np.asarray(ell, dtype=float)
-    zl, zy = sample(ell, (0, 1))
-    dl = _first_diff(ell, h)
-    dzl = _first_diff(zl, h)
-    return zl, zy, (1.0 + dl * dl) * zy - dl * dzl
+def _conormal(sample, curve, orders=(0, 1)):
+    """`curve_conormal` through a `_curve_sampler` of zbar, with what it
+    traced on the way: (traces, dzl, conormal).  traces is
+    sample(curve.ell, orders), zbar's y-derivatives of the given orders on
+    the curve (orders starts with 0, 1), and dzl = d/dx [zbar(x, ell(x))]
+    by `_first_diff` at the curve's spacing, which its slope `dell()` also
+    takes."""
+    traces = sample(curve.ell, orders)
+    zl, zy = traces[0], traces[1]
+    dl = curve.dell()
+    dzl = _first_diff(zl, curve.h)
+    return traces, dzl, (1.0 + dl * dl) * zy - dl * dzl

@@ -14,9 +14,10 @@ and frozen.  One Newton sweep serves all three kinds; each step
 The residual each step drives to zero is that of the frozen zbar, so the
 sweep's fixed point is set by zbar alone.  Every step linearizes that
 residual on zbar's own traces along the curve (zbar and its y-derivatives
-from one spline of zbar per sweep, x-derivatives by the same differences the
-residual takes), so each is Newton's method on the residual and no step
-solves a forward problem.
+from one spline of zbar, built on zbar's first trace and kept on the field
+for every later sweep; x-derivatives by the same differences the residual
+takes, once per iterate), so each is Newton's method on the residual and no
+step solves a forward problem.
 
 Only the interface residual of zbar and the linearization differ per kind
 (Z, Z_y, Z_yy are zbar and its y-derivatives on the curve, D the
@@ -50,7 +51,7 @@ from scipy.linalg.lapack import dpbsv
 
 from .elliptic import (Curve, _conormal, _curve_sampler, _first_diff, _samples_on_grid, assemble,
                        bottom_flux, interface_traces)
-from .spectral import _trapezoid_weights
+from .spectral import _cos_projection, _cos_rows, _trapezoid_weights
 
 __all__ = [
     "NewtonConfig",
@@ -142,14 +143,12 @@ def project_cosine(values, L, modes):
 
 
 def _cosine_projector(n, L, modes):
-    """`project_cosine` of n samples: `_cos_coeffs` on the cosine rows of
-    `_cos_tables`, with the rows, weights and their norms built once for any
-    number of calls."""
+    """`project_cosine` of n samples: `_cos_projection` on `_cos_rows`,
+    built once for any number of calls."""
     x = np.linspace(0.0, L, n)
-    ph = np.cos(np.outer(np.arange(int(modes)) * np.pi / L, x))
-    w = _trapezoid_weights(n, x[1] - x[0])
-    norms = (ph * ph * w).sum(axis=1)
-    return lambda values: ((ph * (w * values)).sum(axis=1) / norms) @ ph
+    ph = _cos_rows(x, L, modes)
+    coeffs = _cos_projection(ph, _trapezoid_weights(n, x[1] - x[0]))
+    return lambda values: coeffs(values) @ ph
 
 
 def _corridor(curve0, zbar):
@@ -177,17 +176,19 @@ def _trust_clamp(ell, dl, lo, hi):
     return np.minimum(np.maximum(new, lo), hi), bool(((new < lo) | (new > hi)).any())
 
 
-def _sweep(curve0, zbar, cfg, truth, residual, step):
+def _sweep(curve0, zbar, cfg, truth, residual, step, orders=(0, 1)):
     """The Newton sweep shared by the three interface kinds.
 
-    residual(curve, zl, dnu) is the interface misfit of zbar on the curve,
-    given its trace zl and conormal derivative dnu.  step(curve, sample, zl,
-    zy, r, flag) linearizes about the current curve and returns the raw
-    update and the linear operator op it inverts, op(update) ~ r; sample is
-    the one `_curve_sampler` of zbar built for the whole sweep, zy is zbar_y
-    on the curve, traced with zl and dnu through it, and flag(text) records
-    a flag of the current iteration.  Every step reads its linearization
-    from these traces and solves no forward problem.
+    Pass k traces zbar on iterate k once, by `_conormal` through zbar's kept
+    `_curve_sampler` (its spline is built on zbar's first trace, by this
+    sweep or an earlier one): traces holds zbar's y-derivatives of the given
+    orders on the curve (zl, zy, ...), dzl is d/dx zl and dnu the conormal
+    derivative.  residual(curve, zl, dnu) is the interface misfit of zbar on
+    the curve.  step(curve, traces, dzl, r, flag) linearizes about the
+    current curve and returns the raw update and the linear operator op it
+    inverts, op(update) ~ r; flag(text) records a flag of the current
+    iteration.  Every step reads its linearization from these traces and
+    solves no forward problem.
     Pass k measures the residual at iterate k and, below max_iter and until
     the step rule fires, takes one step, so the last residual needs no step.
     """
@@ -207,15 +208,15 @@ def _sweep(curve0, zbar, cfg, truth, residual, step):
     stop = None
     for k in range(cfg.max_iter + 1):
         curve = iterates[-1]
-        zl, zy, dnu = _conormal(sample, zbar.curve.h, curve.ell)
-        r = residual(curve, zl, dnu)
+        traces, dzl, dnu = _conormal(sample, curve, orders)
+        r = residual(curve, traces[0], dnu)
         residual_norms.append(_wnorm(r, w))
         if stop is not None:
             break
         if k == cfg.max_iter:
             stop = "max_iter"
             break
-        dl, op = step(curve, sample, zl, zy, r,
+        dl, op = step(curve, traces, dzl, r,
                       lambda text: flags.append("iter %d: %s" % (k, text)))
         dl_sm = smooth(dl)
         step_residuals.append(_wnorm(op(dl_sm) - r, w))
@@ -239,7 +240,8 @@ def newton_dirichlet(curve0, zbar, lateral, f, cfg, truth=None):
     step."""
     _samples_on_grid(f, curve0.x, "f")
 
-    def step(curve, sample, zl, uy, r, flag):
+    def step(curve, traces, dzl, r, flag):
+        zl, uy = traces
         size = np.abs(uy)
         ok = size > _FLUX_FLOOR * max(1.0, float(size.max()))
         if not ok.all():
@@ -376,9 +378,10 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     scale = max(1.0, float(np.max(np.abs(zbar.values))) / zbar.curve.L)
     warned = False
 
-    def step(curve, sample, zl, zy, dnu, flag):
+    def step(curve, traces, dzl, dnu, flag):
         nonlocal warned
-        ux = _first_diff(zl, curve.h) - curve.dell() * zy
+        zl, zy = traces
+        ux = dzl - curve.dell() * zy
         warned = warned or _warn_degenerate(scale, ux, flag)
         rows = grad * ux[cols]  # d/dx [u_x delta], the linearized operator
         pin = (0.0, 0.0) if endpoint_values is None else (
@@ -410,11 +413,12 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
         # combined_impedance(gam, curve) * zl on the samples gam already holds
         return dnu + np.sqrt(1.0 + curve.dell() ** 2) * gam * zl
 
-    def step(curve, sample, zl, zy, r, flag):
+    def step(curve, traces, dzl, r, flag):
+        zl, zy, zyy = traces
         dl = curve.dell()
         sq = np.sqrt(1.0 + dl * dl)
-        c1 = 2.0 * dl * zy - _first_diff(zl, h) + dl * gam * zl / sq
-        c0 = (1.0 + dl * dl) * sample(curve.ell, dy=2) + sq * gam * zy
+        c1 = 2.0 * dl * zy - dzl + dl * gam * zl / sq
+        c0 = (1.0 + dl * dl) * zyy + sq * gam * zy
         # -dR: row i weighs delta[cols[i]]
         rows = grad * (dl[:, None] * zy[cols] - c1[:, None]) - diag * c0[:, None]
 
@@ -423,7 +427,7 @@ def newton_impedance(curve0, gamma, zbar, lateral, f, cfg, truth=None):
 
         return solve(rows, r, flag), op
 
-    return _sweep(curve0, zbar, cfg, truth, residual, step)
+    return _sweep(curve0, zbar, cfg, truth, residual, step, (0, 1, 2))
 
 
 def linearized_flux(curve, lateral, interface, f, dl):

@@ -52,7 +52,7 @@ from .elliptic import (
     interface_traces,
 )
 from .specfun import ml_values
-from .spectral import _cos_coeffs, _cos_tables, _trapezoid_weights, analyze
+from .spectral import _cos_projection, _cos_tables, _trapezoid_weights, analyze
 
 __all__ = [
     "JointState",
@@ -521,8 +521,8 @@ class _FrozenSystem:
     def pack(self, xi0):
         a1, b1 = self.span.project(xi0.u1)
         a2, b2 = self.span.project(xi0.u2)
-        w = self.basis.weights
-        lh, g1, g2 = (_cos_coeffs(v, self.ph, w) for v in (xi0.ell.ell, xi0.gam1, xi0.gam2))
+        coeffs = _cos_projection(self.ph, self.basis.weights)
+        lh, g1, g2 = (coeffs(v) for v in (xi0.ell.ell, xi0.gam1, xi0.gam2))
         return np.concatenate([a1, b1, a2, b2, lh, g1, g2])
 
     def unpack(self, v):

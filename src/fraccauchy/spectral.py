@@ -81,18 +81,23 @@ def _trapezoid_weights(N: int, h: float) -> np.ndarray:
     return w
 
 
+def _cos_rows(x, L, modes):
+    """Rows k < modes of cos(k pi x / L)."""
+    return np.cos(np.outer(np.arange(int(modes)) * np.pi / L, x))
+
+
 def _cos_tables(x, L, modes):
-    """Rows k < modes of cos(k pi x / L) and their exact derivatives."""
+    """`_cos_rows` and their exact derivatives."""
     k = np.arange(int(modes)) * np.pi / L
-    ph = np.cos(np.outer(k, x))
-    dph = -k[:, None] * np.sin(np.outer(k, x))
-    return ph, dph
+    return _cos_rows(x, L, modes), -k[:, None] * np.sin(np.outer(k, x))
 
 
-def _cos_coeffs(values, ph, w):
+def _cos_projection(ph, w):
     """Least-squares coefficients of grid samples on the cosine rows ph under
-    the trapezoid weights w."""
-    return (ph * (w * values)).sum(axis=1) / (ph * ph * w).sum(axis=1)
+    the trapezoid weights w, as a function of the samples; the rows' norms
+    are formed once for any number of calls."""
+    norms = (ph * ph * w).sum(axis=1)
+    return lambda values: (ph * (w * values)).sum(axis=1) / norms
 
 
 def _robin_char(k: float, sigma: float, L: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from fraccauchy.elliptic import (
     _BandLU,
     _column_preconditioner,
     _curve_sampler,
+    _derived_rows,
     _first_diff,
     _impedance,
     _spline_tables,
@@ -891,15 +893,18 @@ def spline_fields():
 @pytest.mark.parametrize("name", ["holdall81", "forward9", "nonuniform", "levels4"])
 def test_spline_tables_are_cubicspline_coefficients(spline_fields, name):
     # the sampler's own spline build against SciPy's, bit for bit, for the
-    # values and both derivative orders
+    # values and, through the rows the sampler derives, both derivative
+    # orders
     fld = spline_fields[name]
     assert fld.values.shape[1] == {"holdall81": 81, "forward9": 9,
                                    "nonuniform": 21, "levels4": 4}[name]
-    tables = _spline_tables(fld.eta, fld.values)
+    c = _spline_tables(fld.eta, fld.values)
     ref = CubicSpline(fld.eta, fld.values, axis=1)
-    np.testing.assert_array_equal(tables[0], ref.c, strict=True)
+    np.testing.assert_array_equal(c, ref.c, strict=True)
+    np.testing.assert_array_equal(np.stack(_derived_rows(c, 0)), ref.c, strict=True)
     for q in (1, 2):
-        np.testing.assert_array_equal(tables[q], ref.derivative(q).c, strict=True)
+        np.testing.assert_array_equal(np.stack(_derived_rows(c, q)), ref.derivative(q).c,
+                                      strict=True)
 
 
 def test_spline_refusals(spline_fields):
@@ -930,6 +935,52 @@ def test_order_tuple_equals_single_orders(spline_fields, name):
         for dy, g in enumerate(got):
             np.testing.assert_array_equal(g, sample(ell, dy), strict=True)
         np.testing.assert_array_equal(sample(ell, (2, 0))[0], got[2], strict=True)
+
+
+def test_field_arrays_read_only_views(spline_fields):
+    # a field views its float64 arrays read-only without copying them, so
+    # the spline of its first trace can be kept; the caller's arrays keep
+    # their own flags, and other input is converted to float
+    fld = spline_fields["forward9"]
+    values, eta = fld.values.copy(), fld.eta.copy()
+    kept = MeshField(values, fld.curve, eta)
+    assert np.shares_memory(kept.values, values) and np.shares_memory(kept.eta, eta)
+    assert values.flags.writeable and eta.flags.writeable
+    for a in (kept.values, kept.eta):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    with pytest.raises(AttributeError):
+        kept.values = values
+    ints = MeshField(np.ones((fld.curve.N, 4), dtype=int), fld.curve, [0, 1, 2, 3])
+    assert ints.values.dtype == ints.eta.dtype == np.float64
+    assert not (ints.values.flags.writeable or ints.eta.flags.writeable)
+
+
+def test_sampler_kept_on_field(spline_fields, monkeypatch):
+    # the sampler is built on the first trace, once, and is the same object
+    # on every later one
+    import fraccauchy.elliptic as el
+
+    built = []
+    spline_tables = el._spline_tables
+
+    def counted(eta, values):
+        built.append(values)
+        return spline_tables(eta, values)
+
+    monkeypatch.setattr(el, "_spline_tables", counted)
+    ref = spline_fields["holdall81"]
+    fld = MeshField(ref.values, ref.curve, ref.eta)
+    assert built == []
+    assert _curve_sampler(fld) is _curve_sampler(fld)
+    curve = Curve(0.5 * fld.curve.ell, 1.0, fld.curve.olell)
+    tr = interface_traces(fld, curve)
+    assert len(built) == 1 and built[0] is fld.values
+    # a traced field still pickles; the copy builds its own spline
+    copy = pickle.loads(pickle.dumps(fld))
+    assert not copy.values.flags.writeable and "_sampler" not in vars(copy)
+    np.testing.assert_array_equal(interface_traces(copy, curve).u_yy, tr.u_yy, strict=True)
+    assert len(built) == 2
 
 
 class TestTraceRefusals:

@@ -8,6 +8,7 @@ from fraccauchy.continuation import CauchyData, ContinuationScheme
 from fraccauchy.elliptic import (
     Curve,
     InterfaceBC,
+    MeshField,
     _conormal,
     _curve_sampler,
     bottom_flux,
@@ -87,9 +88,18 @@ def holdall_field(kind, olell, delta, seed=3, gamma=GAMMA):
     return _ZBAR[key]
 
 
-def run_newton(kind, olell, delta, start, cfg=None, endpoints=True, seed=3):
+def assert_traces_equal(got, ref):
+    """Two `RecoveryTrace`s agree bit for bit."""
+    for name in ("residual_norms", "step_residuals", "rel_errors"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), strict=True)
+    np.testing.assert_array_equal([c.ell for c in got.iterates], [c.ell for c in ref.iterates],
+                                  strict=True)
+    assert (got.flags, got.converged, got.stop) == (ref.flags, ref.converged, ref.stop)
+
+
+def run_newton(kind, olell, delta, start, cfg=None, endpoints=True, seed=3, zbar=None):
     lt = truth_curve(X, olell)
-    zbar = holdall_field(kind, olell, delta, seed=seed)
+    zbar = holdall_field(kind, olell, delta, seed=seed) if zbar is None else zbar
     curve0 = Curve(start if np.ndim(start) else np.full(N, start), L, olell)
     cfg = cfg if cfg is not None else NewtonConfig()
     if kind == "D":
@@ -203,26 +213,26 @@ class TestImpedanceStep:
 
         zbar = holdall_field("I", 0.1, 0.01)
         monkeypatch.setattr(fb, "_sweep", lambda *args: args)
-        *_, residual, step = newton_impedance(Curve(np.full(N, 0.05), L, 0.1), GAMMA, zbar,
-                                              LATERAL, excitation(X), NewtonConfig())
+        *_, residual, step, orders = newton_impedance(Curve(np.full(N, 0.05), L, 0.1), GAMMA,
+                                                      zbar, LATERAL, excitation(X), NewtonConfig())
         sample = _curve_sampler(zbar)
 
         def traces(ell):
             curve = Curve(ell, L, 0.1)
-            zl, zy, dnu = _conormal(sample, zbar.curve.h, ell)
-            return curve, zl, zy, residual(curve, zl, dnu)
+            tr, dzl, dnu = _conormal(sample, curve, orders)
+            return curve, tr, dzl, residual(curve, tr[0], dnu)
 
-        return traces, step, sample
+        return traces, step
 
     def test_operator_matches_central_differences(self, monkeypatch):
         # R is C^1 in ell with a second derivative that jumps where the
         # curve crosses a level of zbar's spline, so the central difference
         # errs by O(eps |delta|) there: the directions stay small against the
         # level spacing 1.25e-3
-        traces, step, sample = self._step_and_residual(monkeypatch)
+        traces, step = self._step_and_residual(monkeypatch)
         ell = truth_curve(X, 0.1)
-        curve, zl, zy, r = traces(ell)
-        _, op = step(curve, sample, zl, zy, r, None)
+        curve, tr, dzl, r = traces(ell)
+        _, op = step(curve, tr, dzl, r, None)
         eps = 1e-4
         for d in (0.01 * np.cos(np.pi * X), 0.01 * X ** 2):
             fd = (traces(ell + eps * d)[3] - traces(ell - eps * d)[3]) / (2.0 * eps)
@@ -232,9 +242,9 @@ class TestImpedanceStep:
         # the banded rows of the step against the dense matrix of its op
         from fraccauchy.freeboundary import _RHO1
 
-        traces, step, sample = self._step_and_residual(monkeypatch)
-        curve, zl, zy, r = traces(0.06 + 0.01 * X)
-        d, op = step(curve, sample, zl, zy, r, None)
+        traces, step = self._step_and_residual(monkeypatch)
+        curve, tr, dzl, r = traces(0.06 + 0.01 * X)
+        d, op = step(curve, tr, dzl, r, None)
         A = np.stack([op(e) for e in np.eye(N)], axis=1)
         D = np.gradient(np.eye(N), curve.h, axis=0, edge_order=2)
         w = np.full(N, 1.0 / (N - 1))
@@ -345,8 +355,10 @@ def test_conormal_trace_matches_closed_form():
     np.testing.assert_allclose(dnu, exact, atol=2e-3)
 
 
-def test_project_cosine_is_cos_coeffs_on_cos_tables_bitwise():
-    from fraccauchy.spectral import _cos_coeffs, _cos_tables
+def test_project_cosine_is_cos_projection_on_cos_tables_bitwise():
+    # against spectral's one projection, and against its arithmetic written
+    # out: the weighted row sums over the rows' norms
+    from fraccauchy.spectral import _cos_projection, _cos_tables
 
     for n, length, modes in ((17, 1.0, 4), (129, 1.0, 8), (65, 2.3, 8)):
         x = np.linspace(0.0, length, n)
@@ -354,8 +366,10 @@ def test_project_cosine_is_cos_coeffs_on_cos_tables_bitwise():
         w = np.full(n, x[1])
         w[0] = w[-1] = 0.5 * x[1]
         v = np.random.default_rng(n).standard_normal(n)
-        np.testing.assert_array_equal(project_cosine(v, length, modes), _cos_coeffs(v, ph, w) @ ph,
-                                      strict=True)
+        got = project_cosine(v, length, modes)
+        np.testing.assert_array_equal(got, _cos_projection(ph, w)(v) @ ph, strict=True)
+        ref = (ph * (w * v)).sum(axis=1) / (ph * ph * w).sum(axis=1) @ ph
+        np.testing.assert_array_equal(got, ref, strict=True)
 
 
 def test_project_cosine_reproduces_low_modes_and_kills_high():
@@ -566,12 +580,12 @@ class TestSweepBranches:
 
         sweep = fb._sweep
 
-        def nan_steps(curve0, zbar, cfg, truth, residual, step):
+        def nan_steps(curve0, zbar, cfg, truth, residual, step, *orders):
             def nan_step(*args):
                 dl, op = step(*args)
                 return np.full_like(dl, np.nan), op
 
-            return sweep(curve0, zbar, cfg, truth, residual, nan_step)
+            return sweep(curve0, zbar, cfg, truth, residual, nan_step, *orders)
 
         monkeypatch.setattr(fb, "_sweep", nan_steps)
         with pytest.raises(ValueError, match="^curve must be finite and strictly positive$"):
@@ -759,9 +773,9 @@ class TestBandedSolveBitwise:
 
 class TestSweepCost:
     """No sweep solves a forward problem or traces a forward field: every
-    step linearizes on zbar, through one spline build of zbar per sweep and
-    one conormal trace per iterate, whether the sweep stops on its step rule
-    or on max_iter."""
+    step linearizes on zbar, through zbar's one kept spline and one conormal
+    trace per iterate, whether the sweep stops on its step rule or on
+    max_iter."""
 
     FORWARD = ("solve_forward", "assemble", "interface_traces")
 
@@ -792,3 +806,28 @@ class TestSweepCost:
         assert all(calls[name] == 0 for name in self.FORWARD), calls
         assert calls["_curve_sampler"] == 1
         assert calls["_conormal"] == len(tr.iterates)
+
+    @pytest.mark.parametrize("kind", ["D", "N", "I"])
+    def test_spline_kept_across_sweeps(self, kind, monkeypatch):
+        # zbar's spline is built on its first sweep and kept: a second sweep
+        # builds none, and both equal, bit for bit, a sweep on a fresh field
+        # of the same data, which builds its own
+        import fraccauchy.elliptic as el
+
+        built = []
+        spline_tables = el._spline_tables
+
+        def counted(eta, values):
+            built.append(values)
+            return spline_tables(eta, values)
+
+        monkeypatch.setattr(el, "_spline_tables", counted)
+        cached = holdall_field(kind, 0.1, 0.01)
+        zbar = MeshField(cached.values, cached.curve, cached.eta, cached.meta)
+        fresh = MeshField(cached.values.copy(), cached.curve, cached.eta.copy(), cached.meta)
+        first, again = (run_newton(kind, 0.1, 0.01, 0.05, zbar=zbar) for _ in range(2))
+        assert len(built) == 1 and built[0] is zbar.values
+        other = run_newton(kind, 0.1, 0.01, 0.05, zbar=fresh)
+        assert len(built) == 2 and built[1] is fresh.values
+        for tr in (again, other):
+            assert_traces_equal(tr, first)

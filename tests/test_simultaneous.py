@@ -282,28 +282,40 @@ def test_divergence_stops_with_reason_last(problem):
 def test_one_spline_per_traced_field(problem, monkeypatch):
     # a covering field is traced through one sampler for all three
     # derivative orders, and projected through one for all twelve levels,
-    # with the values of a fresh spline per evaluation
+    # with the values of a fresh spline per evaluation; the spline is built
+    # once per field, on its first trace, and kept across joint steps
     import fraccauchy.elliptic as el
     import fraccauchy.simultaneous as sim
 
     levels = np.linspace(0.0, OLELL, 41)
-    z1 = solve_cauchy_holdall(problem["data"][0], LATERAL, ContinuationScheme("exact"), levels)
+    z1, z2 = (solve_cauchy_holdall(d, LATERAL, ContinuationScheme("exact"), levels)
+              for d in problem["data"])
     curve = Curve(truth_curve(X), L, OLELL)
-    built = []
+    built, tables = [], []
 
     def counted(fld):
         built.append(fld)
         return sampler(fld)
 
-    sampler = sim._curve_sampler
+    def counted_tables(eta, values):
+        tables.append(values)
+        return spline_tables(eta, values)
+
+    sampler, spline_tables = sim._curve_sampler, el._spline_tables
     monkeypatch.setattr(sim, "_curve_sampler", counted)
     monkeypatch.setattr(el, "_curve_sampler", counted)
+    monkeypatch.setattr(el, "_spline_tables", counted_tables)
     tr = interface_traces(z1, curve)
     assert built == [z1]
     for got, dy in ((tr.u, 0), (tr.u_y, 1), (tr.u_yy, 2)):
         np.testing.assert_array_equal(got, sampler(z1)(curve.ell, dy=dy), strict=True)
     _SpanBasis(build_basis(L, LATERAL, J, N), OLELL).project(z1)
     assert built == [z1, z1]
+    assert len(tables) == 1 and tables[0] is z1.values
+    steps = [joint_newton_step(problem["xi0"], z1, z2) for _ in range(2)]
+    assert len(tables) == 2 and tables[1] is z2.values
+    for a, b in zip(*steps):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
