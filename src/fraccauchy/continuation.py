@@ -24,7 +24,8 @@ the Cauchy data.  `_plan` keeps, per request of a scheme on a geometry, one
 read-only *plan*: the tuple of every data-independent array the request
 needs (kernel values, masks, decay factors, denominators).  A first call
 fills the plan with one batched call per kernel; a later call with the same
-request makes one lookup and only the arithmetic on the data.  The plans are
+request makes one lookup and only the arithmetic on the data, whose modal
+coefficients `CauchyData` projects once and keeps.  The plans are
 one per band of `continue_banded` (which ``fac_lap`` and the split rule's
 bands share), one per deepest level of the split rule, and one per
 ``right_dc`` or ``left_dc`` request; together they hold at most _PLAN_BYTES,
@@ -40,6 +41,7 @@ checks the parameters of its kind when built and runs itself through
 module's globals, so callers pass a scheme on without branching on its kind.
 """
 
+import functools
 import math
 import threading
 import warnings
@@ -72,6 +74,8 @@ _LOG_AMP_LIMIT = math.log(AMP_LIMIT)
 
 # search grid of fractional half-orders for the band-wise discrepancy rule
 ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0)
+_ALPHAS = np.array(ALPHA_GRID)
+_ALPHAS.setflags(write=False)
 # safety factor on the noise level of that rule
 _NOISE_SAFETY = 1.5
 # stopping constant of the Landweber pre-smoothing
@@ -87,9 +91,17 @@ _PLAN_LOCK = threading.Lock()
 _EVALUATED = threading.local()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CauchyData:
-    """Bottom-edge traces sampled on ``basis.grid``."""
+    """Bottom-edge traces sampled on ``basis.grid``, with their relative
+    noise level ``delta``.
+
+    ``f`` and ``g`` are read-only float views of the arrays given, not
+    copies.  `coeffs` projects them on its first call and keeps the pair, so
+    every later call, by any scheme, reads the kept coefficients: a data set
+    continued by several schemes, or once per round, is projected once.  The
+    arrays given must not be changed through another reference afterwards:
+    the kept coefficients would no longer match."""
 
     f: np.ndarray
     g: np.ndarray
@@ -97,8 +109,10 @@ class CauchyData:
     basis: object
 
     def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
+        for name in ("f", "g"):
+            a = np.asarray(getattr(self, name), dtype=float).view()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         n = self.basis.N
         if self.f.shape != (n,) or self.g.shape != (n,):
             raise ValueError("traces must be sampled on the basis grid")
@@ -107,8 +121,20 @@ class CauchyData:
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("relative noise level must lie in [0, 1)")
 
+    def __reduce__(self):
+        # a copy is rebuilt from the fields and projects on its first use
+        return CauchyData, (self.f, self.g, self.delta, self.basis)
+
     def coeffs(self):
-        return analyze(self.f, self.basis).c, analyze(self.g, self.basis).c
+        """Modal coefficients ``(fc, gc)`` of f and g, read-only."""
+        return self._coeffs
+
+    @functools.cached_property
+    def _coeffs(self):
+        pair = analyze(self.f, self.basis).c, analyze(self.g, self.basis).c
+        for c in pair:
+            c.setflags(write=False)
+        return pair
 
 
 @dataclass
@@ -184,7 +210,8 @@ class ContinuationScheme:
 # amplifies that bit to ~1e-11 of the field.
 def _check_height(y):
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y) & (y >= 0.0)):
+    # a NaN makes the minimum NaN, which fails the test
+    if y.size and not (y.min() >= 0.0 and y.max() < math.inf):
         raise ValueError("continuation height must be finite and >= 0")
     return y
 
@@ -252,8 +279,11 @@ def _geometry(lam, y):
 def _slice(data, a, zeroed, points=0, overflow=False):
     """Slice from modal coefficients ``a`` of shape ``y.shape + (J,)``;
     ``zeroed`` counts the guarded modes per height, ``points`` the kernel
-    points the call evaluated."""
-    return Slice(np.tensordot(data.basis.modes, a, axes=(0, -1)), overflow, zeroed, points)
+    points the call evaluated.  A count kept in a plan comes as ``count +
+    0``: a new array (a NumPy integer at a scalar height), so no Slice
+    shares memory with a plan.  The product is the one `np.tensordot` forms,
+    without its reshaping."""
+    return Slice(data.basis.modes.T @ a.T, overflow, zeroed, points)
 
 
 def continue_exact(data, y):
@@ -289,12 +319,12 @@ def continue_left_dc(data, alpha2, y):
     y = _check_height(y)
     since = _kernel_points()
     lam = data.basis.lambdas
-    keep, j, yk, e1, e2 = _plan(("left_dc", alpha2) + _geometry(lam, y),
-                                _left_dc_plan, alpha2, lam, y)
+    keep, j, yk, e1, e2, zeroed = _plan(("left_dc", alpha2) + _geometry(lam, y),
+                                        _left_dc_plan, alpha2, lam, y)
     fc, gc = data.coeffs()
     a = np.zeros(keep.shape)
     a[keep] = fc[j] * e1 + gc[j] * yk * e2
-    return _slice(data, a, np.count_nonzero(~keep, axis=-1), _kernel_points() - since)
+    return _slice(data, a, zeroed + 0, _kernel_points() - since)
 
 
 def _entries(mask, y):
@@ -306,13 +336,14 @@ def _entries(mask, y):
 
 def _left_dc_plan(alpha2, lam, y):
     """Plan of `continue_left_dc`: the entries the guard keeps, with their
-    mode index and height, and E_{a2,1}, E_{a2,2} at lam y^a2 there."""
+    mode index and height, E_{a2,1}, E_{a2,2} at lam y^a2 there, and the
+    number of modes the guard drops at each height."""
     keep = lam ** (1.0 / alpha2) * y[..., None] <= _LOG_AMP_LIMIT
     e1 = e2 = np.empty(0)
     if np.any(keep):
         t = np.float_power(y, alpha2)
         e1, e2 = (_kernel_values("ml", alpha2, beta, lam, t, keep) for beta in (1.0, 2.0))
-    return (keep,) + _entries(keep, y) + (e1, e2)
+    return (keep,) + _entries(keep, y) + (e1, e2, np.asarray(np.count_nonzero(~keep, axis=-1)))
 
 
 def _xi_switch(alpha2):
@@ -361,14 +392,13 @@ def _right_dc_large_num(alpha2, xi, small, a1, a3, fc, gc, y):
 def _guarded_ratio(num, den, ref):
     """num/den with the spec'd near-zero-denominator and amplification guards;
     returns (values, number of zeroed modes along the last axis)."""
-    vals = np.zeros_like(num)
     bad = np.abs(den) < 1e-12 * np.abs(num)
-    ok = ~bad
-    with np.errstate(over="ignore"):
-        vals[ok] = num[ok] / den[ok]
-    amp_bad = ~np.isfinite(vals) | (np.abs(vals) > AMP_LIMIT * np.maximum(np.abs(ref), 1e-300))
-    vals[amp_bad] = 0.0
-    return vals, np.count_nonzero(bad | amp_bad, axis=-1)
+    # only a bad entry can divide by zero; it is zeroed below
+    with np.errstate(over="ignore", divide="ignore"):
+        vals = num / den
+    drop = bad | ~np.isfinite(vals) | (np.abs(vals) > AMP_LIMIT * np.maximum(np.abs(ref), 1e-300))
+    vals[drop] = 0.0
+    return vals, np.count_nonzero(drop, axis=-1)
 
 
 def continue_right_dc(data, alpha2, y):
@@ -382,32 +412,33 @@ def continue_right_dc(data, alpha2, y):
         return continue_exact(data, y)
     since = _kernel_points()
     lam = data.basis.lambdas
-    direct, jd, yd, e1, e2, large, jl, yl, xi, small, a1, a3, den = _plan(
+    e1, e2, large, jl, yl, xi, small, a1, a3, den = _plan(
         ("right_dc", alpha2) + _geometry(lam, y), _right_dc_plan, alpha2, lam, y)
     fc, gc = data.coeffs()
-    num = np.zeros(den.shape)
-    num[direct] = fc[jd] * e1 + gc[jd] * yd * e2
-    num[large] = _right_dc_large_num(alpha2, xi, small, a1, a3, fc[jl], gc[jl], yl)
+    # the direct form on the whole grid, then the cancelled form on its entries
+    num = fc * e1 + gc * y[..., None] * e2
+    if jl.size:
+        num[large] = _right_dc_large_num(alpha2, xi, small, a1, a3, fc[jl], gc[jl], yl)
     a, zeroed = _guarded_ratio(num, den, np.hypot(fc, gc))
     return _slice(data, a, zeroed, _kernel_points() - since)
 
 
 def _right_dc_plan(alpha2, lam, y):
-    """Plan of `continue_right_dc`: the entries of the direct form, with
-    their mode index and height, and E_{a2,1} and E_{a2,2} there; the
+    """Plan of `continue_right_dc`: E_{a2,1} and E_{a2,2} on the whole
+    grid, evaluated on the entries of the direct form and 0 elsewhere; the
     entries of the cancelled form, with their mode index and height, and
     xi, exp(-xi) and the tails for beta = 1 and 2 there; and the denominator
     of both forms on the whole grid."""
     t = np.float_power(y, alpha2)
     z = lam * t[..., None]
     den = np.ones(z.shape)
+    e1, e2 = np.zeros(z.shape), np.zeros(z.shape)
     xi = z ** (1.0 / alpha2)
     direct = xi <= _xi_switch(alpha2)
-    e1 = e2 = np.empty(0)
     if np.any(direct):
-        e1, e2, e3 = (_kernel_values("ml", alpha2, beta, lam, t, direct)
-                      for beta in (1.0, 2.0, alpha2))
-        den[direct] = e1 * e1 - z[direct] * e3 * e2
+        e1[direct], e2[direct], e3 = (_kernel_values("ml", alpha2, beta, lam, t, direct)
+                                      for beta in (1.0, 2.0, alpha2))
+        den[direct] = e1[direct] * e1[direct] - z[direct] * e3 * e2[direct]
     large = ~direct
     xi_large = small = a1 = a3 = np.empty(0)
     if np.any(large):
@@ -415,16 +446,14 @@ def _right_dc_plan(alpha2, lam, y):
         xi_large = xi[large]
         small, den[large] = _right_dc_large_den(alpha2, xi_large, tails)
         a1, _, a3 = tails
-    return ((direct,) + _entries(direct, y) + (e1, e2, large) + _entries(large, y)
-            + (xi_large, small, a1, a3, den))
+    return (e1, e2, large) + _entries(large, y) + (xi_large, small, a1, a3, den)
 
 
 def _split_coeffs(fc, gc, lam):
     """Growing and decaying modal parts (fc +- gc/sqrt(lam))/2; a zero
     eigenvalue contributes no flux to either."""
     s = np.sqrt(lam)
-    zero = s == 0.0
-    ginv = np.where(zero, 0.0, gc / np.where(zero, 1.0, s))
+    ginv = np.divide(gc, s, out=np.zeros(gc.shape), where=s != 0.0)
     return 0.5 * (fc + ginv), 0.5 * (fc - ginv)
 
 
@@ -459,13 +488,21 @@ def continue_banded(data, bands, y):
     ``bands`` is a sequence of ``(end_index, alpha)`` pairs with strictly
     increasing end indices covering all modes (the last end equals basis.J).
     Each band reads its kernels 1/E_{alpha,1}(-sqrt(lambda_j) y_k^alpha),
-    their guard mask and the decay factors exp(-sqrt(lambda_j) y_k) from
-    one `_plan`, keyed on the band's request: alpha, its first and end
-    index, the eigenvalues and the heights.  Every call with that request
-    shares the plan, whatever its data or its other bands.  A band not
-    asked for before evaluates its positive-eigenvalue modes at every height
-    in one Mittag-Leffler call, even where another band of that order
-    already covers some of them; a band asked for before evaluates nothing.
+    their guard mask, the number of guarded modes at each height and the
+    decay factors exp(-sqrt(lambda_j) y_k) from one `_plan`, keyed on the
+    band's request: alpha, its first and end index, the eigenvalues and the
+    heights.  Every call with that request shares the plan, whatever its
+    data or its other bands.  A band not asked for before evaluates its
+    positive-eigenvalue modes at every height in one Mittag-Leffler call,
+    even where another band of that order already covers some of them; a
+    band asked for before evaluates nothing.
+
+    A warm call does only the arithmetic on the data: it reads the data's
+    kept coefficients (`CauchyData.coeffs`), splits them, combines them
+    with a single band's arrays as they are (several bands' are joined),
+    zeroes the guarded entries only if a count is positive, writes the
+    linear-in-y limit into the zero-eigenvalue modes only if there are any,
+    and synthesises once.
     """
     y = _check_height(y)
     J = data.basis.J
@@ -479,25 +516,38 @@ def continue_banded(data, bands, y):
     fc, gc = data.coeffs()
     lam = data.basis.lambdas
     up, um = _split_coeffs(fc, gc, lam)
-    s = np.sqrt(lam)
     geometry = _geometry(lam, y)
-    plans = [_plan(("band", alpha_b, start, end) + geometry, _band_plan, alpha_b, s[start:end], y)
+    plans = [_plan(("band", alpha_b, start, end) + geometry, _band_plan, alpha_b, lam[start:end], y)
              for start, (end, alpha_b) in zip([0] + ends, bands)]
-    amp, decay, big = (np.concatenate(part, axis=-1) for part in zip(*plans))
+    zeroed = sum(plan[3] for plan in plans)
+    a = up * _joined(plans, 0) + um * _joined(plans, 1)
+    if zeroed.any():
+        a[_joined(plans, 2)] = 0.0
     # zero eigenvalue: both kernels equal 1, recover the linear-in-y limit
-    a = np.where(s > 0.0, up * amp + um * decay, fc + gc * y[..., None])
-    a[big] = 0.0
-    return _slice(data, a, np.count_nonzero(big, axis=-1), _kernel_points() - since)
+    zero = ~(lam > 0.0)
+    if zero.any():
+        a[..., zero] = fc[zero] + gc[zero] * y[..., None]
+    return _slice(data, a, zeroed, _kernel_points() - since)
 
 
-def _band_plan(alpha, s, y):
-    """Plan of one band of `continue_banded` with modes ``s = sqrt(lambda)``:
-    1/E_{alpha,1}(-s_j y_k^alpha) (1 where s_j = 0), exp(-s_j y_k), and
-    where the first exceeds AMP_LIMIT."""
+def _joined(plans, i):
+    """Part ``i`` of the band plans, joined along the mode axis: a single
+    band's own array, or one concatenation."""
+    parts = [plan[i] for plan in plans]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _band_plan(alpha, lam, y):
+    """Plan of one band of `continue_banded` with eigenvalues ``lam`` and
+    s = sqrt(lam): 1/E_{alpha,1}(-s_j y_k^alpha) (1 where s_j = 0),
+    exp(-s_j y_k), where the first exceeds AMP_LIMIT, and the number of
+    such modes at each height."""
+    s = np.sqrt(lam)
     want = np.broadcast_to(s > 0.0, y.shape + s.shape)
     amp = np.ones(want.shape)
     amp[want] = 1.0 / _kernel_values("ml", alpha, 1.0, -s, np.float_power(y, alpha), want)
-    return amp, np.exp(-s * y[..., None]), np.abs(amp) > AMP_LIMIT
+    big = np.abs(amp) > AMP_LIMIT
+    return amp, np.exp(-s * y[..., None]), big, np.asarray(np.count_nonzero(big, axis=-1))
 
 
 def split_frequency_continue(data, y_grid):
@@ -520,25 +570,29 @@ def split_frequency_continue(data, y_grid):
     one `_plan`, keyed on the eigenvalues and ystar: a cold call evaluates
     the positive-eigenvalue modes once per order, and a later call with the
     same basis and deepest level evaluates none.  The bands then share the
-    band plans of `continue_banded`.
+    band plans of `continue_banded`, which this function calls through the
+    module's globals (a tracer that wraps it sees the call), so the heights
+    are checked there again; both read the data's kept coefficients.
     """
     y_grid = np.atleast_1d(_check_height(y_grid))
     since = _kernel_points()
     lam = data.basis.lambdas
     up, _ = _split_coeffs(*data.coeffs(), lam)
     J = lam.size
-    ystar = float(np.max(y_grid))
+    ystar = float(y_grid.max())
     pos, growth, defects = _plan(("split", ystar, lam.tobytes()), _split_plan, lam, ystar)
     d = np.abs(up)
     # white-noise model: the data error spreads evenly over the modes the
-    # scheme actually amplifies (zero modes are continued exactly)
+    # scheme actually amplifies (zero modes are continued exactly); the mean
+    # square is np.mean's sum and division
     sigma = 0.0
-    if np.any(pos):
-        sigma = _NOISE_SAFETY * data.delta * math.sqrt(float(np.mean(d[pos] ** 2)))
+    if pos.any():
+        sq = d[pos] ** 2
+        sigma = _NOISE_SAFETY * data.delta * math.sqrt(float(sq.sum()) / sq.size)
     cost = defects * d[None, :] + sigma * growth
     # ties (zero modes, noise-free data) resolve toward the exact order
     pick = (len(ALPHA_GRID) - 1) - np.argmin(cost[::-1, :], axis=0)
-    mode_alpha = np.asarray(ALPHA_GRID)[pick]
+    mode_alpha = _ALPHAS[pick]
 
     breaks = np.flatnonzero(mode_alpha[1:] != mode_alpha[:-1]) + 1
     bands = [(int(e), float(mode_alpha[e - 1])) for e in (*breaks, J)]

@@ -52,8 +52,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded, solve_triangular
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
+from scipy.linalg import eigh_tridiagonal, solve_triangular
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv, dgttrf, dgttrs
 from scipy.sparse import dia_matrix
 from scipy.sparse.linalg import splu
 
@@ -199,8 +199,10 @@ class MeshField:
 
     ``values`` and ``eta`` are read-only float views of the arrays given,
     not copies, so the column spline of the field's first trace is kept on
-    it (`_curve_sampler`).  The arrays given must not be changed through
-    another reference afterwards: the kept spline would no longer match."""
+    it (`_curve_sampler`), and so is ``max |values|`` once a sweep has
+    asked for it (`_abs_max`).  The arrays given must not be changed
+    through another reference afterwards: what is kept would no longer
+    match."""
 
     values: np.ndarray
     curve: Curve
@@ -217,6 +219,11 @@ class MeshField:
         # the kept sampler is a closure, which pickle cannot store: a copy is
         # rebuilt from the fields and builds its own on its first trace
         return MeshField, (self.values, self.curve, self.eta, self.meta)
+
+    @functools.cached_property
+    def _abs_max(self):
+        """max |values|, taken on first use."""
+        return float(np.max(np.abs(self.values)))
 
     @functools.cached_property
     def _sampler(self):
@@ -643,7 +650,7 @@ def _column_preconditioner(curve, lateral, interface, M, gamc):
     sides = [(i0, inward, (1.0, 0.0, 0.0) if lateral.kind == "dirichlet"
               else _one_sided(lateral, hx, inward, float(-inward))[1])
              for i0, inward in ((0, 1), (N - 1, -1))]
-    # Tx + lam_k diag(1/ell^2) for every mode k in `solve_banded`'s layout:
+    # Tx + lam_k diag(1/ell^2) for every mode k as the rows of band storage:
     # super-, main and sub-diagonal, zero between modes
     ab = np.zeros((3, K, N - 2))
     ab[0, :, 1:] = ab[2, :, :-1] = cx
@@ -656,6 +663,11 @@ def _column_preconditioner(curve, lateral, interface, M, gamc):
     ab[1, :, -1] -= cx * v1 / v0
     ab[2, :, -2] -= cx * v2 / v0
     ab = ab.reshape(3, K * (N - 2))
+    # one LU of all K systems (``dgttrf``, partial pivoting); each apply is
+    # one ``dgttrs``, the arithmetic of ``dgtsv`` without its elimination
+    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise RuntimeError("column preconditioner: tridiagonal LU info %d" % info)
     ceta = ie2 / ell ** 2
 
     def solve(r):
@@ -665,7 +677,7 @@ def _column_preconditioner(curve, lateral, interface, M, gamc):
         R[:, -1] -= ceta * r[1:-1, -1] / t
         for i0, inward, (w0, _, _) in sides:
             R[i0 + inward - 1] -= cx * r[i0, 1:-1] / w0
-        Uk = solve_banded((1, 1), ab, (R @ Ve_inv.T).T.ravel(), check_finite=False)
+        Uk = dgttrs(*lu, (R @ Ve_inv.T).T.ravel(), overwrite_b=1)[0]
         U = Uk.reshape(K, N - 2).T @ Ve.T
         z = np.empty((N, M))
         z[:, 0] = r[:, 0]
@@ -836,14 +848,17 @@ def solve_cauchy_holdall(data, lateral, scheme, y_grid):
     and tail points this call evaluated.  The continuation keeps its
     data-independent kernels per scheme request and geometry, so
     ``kernel_points`` is 0 when earlier calls on the same basis, heights and
-    orders filled them.
+    orders filled them; ``data`` keeps its modal coefficients from its first
+    call.  A warm call on known data then does only the arithmetic on the
+    data, this function's checks and the continuation's own height check.
     """
     if lateral != data.basis.bc:
         raise ValueError("lateral condition disagrees with the data's basis")
     y = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    if y.size == 0 or np.any(~np.isfinite(y)) or y[0] < 0.0:
+    if y.size == 0 or not np.isfinite(y).all() or y[0] < 0.0:
         raise ValueError("y_grid must be finite and nonnegative")
-    if np.any(np.diff(y) <= 0.0):
+    # on finite heights, y[k+1] <= y[k] exactly where their difference is <= 0
+    if (y[1:] <= y[:-1]).any():
         raise ValueError("y_grid must be strictly increasing")
 
     cont, bands = scheme.continue_data(data, y)

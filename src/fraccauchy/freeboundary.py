@@ -369,13 +369,14 @@ def newton_neumann(curve0, zbar, lateral, f, cfg, truth=None,
     penalty pulls the curve endpoints toward these known heights; otherwise
     it pins the endpoint updates to zero (the starting endpoints are
     trusted).  The penalty also removes the constants, the only null space of
-    d/dx.  u_x is zbar's x-derivative on the curve.  f is still checked as a
-    scalar, a callable or grid samples; neither it nor lateral enters the
-    step.
+    d/dx.  u_x is zbar's x-derivative on the curve, flagged degenerate
+    against the scale max(1, max|zbar| / L), which zbar keeps from its first
+    sweep.  f is still checked as a scalar, a callable or grid samples;
+    neither it nor lateral enters the step.
     """
     _samples_on_grid(f, curve0.x, "f")
     cols, grad, solve = _regularized_solver(curve0.N, curve0.h)
-    scale = max(1.0, float(np.max(np.abs(zbar.values))) / zbar.curve.L)
+    scale = max(1.0, zbar._abs_max / zbar.curve.L)
     warned = False
 
     def step(curve, traces, dzl, dnu, flag):

@@ -373,10 +373,6 @@ def ml_values(alpha: float, beta: float, z) -> np.ndarray:
 def _ml_array(alpha: float, beta: float, z: np.ndarray):
     _check_params(alpha, beta)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    # a point no branch claims (z is NaN) stays NaN with an infinite estimate
-    vals = np.full_like(z, np.nan)
-    ests = np.full_like(z, np.inf)
-    branch = np.full(z.shape, _BRANCH_NAMES.index("none"), dtype=np.int8)
 
     # The series converges around index k_conv ~ |z|^(1/alpha)/alpha; it is
     # float64-feasible only if the bare powers z^k stay below overflow that
@@ -405,16 +401,25 @@ def _ml_array(alpha: float, beta: float, z: np.ndarray):
     else:
         cancel_cap = 8.0
     small = float_ok & ((z >= 0.0) | (xroot <= cancel_cap))
-    need_integral = np.zeros(z.shape, dtype=bool)
-
     if small.any():
         sv, se, smax = _series(alpha, beta, z[small])
-        vals[small] = sv
-        ests[small] = se
-        branch[small] = 0
         # belt and braces: reroute any unexpectedly cancelled alternating
         # series to the integral representation
         bad = (z[small] < 0) & (smax > _SERIES_CANCEL_LIMIT)
+        if small.all() and (alpha >= 1.0 or not bad.any()):
+            # every point stays with the series: its triple is the answer,
+            # and no other branch's mask is built
+            return sv, se, np.zeros(z.shape, dtype=np.int8)
+
+    # a point no branch claims (z is NaN) stays NaN with an infinite estimate
+    vals = np.full_like(z, np.nan)
+    ests = np.full_like(z, np.inf)
+    branch = np.full(z.shape, _BRANCH_NAMES.index("none"), dtype=np.int8)
+    need_integral = np.zeros(z.shape, dtype=bool)
+    if small.any():
+        vals[small] = sv
+        ests[small] = se
+        branch[small] = 0
         idx = np.where(small)[0]
         if alpha < 1.0:
             need_integral[idx[bad]] = True

@@ -1,7 +1,9 @@
 """Cauchy-data continuation: exact propagator, the three fractional
 stabilisations, frequency-band selection, and Landweber pre-smoothing."""
 
+import dataclasses
 import math
+import pickle
 import sys
 import threading
 from types import SimpleNamespace
@@ -726,6 +728,205 @@ def test_memo_new_band_evaluates_only_its_entries(monkeypatch, plans):
     assert points == []
     continue_banded(data, [(5, 0.7), (12, 0.5)], MEMO_Y)
     assert points == [7 * MEMO_Y.size]
+
+
+def test_cauchy_data_is_frozen_and_read_only():
+    basis = build_basis(1.0, LateralBC("neumann"), 6, 33)
+    f, g = np.cos(np.pi * basis.grid), np.sin(np.pi * basis.grid)
+    data = CauchyData(f, g, 0.01, basis)
+    # float64 traces are viewed, not copied; the caller's arrays stay writeable
+    assert np.shares_memory(data.f, f) and np.shares_memory(data.g, g)
+    assert f.flags.writeable and g.flags.writeable
+    for trace in (data.f, data.g):
+        with pytest.raises(ValueError, match="read-only"):
+            trace[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.f = g
+    # other inputs are converted to float arrays
+    listed = CauchyData(list(f), g, 0.0, basis)
+    assert listed.f.dtype == np.float64 and not listed.f.flags.writeable
+
+
+def test_cauchy_data_projects_once(monkeypatch, plans):
+    calls = []
+
+    def counted(samples, basis):
+        calls.append(samples)
+        return analyze(samples, basis)
+
+    monkeypatch.setattr(continuation, "analyze", counted)
+    data = _memo_data(1)
+    fc, gc = data.coeffs()
+    assert len(calls) == 2
+    assert calls[0] is data.f and calls[1] is data.g
+    for c, trace in ((fc, data.f), (gc, data.g)):
+        np.testing.assert_array_equal(c, analyze(trace, data.basis).c, strict=True)
+        assert not c.flags.writeable
+    # every scheme, cold or warm, and the split reuse the kept pair
+    for _ in range(2):
+        for cont in MEMO_SCHEMES.values():
+            cont(data, MEMO_Y)
+        continue_exact(data, MEMO_Y)
+        split_data(data)
+        solve_cauchy_holdall(data, data.basis.bc, ContinuationScheme("fac_lap", alpha=0.7), MEMO_Y)
+    assert len(calls) == 2
+    assert data.coeffs()[0] is fc and data.coeffs()[1] is gc
+
+
+def test_cauchy_data_pickles():
+    data = _memo_data(2)
+    kept = data.coeffs()
+    copy = pickle.loads(pickle.dumps(data))
+    # the copy is rebuilt from its fields and projects on its own first use
+    assert "_coeffs" not in vars(copy)
+    assert not copy.f.flags.writeable and not copy.g.flags.writeable
+    np.testing.assert_array_equal(copy.f, data.f, strict=True)
+    for a, b in zip(copy.coeffs(), kept):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+PUBLIC_CONTINUATIONS = {
+    "exact": continue_exact,
+    "left_dc": lambda data, y: continue_left_dc(data, 1.5, y),
+    "right_dc": lambda data, y: continue_right_dc(data, 1.3, y),
+    "fac_lap": lambda data, y: continue_fac_lap(data, 0.7, y),
+    "bands": lambda data, y: continue_banded(data, [(3, 1.0), (12, 0.5)], y),
+    "split": split_frequency_continue,
+}
+
+
+@pytest.mark.parametrize("y", [np.nan, -np.inf, np.inf, -0.1, [0.1, np.nan], [0.2, -0.1]])
+@pytest.mark.parametrize("name", sorted(PUBLIC_CONTINUATIONS))
+def test_every_entry_point_refuses_bad_heights(plans, name, y):
+    # warm or cold, each public function checks its own heights
+    data = _memo_data(1)
+    cont = PUBLIC_CONTINUATIONS[name]
+    cont(data, MEMO_Y)
+    with pytest.raises(ValueError, match="continuation height must be finite and >= 0"):
+        cont(data, y)
+
+
+@pytest.mark.parametrize("y, message", [
+    ([], "finite and nonnegative"), ([np.nan], "finite and nonnegative"),
+    ([0.0, np.inf], "finite and nonnegative"), ([-0.1, 0.2], "finite and nonnegative"),
+    ([0.1, np.nan, 0.3], "finite and nonnegative"), ([0.0, 0.2, 0.2], "strictly increasing"),
+    ([0.0, 0.3, 0.2], "strictly increasing"),
+])
+def test_holdall_refuses_bad_grids(plans, y, message):
+    data = _memo_data(1)
+    scheme = ContinuationScheme("fac_lap", alpha=0.7)
+    solve_cauchy_holdall(data, data.basis.bc, scheme, MEMO_Y)
+    with pytest.raises(ValueError, match="y_grid must be " + message):
+        solve_cauchy_holdall(data, data.basis.bc, scheme, y)
+    with pytest.raises(ValueError, match="lateral condition disagrees"):
+        solve_cauchy_holdall(data, LateralBC("neumann"), scheme, MEMO_Y)
+
+
+@pytest.mark.parametrize("bands, message", [
+    ([], "cover modes"), ([(11, 0.7)], "cover modes"), ([(13, 0.7)], "cover modes"),
+    ([(5, 0.7), (5, 0.6), (12, 0.5)], "cover modes"), ([(6, 0.7), (4, 0.6), (12, 0.5)], "cover modes"),
+    ([(0, 0.7), (12, 0.5)], "cover modes"), ([(12, 0.0)], "half-orders"),
+    ([(4, 1.2), (12, 0.5)], "half-orders"), ([(4, np.nan), (12, 0.5)], "half-orders"),
+])
+def test_banded_refuses_bad_bands(plans, bands, message):
+    data = _memo_data(1)
+    continue_banded(data, [(12, 0.7)], MEMO_Y)
+    with pytest.raises(ValueError, match=message):
+        continue_banded(data, bands, MEMO_Y)
+
+
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes: sign bits of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _banded_before(data, bands, y):
+    """Values and zeroed counts of `continue_banded` by its arithmetic
+    before the band plans kept their counts: each band's kernels joined by
+    np.concatenate, one np.where over every mode, np.count_nonzero of the
+    guard and np.tensordot's synthesis."""
+    y = np.asarray(y, dtype=float)
+    fc, gc = analyze(data.f, data.basis).c, analyze(data.g, data.basis).c
+    s = np.sqrt(data.basis.lambdas)
+    zero = s == 0.0
+    ginv = np.where(zero, 0.0, gc / np.where(zero, 1.0, s))
+    up, um = 0.5 * (fc + ginv), 0.5 * (fc - ginv)
+    amp = []
+    for start, (end, alpha) in zip([0] + [e for e, _ in bands], bands):
+        sb = s[start:end]
+        want = np.broadcast_to(sb > 0.0, y.shape + sb.shape)
+        part = np.ones(want.shape)
+        z = -sb * np.float_power(y, alpha)[..., None]
+        part[want] = 1.0 / ml_values(alpha, 1.0, z[want])
+        amp.append(part)
+    amp = np.concatenate(amp, axis=-1)
+    big = np.abs(amp) > continuation.AMP_LIMIT
+    a = np.where(s > 0.0, up * amp + um * np.exp(-s * y[..., None]), fc + gc * y[..., None])
+    a[big] = 0.0
+    return np.tensordot(data.basis.modes, a, axes=(0, -1)), np.count_nonzero(big, axis=-1)
+
+
+@pytest.mark.parametrize("bands", [[(12, 0.7)], [(3, 1.0), (7, 0.8), (12, 1.0)]],
+                         ids=["one_band", "three_bands"])
+@pytest.mark.parametrize("y", [1.7, MEMO_Y], ids=["scalar", "grid"])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin"])
+def test_banded_matches_arithmetic_before_plans_kept_counts(plans, kind, y, bands):
+    # the combine over the positive modes, the zero-eigenvalue patch, the
+    # kept guard counts and the matrix-product synthesis change no bit, cold
+    # or warm; the top band at order 1 grows like exp(s y) and is guarded
+    data = _memo_data(4, kind=kind)
+    values, zeroed = _banded_before(data, bands, y)
+    for _ in range(2):
+        out = continue_banded(data, bands, y)
+        _same_bits(out.values, values)
+        _same_bits(out.zeroed_modes, zeroed)
+        assert type(out.zeroed_modes) is type(zeroed)
+    if len(bands) > 1 and np.ndim(y):
+        assert np.sum(zeroed) > 0
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("shape", [(), (1,), (13,)])
+def test_synthesis_matches_tensordot(kind, shape):
+    data = _memo_data(5, kind=kind)
+    a = np.random.default_rng(6).standard_normal(shape + (12,)) * 10.0 ** np.arange(-6, 6)
+    _same_bits(continuation._slice(data, a, 0).values,
+               np.tensordot(data.basis.modes, a, axes=(0, -1)))
+
+
+def _guarded_ratio_before(num, den, ref):
+    """`_guarded_ratio` by its arithmetic before the division ran on every
+    entry: masked division of the kept entries only."""
+    vals = np.zeros_like(num)
+    bad = np.abs(den) < 1e-12 * np.abs(num)
+    ok = ~bad
+    with np.errstate(over="ignore"):
+        vals[ok] = num[ok] / den[ok]
+    amp_bad = ~np.isfinite(vals) | (np.abs(vals) > continuation.AMP_LIMIT
+                                    * np.maximum(np.abs(ref), 1e-300))
+    vals[amp_bad] = 0.0
+    return vals, np.count_nonzero(bad | amp_bad, axis=-1)
+
+
+def test_guarded_ratio_matches_masked_division():
+    rng = np.random.default_rng(7)
+    num = rng.standard_normal((9, 12)) * 10.0 ** rng.integers(-20, 20, (9, 12))
+    den = rng.standard_normal((9, 12)) * 10.0 ** rng.integers(-30, 10, (9, 12))
+    # zero and signed-zero denominators, an infinite numerator, a quotient
+    # that overflows, a signed-zero numerator and a zero reference
+    den[0, :3] = (0.0, -0.0, 1e-300)
+    num[1, 0], den[1, 0] = np.inf, 2.0
+    num[2, 1], den[2, 1] = 1e300, 1e-10
+    num[3, 2] = -0.0
+    ref = rng.random(12) * 10.0 ** rng.integers(-15, 5, 12)
+    ref[4] = 0.0
+    got = _guarded_ratio(num, den, ref)
+    want = _guarded_ratio_before(num, den, ref)
+    for g, w in zip(got, want):
+        _same_bits(g, w)
+    assert want[1].sum() > 0
 
 
 @pytest.mark.parametrize("y", [[np.nan], [np.inf], [-0.1, 0.2], [0.1, -0.2]])

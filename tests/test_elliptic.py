@@ -487,6 +487,45 @@ def test_flat_strip_inverts_the_flat_operator(lat_kind, itf):
     assert np.max(np.abs(z - u)) <= 1e-12 * np.max(np.abs(u))
 
 
+@pytest.mark.parametrize("itf", sorted(_DEEP_INTERFACES))
+@pytest.mark.parametrize("lat_kind", ["dirichlet", "neumann", "robin"])
+def test_column_preconditioner_apply_matches_gtsv(monkeypatch, lat_kind, itf):
+    # the tridiagonal systems are factored once (dgttrf) and each apply is a
+    # dgttrs; an apply equals, bit for bit, one that solves the same systems
+    # afresh by solve_banded (LAPACK gtsv), as every apply did before
+    import fraccauchy.elliptic as el
+    from scipy.linalg import solve_banded
+
+    N, M = 65, 57
+    x = np.linspace(0.0, 1.0, N)
+    curve = Curve(0.08 + 0.015 * np.cos(2.0 * np.pi * x), 1.0, 0.1)
+    lat, interface = LateralBC(lat_kind, 2.0), _DEEP_INTERFACES[itf]
+    bands = []
+    factor = el.dgttrf
+
+    def kept(dl, d, du):
+        bands.append(np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]]))
+        return factor(dl, d, du)
+
+    monkeypatch.setattr(el, "dgttrf", kept)
+    precond = _column_preconditioner(curve, lat, interface, M, _impedance(curve, interface))
+    (ab,) = bands
+    r = np.random.default_rng(11).standard_normal(N * M)
+    z = precond(r)
+    monkeypatch.setattr(el, "dgttrs", lambda *lu, overwrite_b: (
+        solve_banded((1, 1), ab, lu[-1], check_finite=False), 0))
+    np.testing.assert_array_equal(z, precond(r), strict=True)
+
+
+def test_column_preconditioner_refuses_a_failed_factor(monkeypatch):
+    import fraccauchy.elliptic as el
+
+    monkeypatch.setattr(el, "dgttrf", lambda dl, d, du: (dl, d, du, d[:-2], np.zeros(d.size, np.int32), 3))
+    curve = Curve(np.full(17, 0.08), 1.0, 0.1)
+    with pytest.raises(RuntimeError, match="tridiagonal LU info 3"):
+        _column_preconditioner(curve, LateralBC("neumann"), InterfaceBC("N"), 57, None)
+
+
 def _direct_field(op, f):
     """SciPy's SuperLU solve, in its default ordering, of the row-scaled
     matrix of ``op`` for the bottom trace ``f``."""

@@ -831,3 +831,18 @@ class TestSweepCost:
         assert len(built) == 2 and built[1] is fresh.values
         for tr in (again, other):
             assert_traces_equal(tr, first)
+
+    def test_neumann_scale_kept_across_sweeps(self):
+        # the degeneracy scale's max |zbar| is taken on the first N sweep and
+        # kept on the field; later sweeps equal, bit for bit, a sweep on a
+        # fresh field of the same data, which takes its own
+        cached = holdall_field("N", 0.1, 0.01)
+        zbar = MeshField(cached.values, cached.curve, cached.eta, cached.meta)
+        fresh = MeshField(cached.values.copy(), cached.curve, cached.eta.copy(), cached.meta)
+        assert "_abs_max" not in vars(zbar)
+        first = run_newton("N", 0.1, 0.01, 0.05, zbar=zbar)
+        assert vars(zbar)["_abs_max"] == float(np.max(np.abs(zbar.values)))
+        again = run_newton("N", 0.1, 0.01, 0.05, zbar=zbar)
+        other = run_newton("N", 0.1, 0.01, 0.05, zbar=fresh)
+        for tr in (again, other):
+            assert_traces_equal(tr, first)

@@ -252,6 +252,33 @@ def test_series_unfinished_at_kmax_bitwise():
         assert got[1][[0, 4]].min() > 1.0
 
 
+@pytest.mark.parametrize("alpha, beta, extra", [
+    (0.5, 1.0, -1e3), (0.9, 1.0, 50.0), (0.9, 0.9, -1e3),
+    (1.0, 2.0, 300.0), (1.8, 1.8, 1e5), (2.0, 1.0, -1e5),
+])
+def test_all_series_call_matches_general_path(monkeypatch, alpha, beta, extra):
+    # a call whose points all stay with the series returns the series'
+    # triple at once; appending one point of another branch sends the same
+    # points through the general path, whose leading slice must agree bit
+    # for bit, sign bits included
+    z = np.concatenate([np.linspace(-2.0, 2.0, 41) ** 3 / 4.0, [0.0, -0.0]])
+
+    def refuse(*args):
+        raise AssertionError("an all-series call reached another branch")
+
+    for name in ("_algebraic_tail", "_integral_negative", "_exp_branch_positive",
+                 "_exp_branch_negative"):
+        monkeypatch.setattr(specfun, name, refuse)
+    fast = _ml_array(alpha, beta, z)
+    monkeypatch.undo()
+    general = _ml_array(alpha, beta, np.append(z, extra))
+    assert general[2][-1] != 0
+    for got, want in zip(fast, general):
+        assert got.dtype == want.dtype and got.shape == z.shape
+        assert got.tobytes() == want[:-1].tobytes()
+    assert not fast[2].any()
+
+
 def test_series_independent_of_chunk_size(monkeypatch):
     # the partial sums run sequentially along the term axis, so the chunk
     # size changes no bit; the points stop anywhere from the first terms to

@@ -380,3 +380,50 @@ def test_warm_profiles_equal_fresh_and_read_only(name, monkeypatch):
                 np.testing.assert_array_equal(g, r, strict=True)
                 with pytest.raises(ValueError):
                     g[0, 0] = 1.0
+
+
+# (alpha, beta, number of points) of every ml_values call of a cold
+# split_frequency_continue, continue_fac_lap(alpha = 0.9) and
+# continue_right_dc(2 alpha = 1.8) on 24 Neumann modes over 81 levels to
+# depth 0.2 (the benchmark's hold-all grid), then of one fractional
+# frozen_newton in this file's setting.  The benchmark's Mittag-Leffler
+# oracle samples these calls, so a change that moves them moves its sample
+# and its peak memory.
+ML_CALL_LOG = (
+    [(a, 1.0, 23) for a in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0)]
+    + [(1.0, 1.0, 486), (0.5, 1.0, 1377), (0.9, 1.0, 1863),
+       (1.8, 1.0, 1876), (1.8, 2.0, 1876), (1.8, 1.8, 1876)]
+    + [(0.9, 1.0, 48), (0.9, 1.0, 204)]
+    + [(0.9, 0.9, 68), (0.9, 1.0, 68)] * 8
+    + [(0.9, 0.9, 68), (0.9, 1.0, 324)]
+)
+
+
+def test_ml_call_log_is_pinned(problem, monkeypatch):
+    import fraccauchy.continuation as continuation
+    import fraccauchy.simultaneous as sim
+    from fraccauchy.continuation import (continue_fac_lap, continue_right_dc,
+                                         split_frequency_continue)
+    from fraccauchy.spectral import SpectralCoeffs, synthesize
+
+    monkeypatch.setattr(continuation, "_PLANS", type(continuation._PLANS)())
+    log = []
+    for module in (continuation, sim):
+        def logged(alpha, beta, z, evaluate=module.ml_values):
+            log.append((alpha, beta, int(np.size(z))))
+            return evaluate(alpha, beta, z)
+
+        monkeypatch.setattr(module, "ml_values", logged)
+    basis = build_basis(L, LATERAL, 24, 129)
+    j = np.arange(24)
+    c = np.exp(-0.3 * j)
+    data = CauchyData(synthesize(SpectralCoeffs(basis, c)),
+                      synthesize(SpectralCoeffs(basis, 0.5 * np.cos(j) * c)), DELTA, basis)
+    y = np.linspace(0.0, 0.2, 81)
+    _, bands = split_frequency_continue(data, y)
+    assert bands == [(7, 1.0), (24, 0.5)]
+    continue_fac_lap(data, 0.9, y)
+    continue_right_dc(data, 1.8, y)
+    cfg = FrozenNewtonConfig(scheme=SCHEMES["fac_lap"])
+    frozen_newton(problem["data"], problem["xi0"], problem["penalty"], cfg)
+    assert log == ML_CALL_LOG
