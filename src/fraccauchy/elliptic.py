@@ -663,9 +663,10 @@ def _column_preconditioner(curve, lateral, interface, M, gamc):
     ab[1, :, -1] -= cx * v1 / v0
     ab[2, :, -2] -= cx * v2 / v0
     ab = ab.reshape(3, K * (N - 2))
-    # one LU of all K systems (``dgttrf``, partial pivoting); each apply is
-    # one ``dgttrs``, the arithmetic of ``dgtsv`` without its elimination
-    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    # one LU of all K systems (``dgttrf``, partial pivoting, in place in
+    # ab's rows); each apply is one ``dgttrs``, the arithmetic of ``dgtsv``
+    # without its elimination
+    *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise RuntimeError("column preconditioner: tridiagonal LU info %d" % info)
     ceta = ie2 / ell ** 2

@@ -503,9 +503,9 @@ def test_column_preconditioner_apply_matches_gtsv(monkeypatch, lat_kind, itf):
     bands = []
     factor = el.dgttrf
 
-    def kept(dl, d, du):
+    def kept(dl, d, du, **overwrite):
         bands.append(np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]]))
-        return factor(dl, d, du)
+        return factor(dl, d, du, **overwrite)
 
     monkeypatch.setattr(el, "dgttrf", kept)
     precond = _column_preconditioner(curve, lat, interface, M, _impedance(curve, interface))
@@ -520,7 +520,8 @@ def test_column_preconditioner_apply_matches_gtsv(monkeypatch, lat_kind, itf):
 def test_column_preconditioner_refuses_a_failed_factor(monkeypatch):
     import fraccauchy.elliptic as el
 
-    monkeypatch.setattr(el, "dgttrf", lambda dl, d, du: (dl, d, du, d[:-2], np.zeros(d.size, np.int32), 3))
+    monkeypatch.setattr(el, "dgttrf", lambda dl, d, du, **overwrite: (
+        dl, d, du, d[:-2], np.zeros(d.size, np.int32), 3))
     curve = Curve(np.full(17, 0.08), 1.0, 0.1)
     with pytest.raises(RuntimeError, match="tridiagonal LU info 3"):
         _column_preconditioner(curve, LateralBC("neumann"), InterfaceBC("N"), 57, None)
