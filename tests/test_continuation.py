@@ -824,7 +824,8 @@ def test_holdall_refuses_bad_grids(plans, y, message):
 
 @pytest.mark.parametrize("bands, message", [
     ([], "cover modes"), ([(11, 0.7)], "cover modes"), ([(13, 0.7)], "cover modes"),
-    ([(5, 0.7), (5, 0.6), (12, 0.5)], "cover modes"), ([(6, 0.7), (4, 0.6), (12, 0.5)], "cover modes"),
+    ([(5, 0.7), (5, 0.6), (12, 0.5)], "cover modes"),
+    ([(6, 0.7), (4, 0.6), (12, 0.5)], "cover modes"),
     ([(0, 0.7), (12, 0.5)], "cover modes"), ([(12, 0.0)], "half-orders"),
     ([(4, 1.2), (12, 0.5)], "half-orders"), ([(4, np.nan), (12, 0.5)], "half-orders"),
 ])
